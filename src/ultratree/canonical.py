@@ -33,7 +33,7 @@ from .metrics import (
     normalize_weights,
 )
 from .rational import format_rational
-from .representing import representing_tree
+from .representing import _hierarchy
 
 SCHEMA_VERSION = "1"
 GRAPH_SIZE_LIMIT = 8
@@ -350,7 +350,7 @@ def ultrametric_isometric(s1: FiniteMetricSpace, s2: FiniteMetricSpace) -> bool:
     for s in (s1, s2):
         if s.classify() is not MetricClass.ULTRAMETRIC:
             raise NotUltrametricError("both spaces must be ultrametric")
-    r1, r2 = representing_tree(s1), representing_tree(s2)
+    r1, r2 = _hierarchy(s1), _hierarchy(s2)
     c1 = canonical_code(r1.rt.tree, IsoFlavor.ROOTED_LABELED, labels=r1.labels, root=r1.rt.root)
     c2 = canonical_code(r2.rt.tree, IsoFlavor.ROOTED_LABELED, labels=r2.labels, root=r2.rt.root)
     return c1 == c2

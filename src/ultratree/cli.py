@@ -15,7 +15,7 @@ import sys
 
 from . import io as tio
 from .analysis import analyze
-from .canonical import IsoFlavor, are_isomorphic, isometry_search, ultrametric_isometric
+from .canonical import _LABELED, _ROOTED, _WEIGHTED, IsoFlavor, are_isomorphic, isometry_search, ultrametric_isometric
 from .duality import EquidistantTree, MonotoneTree, labeling_to_weight, weight_to_labeling
 from .errors import ParseError, UltratreeError
 from .metrics import label_tree_metric
@@ -73,12 +73,12 @@ def _cmd_iso(args) -> str:
         a.graph,
         b.graph,
         flavor,
-        labels1=a.labels if flavor in (IsoFlavor.VERTEX_LABELED, IsoFlavor.ROOTED_LABELED) else None,
-        labels2=b.labels if flavor in (IsoFlavor.VERTEX_LABELED, IsoFlavor.ROOTED_LABELED) else None,
-        weights1=a.weights if flavor in (IsoFlavor.EDGE_WEIGHTED, IsoFlavor.ROOTED_WEIGHTED) else None,
-        weights2=b.weights if flavor in (IsoFlavor.EDGE_WEIGHTED, IsoFlavor.ROOTED_WEIGHTED) else None,
-        root1=a.root if flavor in (IsoFlavor.ROOTED, IsoFlavor.ROOTED_LABELED, IsoFlavor.ROOTED_WEIGHTED) else None,
-        root2=b.root if flavor in (IsoFlavor.ROOTED, IsoFlavor.ROOTED_LABELED, IsoFlavor.ROOTED_WEIGHTED) else None,
+        labels1=a.labels if flavor in _LABELED else None,
+        labels2=b.labels if flavor in _LABELED else None,
+        weights1=a.weights if flavor in _WEIGHTED else None,
+        weights2=b.weights if flavor in _WEIGHTED else None,
+        root1=a.root if flavor in _ROOTED else None,
+        root2=b.root if flavor in _ROOTED else None,
     )
     return tio.dump_json({"isomorphic": verdict})
 

@@ -48,6 +48,7 @@ class Graph:
             es.add(edge_key(u, v))
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", tuple(sorted(es)))
+        object.__setattr__(self, "_edge_set", es)
         adj: dict[Vertex, list[Vertex]] = {v: [] for v in vs}
         for u, v in self.edges:
             adj[u].append(v)
@@ -64,7 +65,7 @@ class Graph:
         return len(self.neighbors(v))
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return u != v and edge_key(u, v) in set(self.edges)
+        return u != v and edge_key(u, v) in self._edge_set  # type: ignore[attr-defined]
 
     def vertex_count(self) -> int:
         return len(self.vertices)
@@ -101,7 +102,7 @@ class Graph:
 
     def complement(self) -> "Graph":
         vs = self.vertices
-        present = set(self.edges)
+        present = self._edge_set  # type: ignore[attr-defined]
         es = [
             (u, v)
             for i, u in enumerate(vs)

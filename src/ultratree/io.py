@@ -117,6 +117,9 @@ def graph_from_json(obj) -> GraphDoc:
     root = obj.get("root")
     if root is not None and root not in graph.vertices:
         raise ParseError(f"root {root!r} is not a vertex")
+    for field in ("weights", "labels", "payloads"):
+        if not isinstance(obj.get(field), (dict, type(None))):
+            raise ParseError(f"{field!r} must be a JSON object or null")
 
     weights = None
     if obj.get("weights") is not None:
@@ -129,7 +132,7 @@ def graph_from_json(obj) -> GraphDoc:
                 e = edge_key(*parts)
             except ValueError as exc:
                 raise ParseError(str(exc)) from exc
-            if e not in set(graph.edges):
+            if not graph.has_edge(*e):
                 raise ParseError(f"weight on unknown edge {key!r}")
             weights[e] = parse_rational(val)
 

@@ -1,9 +1,10 @@
 """Tree- and graph-generated distance functions, all with exact arithmetic.
 
-Four constructions: path-weight sums on trees (additive), their shortest-path
-extension to graphs, max-vertex-label along tree paths, and its minimax
-extension to graphs.  Plus classification of raw matrices and the Hausdorff
-distance between subsets.
+The four constructions share one traversal with two combine rules: the sum
+of edge weights along a path (additive on trees, shortest-path on graphs)
+and the max vertex label along it (on trees, and its minimax extension to
+graphs); over several joining paths the minimum counts.  Plus classification
+of matrices, each checked once, and the Hausdorff distance between subsets.
 """
 
 from __future__ import annotations
@@ -81,19 +82,21 @@ class FiniteMetricSpace:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise BadMatrixError(f"matrix must be {n}x{n}")
         mat = [[Fraction(x) for x in r] for r in rows]
-        for i in range(n):
-            if mat[i][i] != 0:
-                raise BadMatrixError(f"nonzero diagonal at {pts[i]!r}")
-            for j in range(i + 1, n):
-                if mat[i][j] != mat[j][i]:
-                    raise BadMatrixError(f"asymmetric at ({pts[i]!r}, {pts[j]!r})")
-                if mat[i][j] < 0:
-                    raise ValueError(f"negative distance at ({pts[i]!r}, {pts[j]!r})")
-        order = sorted(range(n), key=lambda i: pts[i])
+        _check_matrix(mat, lambda i, j: repr(pts[i]) if i == j else f"({pts[i]!r}, {pts[j]!r})", True)
+        self._store(pts, mat)
+
+    @classmethod
+    def _trusted(cls, points: Sequence[Vertex], rows: Sequence[Sequence[Fraction]]) -> "FiniteMetricSpace":
+        # For matrices already exact and checked: no conversion, no check.
+        space = object.__new__(cls)
+        space._store(points, rows)
+        return space
+
+    def _store(self, pts: Sequence[Vertex], mat: Sequence[Sequence[Fraction]]) -> None:
+        order = sorted(range(len(pts)), key=pts.__getitem__)
         sorted_pts = tuple(pts[i] for i in order)
-        sorted_rows = tuple(tuple(mat[i][j] for j in order) for i in order)
         object.__setattr__(self, "points", sorted_pts)
-        object.__setattr__(self, "rows", sorted_rows)
+        object.__setattr__(self, "rows", tuple(tuple(mat[i][j] for j in order) for i in order))
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(sorted_pts)})
 
     def index(self, x: Vertex) -> int:
@@ -109,19 +112,34 @@ class FiniteMetricSpace:
         return max((x for row in self.rows for x in row), default=ZERO)
 
     def classify(self) -> MetricClass:
-        return classify_metric(self.rows)
+        return _classify(self.rows)
 
     def rename(self, mapping: Mapping[Vertex, Vertex]) -> "FiniteMetricSpace":
         """Isometric copy under a point-renaming bijection."""
         new_pts = [mapping[p] for p in self.points]
         if len(set(new_pts)) != len(new_pts):
             raise ValueError("renaming is not injective")
-        return FiniteMetricSpace(new_pts, self.rows)
+        return FiniteMetricSpace._trusted(new_pts, self.rows)
 
 
 def space_from(points: Iterable[Vertex], dist: Callable[[Vertex, Vertex], Fraction]) -> FiniteMetricSpace:
     pts = sorted(points)
     return FiniteMetricSpace(pts, [[dist(x, y) if x != y else ZERO for y in pts] for x in pts])
+
+
+def _check_matrix(mat: Sequence[Sequence[Fraction]], where: Callable[[int, int], str], nonnegative: bool) -> None:
+    # The check every outside matrix gets: zero diagonal, symmetry and, if
+    # asked, no negative entry.  The first defect in row order is raised;
+    # where(i, i) names a diagonal entry in the message, where(i, j) a pair.
+    n = len(mat)
+    for i in range(n):
+        if mat[i][i] != 0:
+            raise BadMatrixError(f"nonzero diagonal at {where(i, i)}")
+        for j in range(i + 1, n):
+            if mat[i][j] != mat[j][i]:
+                raise BadMatrixError(f"asymmetric at {where(i, j)}")
+            if nonnegative and mat[i][j] < 0:
+                raise ValueError(f"negative distance at {where(i, j)}")
 
 
 def classify_metric(rows: Sequence[Sequence[Fraction]]) -> MetricClass:
@@ -134,13 +152,13 @@ def classify_metric(rows: Sequence[Sequence[Fraction]]) -> MetricClass:
     mat = [[Fraction(x) for x in r] for r in rows]
     if any(len(r) != n for r in mat):
         raise BadMatrixError("matrix not square")
-    for i in range(n):
-        if mat[i][i] != 0:
-            raise BadMatrixError(f"nonzero diagonal at row {i}")
-        for j in range(i + 1, n):
-            if mat[i][j] != mat[j][i]:
-                raise BadMatrixError(f"asymmetric at ({i}, {j})")
+    _check_matrix(mat, lambda i, j: f"row {i}" if i == j else f"({i}, {j})", False)
+    return _classify(mat)
 
+
+def _classify(mat: Sequence[Sequence[Fraction]]) -> MetricClass:
+    # classify_metric without the checks, for matrices already checked.
+    n = len(mat)
     if any(mat[i][j] < 0 for i in range(n) for j in range(n)):
         return MetricClass.NOT_SEMIMETRIC
     has_zero_pair = any(mat[i][j] == 0 for i in range(n) for j in range(i + 1, n))
@@ -163,21 +181,35 @@ def classify_metric(rows: Sequence[Sequence[Fraction]]) -> MetricClass:
     return MetricClass.METRIC_ONLY if triangle else MetricClass.NOT_SEMIMETRIC
 
 
+def _path_metric(g: Graph, start: LabelMap, step: Callable[[Fraction, Vertex, Vertex], Fraction]) -> FiniteMetricSpace:
+    """d(x, y): min over x-y paths of start[x] folded by step(d, u, v) per edge.
+
+    Search from every source of a connected graph, settling each vertex once:
+    the frontier is a heap, or a stack on a tree, where the unique path gives
+    the first value.  The diagonal is zero.
+    """
+    tree = len(g.edges) < len(g.vertices)  # g is connected, so this means a tree
+    push, pop = (list.append, list.pop) if tree else (heapq.heappush, heapq.heappop)
+    rows = []
+    for src in g.vertices:
+        best: dict[Vertex, Fraction] = {}
+        frontier = [(start[src], src)]
+        while frontier:
+            d, x = pop(frontier)
+            if x in best:
+                continue
+            best[x] = d
+            for y in g.neighbors(x):
+                if y not in best:
+                    push(frontier, (step(d, x, y), y))
+        best[src] = ZERO
+        rows.append([best[y] for y in g.vertices])
+    return FiniteMetricSpace._trusted(g.vertices, rows)
+
+
 def additive_metric(t: Tree, w: WeightMap) -> FiniteMetricSpace:
     """Path-weight-sum distances on a strictly positively weighted tree."""
-    weights = normalize_weights(t.underlying, w, strict=True)
-    dist: dict[Vertex, dict[Vertex, Fraction]] = {}
-    for src in t.vertices:
-        row = {src: ZERO}
-        stack = [src]
-        while stack:
-            x = stack.pop()
-            for y in t.neighbors(x):
-                if y not in row:
-                    row[y] = row[x] + weights[edge_key(x, y)]
-                    stack.append(y)
-        dist[src] = row
-    return space_from(t.vertices, lambda x, y: dist[x][y])
+    return shortest_path_metric(t.underlying, w)
 
 
 def shortest_path_metric(g: Graph, w: WeightMap) -> FiniteMetricSpace:
@@ -185,20 +217,7 @@ def shortest_path_metric(g: Graph, w: WeightMap) -> FiniteMetricSpace:
     if not g.is_connected():
         raise DisconnectedGraphError("shortest-path metric needs a connected graph")
     weights = normalize_weights(g, w, strict=True)
-    dist: dict[Vertex, dict[Vertex, Fraction]] = {}
-    for src in g.vertices:
-        best: dict[Vertex, Fraction] = {}
-        heap: list[tuple[Fraction, Vertex]] = [(ZERO, src)]
-        while heap:
-            d, x = heapq.heappop(heap)
-            if x in best:
-                continue
-            best[x] = d
-            for y in g.neighbors(x):
-                if y not in best:
-                    heapq.heappush(heap, (d + weights[edge_key(x, y)], y))
-        dist[src] = best
-    return space_from(g.vertices, lambda x, y: dist[x][y])
+    return _path_metric(g, dict.fromkeys(g.vertices, ZERO), lambda d, x, y: d + weights[edge_key(x, y)])
 
 
 def _edge_condition(g: Graph, labels: LabelMap) -> bool:
@@ -213,21 +232,7 @@ def label_tree_metric(t: Tree, l: LabelMap) -> tuple[FiniteMetricSpace, MetricCl
     edge carries at least one positive endpoint label, pseudoultrametric
     otherwise.
     """
-    labels = normalize_labels(t.underlying, l)
-    dist: dict[Vertex, dict[Vertex, Fraction]] = {}
-    for src in t.vertices:
-        row = {src: labels[src]}
-        stack = [src]
-        while stack:
-            x = stack.pop()
-            for y in t.neighbors(x):
-                if y not in row:
-                    row[y] = max(row[x], labels[y])
-                    stack.append(y)
-        dist[src] = row
-    space = space_from(t.vertices, lambda x, y: dist[x][y])
-    cls = MetricClass.ULTRAMETRIC if _edge_condition(t.underlying, labels) else MetricClass.PSEUDO_ULTRAMETRIC
-    return space, cls
+    return minimax_label_metric(t.underlying, l)
 
 
 def minimax_label_metric(g: Graph, l: LabelMap) -> tuple[FiniteMetricSpace, MetricClass]:
@@ -235,20 +240,7 @@ def minimax_label_metric(g: Graph, l: LabelMap) -> tuple[FiniteMetricSpace, Metr
     if not g.is_connected():
         raise DisconnectedGraphError("minimax label metric needs a connected graph")
     labels = normalize_labels(g, l)
-    dist: dict[Vertex, dict[Vertex, Fraction]] = {}
-    for src in g.vertices:
-        best: dict[Vertex, Fraction] = {}
-        heap: list[tuple[Fraction, Vertex]] = [(labels[src], src)]
-        while heap:
-            d, x = heapq.heappop(heap)
-            if x in best:
-                continue
-            best[x] = d
-            for y in g.neighbors(x):
-                if y not in best:
-                    heapq.heappush(heap, (max(d, labels[y]), y))
-        dist[src] = best
-    space = space_from(g.vertices, lambda x, y: dist[x][y])
+    space = _path_metric(g, labels, lambda d, x, y: max(d, labels[y]))
     cls = MetricClass.ULTRAMETRIC if _edge_condition(g, labels) else MetricClass.PSEUDO_ULTRAMETRIC
     return space, cls
 
@@ -259,7 +251,7 @@ def restrict(space: FiniteMetricSpace, subset: Iterable[Vertex]) -> FiniteMetric
     if not keep:
         raise EmptySetError("cannot restrict to the empty set")
     idx = [space.index(p) for p in keep]
-    return FiniteMetricSpace(keep, [[space.rows[i][j] for j in idx] for i in idx])
+    return FiniteMetricSpace._trusted(keep, [[space.rows[i][j] for j in idx] for i in idx])
 
 
 def hausdorff_distance(space: FiniteMetricSpace, a: Iterable[Vertex], b: Iterable[Vertex]) -> Fraction:

@@ -106,11 +106,6 @@ def multipartite_parts(dg: Graph) -> list[tuple[Vertex, ...]]:
     return blocks
 
 
-def _require_ultrametric(space: FiniteMetricSpace) -> None:
-    if space.classify() is not MetricClass.ULTRAMETRIC:
-        raise NotUltrametricError("space is not ultrametric")
-
-
 def representing_tree(space: FiniteMetricSpace) -> LabeledRootedTree:
     """The hierarchy tree of an ultrametric space.
 
@@ -119,7 +114,13 @@ def representing_tree(space: FiniteMetricSpace) -> LabeledRootedTree:
     leaves and positive blocks recurse.  Vertex ids encode the payload sets,
     so the vertex set doubles as the ballean.
     """
-    _require_ultrametric(space)
+    if space.classify() is not MetricClass.ULTRAMETRIC:
+        raise NotUltrametricError("space is not ultrametric")
+    return _hierarchy(space)
+
+
+def _hierarchy(space: FiniteMetricSpace) -> LabeledRootedTree:
+    # representing_tree on a space already classified ultrametric.
     vertices: list[Vertex] = []
     edges: list[tuple[Vertex, Vertex]] = []
     labels: dict[Vertex, Fraction] = {}

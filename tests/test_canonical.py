@@ -208,8 +208,20 @@ def test_ultrametric_isometric_agrees_with_search():
 def test_ultrametric_isometric_rejects_non_ultrametric():
     bad = FiniteMetricSpace(["a", "b", "c"],
                             [[F(0), F(1), F(2)], [F(1), F(0), F(1)], [F(2), F(1), F(0)]])
-    with pytest.raises(NotUltrametricError):
+    with pytest.raises(NotUltrametricError, match="^both spaces must be ultrametric$"):
         ultrametric_isometric(bad, bad)
+
+
+def test_ultrametric_isometric_classifies_each_space_once(monkeypatch):
+    import ultratree.metrics as metrics
+
+    calls = []
+    real = metrics._classify
+    monkeypatch.setattr(metrics, "_classify", lambda mat: calls.append(len(mat)) or real(mat))
+    s1 = random_ultrametric_space(5, 9)
+    s2 = shuffled_renaming(6, s1)
+    assert ultrametric_isometric(s1, s2)
+    assert calls == [9, 9]
 
 
 def test_equal_additive_metrics_force_equal_weighted_trees():

@@ -59,6 +59,12 @@ def test_parse_errors():
         tio.graph_from_json({"vertices": ["a"], "edges": [["a", "b"]]})
     with pytest.raises(ParseError):
         tio.matrix_from_csv("a,b\n1,2\n")
+    # decoration fields that are present but not objects
+    for field in ("weights", "labels", "payloads"):
+        for value in ([["a|b", "1"]], "a|b", 3):
+            doc = {"vertices": ["a", "b"], "edges": [["a", "b"]], field: value}
+            with pytest.raises(ParseError, match=f"'{field}' must be a JSON object"):
+                tio.graph_from_json(doc)
 
 
 def _write(tmp_path, name, text):
@@ -200,6 +206,11 @@ def test_cli_error_paths(tmp_path, capsys):
     incomplete = _write(tmp_path, "partial.json", tio.dump_json(partial))
     code, out = _run(capsys, "spanning", incomplete)
     assert code == 1 and json.loads(out)["error"]["code"] == "invalid-input"
+
+    listed = dict(partial, root="a", weights=[["a|b", "1"]], labels=None)
+    weights_list = _write(tmp_path, "weights_list.json", tio.dump_json(listed))
+    code, out = _run(capsys, "reduce", weights_list)
+    assert code == 2 and json.loads(out)["error"]["code"] == "parse-error"
 
 
 def test_cli_selftest_passes_and_is_deterministic(capsys):

@@ -30,7 +30,8 @@ from ultratree.generators import (
     random_ultrametric_space,
     random_weights,
 )
-from ultratree.metrics import FiniteMetricSpace
+from ultratree.graphs import edge_key, find_path
+from ultratree.metrics import FiniteMetricSpace, space_from
 from ultratree.oracles import min_path_sum_by_enumeration, minimax_label_by_enumeration
 
 from helpers import fig6_graph, fig10_tree, fig13_tree
@@ -234,3 +235,86 @@ def test_space_normalizes_point_order():
     s = FiniteMetricSpace(["b", "a"], [[F(0), F(2)], [F(2), F(0)]])
     assert s.points == ("a", "b")
     assert s.distance("a", "b") == 2
+
+
+def _caterpillar(n):
+    # spine s000-s001-..., one leaf hanging off every spine vertex
+    spine = [f"s{i:03d}" for i in range(n // 2)]
+    edges = list(zip(spine, spine[1:])) + [(s, f"l{i:03d}") for i, s in enumerate(spine)]
+    return tree_from_edges(edges)
+
+
+@pytest.mark.parametrize("shape", ["random", "caterpillar"])
+def test_tree_metrics_match_path_folds_at_n300(shape):
+    # references fold the weights/labels along find_path, not the metric kernel
+    rng = random.Random(300)
+    t = random_tree(rng, 300) if shape == "random" else _caterpillar(300)
+    w = random_weights(rng, t.underlying)
+    labels = random_labels(rng, t.underlying)
+    add = additive_metric(t, w)
+    lab, _ = label_tree_metric(t, labels)
+    assert len(t.vertices) == 300 and add.points == lab.points == t.vertices
+    for _ in range(300):
+        x, y = rng.choice(t.vertices), rng.choice(t.vertices)
+        path = find_path(t, x, y)
+        assert add.distance(x, y) == sum((w[edge_key(a, b)] for a, b in zip(path, path[1:])), F(0))
+        assert lab.distance(x, y) == (max(labels[v] for v in path) if x != y else 0)
+    # the kernel's unchecked output passes the validating constructor unchanged
+    assert FiniteMetricSpace(add.points, add.rows) == add
+    assert FiniteMetricSpace(lab.points, lab.rows) == lab
+
+
+def test_restrict_and_rename_equal_validated_construction():
+    rng = random.Random(41)
+    for _ in range(20):
+        s = random_ultrametric_space(rng, rng.randint(1, 25))
+        subset = rng.sample(s.points, rng.randint(1, len(s.points)))
+        keep = sorted(subset)
+        sub = restrict(s, subset)
+        want = FiniteMetricSpace(keep, [[s.distance(x, y) for y in keep] for x in keep])
+        assert sub == want
+        assert all(sub.distance(x, y) == want.distance(x, y) for x in keep for y in keep)
+        names = [f"q{i:02d}" for i in range(len(s.points))]
+        rng.shuffle(names)
+        mapping = dict(zip(s.points, names))
+        renamed = s.rename(mapping)
+        assert renamed == FiniteMetricSpace([mapping[p] for p in s.points], s.rows)
+        assert all(renamed.distance(mapping[x], mapping[y]) == s.distance(x, y) for x in s.points for y in s.points)
+    with pytest.raises(ValueError, match="not injective"):
+        FiniteMetricSpace(["a", "b"], [[F(0), F(1)], [F(1), F(0)]]).rename({"a": "c", "b": "c"})
+
+
+def test_derived_spaces_skip_the_matrix_check(monkeypatch):
+    s = random_ultrametric_space(3, 12)
+    t, w = fig13_tree()
+
+    def refuse(*args):
+        raise AssertionError("matrix re-checked")
+
+    monkeypatch.setattr("ultratree.metrics._check_matrix", refuse)
+    assert s.classify() is MetricClass.ULTRAMETRIC
+    restrict(s, s.points[:5])
+    s.rename({p: p + "'" for p in s.points})
+    additive_metric(t, w)
+    minimax_label_metric(*fig6_graph())
+
+
+def test_outside_matrices_are_still_checked():
+    asym = [[F(0), F(1)], [F(2), F(0)]]
+    diag = [[F(1), F(1)], [F(1), F(0)]]
+    neg = [[F(0), F(-1)], [F(-1), F(0)]]
+    with pytest.raises(BadMatrixError, match=r"^asymmetric at \('a', 'b'\)$"):
+        FiniteMetricSpace("ab", asym)
+    with pytest.raises(BadMatrixError, match=r"^nonzero diagonal at 'a'$"):
+        FiniteMetricSpace("ab", diag)
+    with pytest.raises(ValueError, match=r"^negative distance at \('a', 'b'\)$"):
+        FiniteMetricSpace("ab", neg)
+    with pytest.raises(BadMatrixError, match=r"^asymmetric at \(0, 1\)$"):
+        classify_metric(asym)
+    with pytest.raises(BadMatrixError, match=r"^nonzero diagonal at row 0$"):
+        classify_metric(diag)
+    assert classify_metric(neg) is MetricClass.NOT_SEMIMETRIC
+    with pytest.raises(BadMatrixError, match="asymmetric"):
+        space_from("ab", lambda x, y: F(1) if x < y else F(2))
+    with pytest.raises(ValueError, match="negative distance"):
+        space_from("ab", lambda x, y: F(-1))
