@@ -28,7 +28,6 @@ from .errors import (
 from .graphs import Edge, Graph, Tree, Vertex, edge_key
 from .metrics import (
     FiniteMetricSpace,
-    MetricClass,
     normalize_labels,
     normalize_weights,
 )
@@ -347,10 +346,9 @@ def isometry_search(
 
 def ultrametric_isometric(s1: FiniteMetricSpace, s2: FiniteMetricSpace) -> bool:
     """Fast isometry test: equal canonical codes of the hierarchy trees."""
-    for s in (s1, s2):
-        if s.classify() is not MetricClass.ULTRAMETRIC:
-            raise NotUltrametricError("both spaces must be ultrametric")
     r1, r2 = _hierarchy(s1), _hierarchy(s2)
+    if r1 is None or r2 is None:
+        raise NotUltrametricError("both spaces must be ultrametric")
     c1 = canonical_code(r1.rt.tree, IsoFlavor.ROOTED_LABELED, labels=r1.labels, root=r1.rt.root)
     c2 = canonical_code(r2.rt.tree, IsoFlavor.ROOTED_LABELED, labels=r2.labels, root=r2.rt.root)
     return c1 == c2

@@ -136,11 +136,12 @@ def graph_from_json(obj) -> GraphDoc:
                 raise ParseError(f"weight on unknown edge {key!r}")
             weights[e] = parse_rational(val)
 
+    vertex_set = set(graph.vertices)  # object keys are hashable, unlike a root
     labels = None
     if obj.get("labels") is not None:
         labels = {}
         for v, val in obj["labels"].items():
-            if v not in graph.vertices:
+            if v not in vertex_set:
                 raise ParseError(f"label on unknown vertex {v!r}")
             labels[v] = parse_rational(val)
 
@@ -148,7 +149,7 @@ def graph_from_json(obj) -> GraphDoc:
     if obj.get("payloads") is not None:
         payloads = {}
         for v, pts in obj["payloads"].items():
-            if v not in graph.vertices:
+            if v not in vertex_set:
                 raise ParseError(f"payload on unknown vertex {v!r}")
             payloads[v] = frozenset(pts)
 
@@ -165,8 +166,12 @@ def matrix_to_json(space: FiniteMetricSpace) -> dict:
 def matrix_from_json(obj) -> FiniteMetricSpace:
     if not isinstance(obj, dict) or "points" not in obj or "matrix" not in obj:
         raise ParseError("matrix document needs 'points' and 'matrix'")
-    points = list(obj["points"])
-    rows = [[parse_rational(x) for x in row] for row in obj["matrix"]]
+    points, matrix = obj["points"], obj["matrix"]
+    if not isinstance(points, list) or not all(isinstance(p, str) and p for p in points):
+        raise ParseError("'points' must be a list of nonempty strings")
+    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+        raise ParseError("'matrix' must be a list of lists")
+    rows = [[parse_rational(x) for x in row] for row in matrix]
     try:
         return FiniteMetricSpace(points, rows)
     except Exception as exc:
@@ -183,7 +188,10 @@ def matrix_to_csv(space: FiniteMetricSpace) -> str:
 
 
 def matrix_from_csv(text: str) -> FiniteMetricSpace:
-    rows = [r for r in csv.reader(_io.StringIO(text)) if r]
+    try:
+        rows = [r for r in csv.reader(_io.StringIO(text)) if r]
+    except csv.Error as exc:
+        raise ParseError(f"bad CSV: {exc}") from exc
     if len(rows) < 2:
         raise ParseError("matrix CSV needs a header and at least one row")
     header = rows[0][1:]

@@ -5,15 +5,19 @@ of edge weights along a path (additive on trees, shortest-path on graphs)
 and the max vertex label along it (on trees, and its minimax extension to
 graphs); over several joining paths the minimum counts.  Plus classification
 of matrices, each checked once, and the Hausdorff distance between subsets.
+The ultrametric decision and the hierarchy tree of representing.py both come
+from one single-linkage pass over a minimum spanning tree (_linkage).
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     BadMatrixError,
@@ -162,12 +166,7 @@ def _classify(mat: Sequence[Sequence[Fraction]]) -> MetricClass:
     if any(mat[i][j] < 0 for i in range(n) for j in range(n)):
         return MetricClass.NOT_SEMIMETRIC
     has_zero_pair = any(mat[i][j] == 0 for i in range(n) for j in range(i + 1, n))
-    strong = all(
-        mat[i][j] <= max(mat[i][k], mat[k][j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        for k in range(n)
-    )
+    strong = _linkage(mat) is not None
     if has_zero_pair:
         return MetricClass.PSEUDO_ULTRAMETRIC if strong else MetricClass.NOT_SEMIMETRIC
     if strong:
@@ -179,6 +178,75 @@ def _classify(mat: Sequence[Sequence[Fraction]]) -> MetricClass:
         for k in range(n)
     )
     return MetricClass.METRIC_ONLY if triangle else MetricClass.NOT_SEMIMETRIC
+
+
+def _linkage(mat: Sequence[Sequence[Fraction]]) -> Optional[list[tuple[Fraction, tuple[int, ...]]]]:
+    """Checked single-linkage merges of a symmetric zero-diagonal matrix.
+
+    The strong triangle inequality holds exactly when the matrix equals the
+    max-edge distance along its minimum spanning tree (its subdominant
+    ultrametric).  Values are ranked once, so all work is on exact integers:
+    a dense O(n^2) Prim search finds a spanning tree, and its edges, taken by
+    increasing rank with a union-find, merge components; the edges of one
+    rank that touch one component make one multiway merge.  Every pair
+    across the children of a merge must carry the merge's rank, so each pair
+    of points is checked once.
+
+    Returns (value, children) per merge in increasing value, where a child is
+    a point index below n or n + k for merge k; None at the first failed pair.
+    """
+    n = len(mat)
+    # Number the values in order of appearance, then by size: each entry is
+    # hashed once, as Fraction hashing is most of the encoding's cost.
+    code: dict[Fraction, int] = {}
+    coded = [[code.setdefault(x, len(code)) for x in row] for row in mat]
+    values = sorted(code)
+    rank = [0] * len(values)
+    for r, x in enumerate(values):
+        rank[code[x]] = r
+    ranks = [list(map(rank.__getitem__, row)) for row in coded]
+
+    spanning = []  # (rank, x, y) per edge
+    if n:
+        key, link, todo = list(ranks[0]), [0] * n, list(range(1, n))
+        while todo:
+            y = min(todo, key=key.__getitem__)
+            todo.remove(y)
+            spanning.append((key[y], link[y], y))
+            row = ranks[y]
+            for z in todo:
+                if row[z] < key[z]:
+                    key[z], link[z] = row[z], y
+    spanning.sort()
+
+    boss = list(range(n))  # union-find parent pointers over the points
+
+    def find(x: int) -> int:
+        while boss[x] != x:
+            boss[x] = boss[boss[x]]
+            x = boss[x]
+        return x
+
+    node = list(range(n))  # child id of the component whose union-find root is x
+    members = [[x] for x in range(n)]
+    merges = []
+    for r, group in itertools.groupby(spanning, key=operator.itemgetter(0)):
+        pairs = [(find(x), find(y)) for _, x, y in group]
+        for a, b in pairs:
+            boss[find(a)] = find(b)
+        blocks: dict[int, list[int]] = {}
+        for a in dict.fromkeys(itertools.chain.from_iterable(pairs)):
+            blocks.setdefault(find(a), []).append(a)
+        for root, kids in blocks.items():
+            joined = members[kids[0]]
+            for a in kids[1:]:
+                for x in members[a]:
+                    if not all(map(r.__eq__, map(ranks[x].__getitem__, joined))):
+                        return None
+                joined += members[a]
+            merges.append((values[r], tuple(node[a] for a in kids)))
+            node[root], members[root] = n + len(merges) - 1, joined
+    return merges
 
 
 def _path_metric(g: Graph, start: LabelMap, step: Callable[[Fraction, Vertex, Vertex], Fraction]) -> FiniteMetricSpace:

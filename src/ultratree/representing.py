@@ -4,6 +4,11 @@ A finite ultrametric space decomposes recursively: pairs realizing the
 diameter form a complete multipartite graph whose blocks are the children.
 The resulting labeled rooted tree has the space's balls as vertex payloads,
 one extra zero leaf per internal vertex gives the tree of the ball space.
+The tree is built from one minimum spanning tree in O(n^2), its edges of
+equal value merged into one vertex; this gives the same tree as the
+recursion into diametrical blocks, which stays in oracles.py as the test
+reference.  diametrical_graph and multipartite_parts are that recursion's
+steps.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Iterable, Optional
 
 from .errors import NotCompleteMultipartiteError, NotUltrametricError, TooFewPointsError
 from .graphs import Graph, RootedTree, Tree, Vertex
-from .metrics import FiniteMetricSpace, MetricClass, hausdorff_distance, restrict, space_from
+from .metrics import FiniteMetricSpace, _linkage, hausdorff_distance, space_from
 
 
 def ball_id(points: Iterable[Vertex]) -> str:
@@ -109,37 +114,37 @@ def multipartite_parts(dg: Graph) -> list[tuple[Vertex, ...]]:
 def representing_tree(space: FiniteMetricSpace) -> LabeledRootedTree:
     """The hierarchy tree of an ultrametric space.
 
-    The root holds the whole point set labeled by its diameter; children are
-    the diametrical blocks labeled by their diameters; zero-label blocks are
-    leaves and positive blocks recurse.  Vertex ids encode the payload sets,
-    so the vertex set doubles as the ballean.
+    The root holds the whole point set labeled by its diameter, every other
+    vertex a ball labeled by its diameter, with the points as zero-labeled
+    leaves.  It is read off one minimum spanning tree: the spanning-tree
+    edges of one value that join the same component make one vertex whose
+    children are the components they join.  This is the same tree as the
+    paper's recursion into diametrical blocks (kept as a test reference in
+    oracles.py).  Vertex ids encode the payload sets, so the vertex set
+    doubles as the ballean.
     """
-    if space.classify() is not MetricClass.ULTRAMETRIC:
+    tree = _hierarchy(space)
+    if tree is None:
         raise NotUltrametricError("space is not ultrametric")
-    return _hierarchy(space)
+    return tree
 
 
-def _hierarchy(space: FiniteMetricSpace) -> LabeledRootedTree:
-    # representing_tree on a space already classified ultrametric.
-    vertices: list[Vertex] = []
-    edges: list[tuple[Vertex, Vertex]] = []
-    labels: dict[Vertex, Fraction] = {}
-    payloads: dict[Vertex, frozenset[Vertex]] = {}
-
-    def build(points: tuple[Vertex, ...]) -> Vertex:
-        vid = ball_id(points)
-        sub = restrict(space, points)
-        vertices.append(vid)
-        labels[vid] = sub.diameter()
-        payloads[vid] = frozenset(points)
-        if labels[vid] > 0:
-            for block in multipartite_parts(diametrical_graph(sub)):
-                edges.append((vid, build(block)))
-        return vid
-
-    root = build(space.points)
-    rt = RootedTree(Tree(Graph(vertices, edges)), root)
-    return LabeledRootedTree(rt, labels, payloads)
+def _hierarchy(space: FiniteMetricSpace) -> Optional[LabeledRootedTree]:
+    # representing_tree, or None when the space is not ultrametric.
+    merges = _linkage(space.rows)
+    if merges is None or any(value == 0 for value, _ in merges):
+        return None
+    payloads = [frozenset({p}) for p in space.points]
+    ids = [ball_id(b) for b in payloads]
+    labels = dict.fromkeys(ids, Fraction(0))
+    edges = []
+    for value, kids in merges:
+        payloads.append(frozenset().union(*(payloads[k] for k in kids)))
+        ids.append(ball_id(payloads[-1]))
+        labels[ids[-1]] = value
+        edges += [(ids[-1], ids[k]) for k in kids]
+    rt = RootedTree(Tree(Graph(ids, edges)), ids[-1])
+    return LabeledRootedTree(rt, labels, dict(zip(ids, payloads)))
 
 
 def ballean(space: FiniteMetricSpace) -> Ballean:

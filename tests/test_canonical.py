@@ -214,10 +214,14 @@ def test_ultrametric_isometric_rejects_non_ultrametric():
 
 def test_ultrametric_isometric_classifies_each_space_once(monkeypatch):
     import ultratree.metrics as metrics
+    import ultratree.representing as representing
 
+    # the engine decides and builds in one call; count it under both names
     calls = []
-    real = metrics._classify
-    monkeypatch.setattr(metrics, "_classify", lambda mat: calls.append(len(mat)) or real(mat))
+    real = metrics._linkage
+    counting = lambda mat: calls.append(len(mat)) or real(mat)
+    monkeypatch.setattr(metrics, "_linkage", counting)
+    monkeypatch.setattr(representing, "_linkage", counting)
     s1 = random_ultrametric_space(5, 9)
     s2 = shuffled_renaming(6, s1)
     assert ultrametric_isometric(s1, s2)

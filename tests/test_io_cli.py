@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 import subprocess
@@ -59,6 +61,13 @@ def test_parse_errors():
         tio.graph_from_json({"vertices": ["a"], "edges": [["a", "b"]]})
     with pytest.raises(ParseError):
         tio.matrix_from_csv("a,b\n1,2\n")
+    with pytest.raises(ParseError, match="bad CSV"):
+        tio.matrix_from_csv(",a\na," + "0" * (1 << 18) + "\n")  # over the csv field limit
+    # matrix documents whose fields have the wrong JSON type
+    for points, matrix in ((["a"], 5), (["a"], ["0"]), (["a"], {"0": "0"}), (5, [["0"]]),
+                           ([1, 2], [["0", "1"], ["1", "0"]]), ([""], [["0"]]), ("a", [["0"]])):
+        with pytest.raises(ParseError, match="must be a list"):
+            tio.matrix_from_json({"points": points, "matrix": matrix})
     # decoration fields that are present but not objects
     for field in ("weights", "labels", "payloads"):
         for value in ([["a|b", "1"]], "a|b", 3):
@@ -207,6 +216,11 @@ def test_cli_error_paths(tmp_path, capsys):
     code, out = _run(capsys, "spanning", incomplete)
     assert code == 1 and json.loads(out)["error"]["code"] == "invalid-input"
 
+    for doc in ({"points": ["a"], "matrix": 5}, {"points": [1, 2], "matrix": [["0", "1"], ["1", "0"]]}):
+        path = _write(tmp_path, "typed.json", json.dumps(doc))
+        code, out = _run(capsys, "repr", path)
+        assert code == 2 and json.loads(out)["error"]["code"] == "parse-error"
+
     listed = dict(partial, root="a", weights=[["a|b", "1"]], labels=None)
     weights_list = _write(tmp_path, "weights_list.json", tio.dump_json(listed))
     code, out = _run(capsys, "reduce", weights_list)
@@ -231,3 +245,35 @@ def test_cli_selftest_subprocess_bytes_identical():
     b = subprocess.run(cmd, capture_output=True, env=full_env)
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_matrix_verbs_answer_any_input_with_one_json_object(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    scalars = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-4, 4)
+               | st.sampled_from(["0", "1", "1/2", "-1", "a", ""]))
+    values = st.recursive(
+        scalars,
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+        max_leaves=12,
+    )
+    documents = values | st.fixed_dictionaries({"points": values, "matrix": values})
+    csv_texts = (st.text(alphabet=",01/2-ab\n\"", max_size=40)
+                 | st.text(st.characters(blacklist_categories=("Cs",)), max_size=40))
+    inputs = documents.map(json.dumps) | csv_texts
+    verbs = st.sampled_from([["repr"], ["ballean", "--tree"], ["isometry", "--fast-ultrametric"]])
+
+    @hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(verb=verbs, text=inputs)
+    def check(verb, text):
+        path = tmp_path / "in.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = verb + [str(path)] * (2 if verb[0] == "isometry" else 1)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert isinstance(json.loads(out.getvalue()), dict)
+
+    check()

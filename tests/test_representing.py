@@ -6,6 +6,7 @@ import pytest
 from ultratree import (
     Graph,
     IsoFlavor,
+    MetricClass,
     ballean,
     ballean_tree,
     canonical_code,
@@ -14,14 +15,19 @@ from ultratree import (
     multipartite_parts,
     representing_tree,
 )
+from ultratree import io as tio
 from ultratree.errors import (
     NotCompleteMultipartiteError,
     NotUltrametricError,
     TooFewPointsError,
 )
 from ultratree.generators import random_ultrametric_space
-from ultratree.metrics import FiniteMetricSpace, minimax_label_metric
-from ultratree.oracles import balls_by_enumeration
+from ultratree.metrics import FiniteMetricSpace, _linkage, classify_metric, minimax_label_metric
+from ultratree.oracles import (
+    balls_by_enumeration,
+    hierarchy_by_diametrical_blocks,
+    strong_triangle_by_enumeration,
+)
 
 from helpers import fig6_graph
 
@@ -203,3 +209,73 @@ def test_hausdorff_ball_space_is_ultrametric():
         from ultratree import MetricClass
 
         assert ballean(space).hausdorff_space().classify() is MetricClass.ULTRAMETRIC
+
+
+def _caterpillar(n):
+    # d(p_i, p_j) = max(i, j) for i != j, points p_1 .. p_n
+    return _space([f"p{i:03d}" for i in range(1, n + 1)],
+                  [[0 if i == j else max(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
+
+
+def _star(n, c):
+    return _space([f"s{i:02d}" for i in range(n)], [[0 if i == j else c for j in range(n)] for i in range(n)])
+
+
+def test_engine_tree_equals_diametrical_recursion():
+    rng = random.Random(71)
+    spaces = [random_ultrametric_space(rng, rng.randint(1, 60)) for _ in range(300)]
+    spaces += [_caterpillar(n) for n in (1, 2, 3, 7, 45)]
+    spaces += [_star(n, c) for n, c in ((2, 1), (5, F(3, 7)), (30, 2))]
+    for space in spaces:
+        want = tio.labeled_tree_to_json(hierarchy_by_diametrical_blocks(space))
+        assert tio.labeled_tree_to_json(representing_tree(space)) == want
+
+
+def _perturbed_rows(rng):
+    # an ultrametric matrix, perhaps with a duplicated point (a zero pair),
+    # with one symmetric pair of entries raised or lowered
+    space = random_ultrametric_space(rng, rng.randint(2, 10))
+    rows = [list(r) for r in space.rows]
+    if rng.random() < 0.25:
+        rows = [r + [r[0]] for r in rows] + [rows[0] + [F(0)]]
+    n = len(rows)
+    i, j = rng.sample(range(n), 2)
+    values = sorted({x for r in rows for x in r})
+    rows[i][j] = rows[j][i] = rng.choice(values + [rows[i][j] + F(1, 2), rows[i][j] - F(1, 3), F(-1)])
+    return rows
+
+
+def test_engine_verdict_equals_strong_triangle_oracle():
+    rng = random.Random(73)
+    for _ in range(400):
+        rows = _perturbed_rows(rng)
+        strong = strong_triangle_by_enumeration(rows)
+        assert (_linkage(rows) is not None) == strong
+        off = [x for i, r in enumerate(rows) for j, x in enumerate(r) if i != j]
+        got = classify_metric(rows)
+        if any(x < 0 for x in off):
+            assert got is MetricClass.NOT_SEMIMETRIC
+        elif 0 in off:
+            assert got is (MetricClass.PSEUDO_ULTRAMETRIC if strong else MetricClass.NOT_SEMIMETRIC)
+        elif strong:
+            assert got is MetricClass.ULTRAMETRIC
+        else:
+            assert got in (MetricClass.METRIC_ONLY, MetricClass.NOT_SEMIMETRIC)
+
+
+def test_representing_tree_rejects_zero_pairs():
+    s = _space("abc", [[0, 0, 2], [0, 0, 2], [2, 2, 0]])
+    assert s.classify() is MetricClass.PSEUDO_ULTRAMETRIC
+    with pytest.raises(NotUltrametricError, match="space is not ultrametric"):
+        representing_tree(s)
+
+
+def test_representing_tree_caterpillar_400_closed_form():
+    tree = representing_tree(_caterpillar(400))
+    assert len(tree.rt.vertices) == 799
+    assert tree.labels[tree.rt.root] == 400
+    depth = {tree.rt.root: 0}
+    for v in tree.rt.bfs_order():
+        for c in tree.rt.children(v):
+            depth[c] = depth[v] + 1
+    assert max(depth.values()) == 399
