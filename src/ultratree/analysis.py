@@ -7,8 +7,10 @@ recognition, and the inequalities governing planted equidistant trees.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from .duality import EquidistantTree, check_equidistant
@@ -17,19 +19,52 @@ from .errors import (
     NotPlantedError,
     NotUltrametricError,
 )
-from .graphs import RootedTree, Tree, Vertex, degree_sets
+from .graphs import RootedTree, Tree, Vertex, degree_sets, edge_key
 from .metrics import FiniteMetricSpace, MetricClass, normalize_weights, restrict
 
 ZERO = Fraction(0)
 
 
 def centers(t: Tree, w: Mapping) -> frozenset[Vertex]:
-    """All vertices whose rooting makes the weighted tree equidistant."""
+    """All vertices whose rooting makes the weighted tree equidistant.
+
+    Rooted at r, the out-degree-zero vertices are the tree leaves other than
+    r (a lone vertex is its own, at K = 0), so r is a center iff its nearest
+    and farthest such leaf lie at one distance.  One rerooting pass finds
+    both for every r: bottom-up from an arbitrary root, then top-down.
+    """
     weights = normalize_weights(t.underlying, w, strict=True)
+    if len(t.vertices) == 1:
+        return frozenset(t.vertices)
+    rt = RootedTree(t, t.vertices[0])
+    order = rt.bfs_order()
+
+    def beyond(v: Vertex, u: Vertex, span: tuple[Fraction, Fraction]) -> tuple[Vertex, Fraction, Fraction]:
+        # u with the nearest and farthest leaf on u's side of edge v-u, from v
+        d = weights[edge_key(v, u)]
+        return u, d + span[0], d + span[1]
+
+    below = {}  # nearest and farthest leaf under v, from v; v itself if childless
+    for v in reversed(order):
+        sides = [beyond(v, c, below[c]) for c in rt.children(v)]
+        below[v] = (min(s[1] for s in sides), max(s[2] for s in sides)) if sides else (ZERO, ZERO)
+    above = {}  # nearest and farthest leaf on the parent's side of v, from the parent
     found = set()
-    for r in t.vertices:
-        if check_equidistant(RootedTree(t, r), weights) is not None:
-            found.add(r)
+    for v in order:
+        sides = [beyond(v, c, below[c]) for c in rt.children(v)]
+        if v != rt.root:
+            sides.append(beyond(v, rt.parent(v), above[v]))
+        near = heapq.nsmallest(2, sides, key=itemgetter(1))
+        far = heapq.nlargest(2, sides, key=itemgetter(2))
+        if near[0][1] == far[0][2]:
+            found.add(v)
+        for c in rt.children(v):
+            if len(sides) == 1:  # c is v's only neighbor: v is the leaf
+                above[c] = (ZERO, ZERO)
+            else:  # the leaves beyond v's other neighbors
+                lo = near[1] if near[0][0] == c else near[0]
+                hi = far[1] if far[0][0] == c else far[0]
+                above[c] = (lo[1], hi[2])
     return frozenset(found)
 
 

@@ -1,9 +1,9 @@
 """Canonical codes, isomorphism tests and isometry search.
 
 Codes are printable strings with a one-byte schema version prefix; equal
-codes mean isomorphic inputs for the declared flavor.  Rooted flavors use
-recursive child-code sorting; free flavors root the tree at its one or two
-centers and keep the smaller code.  Rational payloads are embedded in
+codes mean isomorphic inputs for the declared flavor.  Rooted flavors sort
+child codes, built from the leaves up; free flavors root the tree at its one
+or two centers and keep the smaller code.  Rational payloads are embedded in
 canonical lowest-terms text, so value equality and code equality coincide.
 
 General (non-tree) graph isomorphism and isometry search are deliberately
@@ -102,19 +102,28 @@ def _rooted_code(
     labels: Optional[dict[Vertex, Fraction]],
     weights: Optional[dict[Edge, Fraction]],
 ) -> str:
-    def enc(v: Vertex, parent: Optional[Vertex]) -> str:
-        parts = []
+    # Bottom-up over one BFS order, with no recursion: each finished code
+    # moves into its parent's list of child codes, and that list is dropped
+    # once the parent's code is built.
+    order, up, above = [root], [-1], [None]  # vertex, parent's position, parent
+    for i, v in enumerate(order):
+        p = above[i]
         for c in t.neighbors(v):
-            if c == parent:
-                continue
-            piece = enc(c, v)
-            if weights is not None:
-                piece = "[" + format_rational(weights[edge_key(v, c)]) + "]" + piece
-            parts.append(piece)
+            if c != p:
+                order.append(c)
+                up.append(i)
+                above.append(v)
+    kids: list = [[] for _ in order]
+    for i in range(len(order) - 1, -1, -1):
+        v = order[i]
+        parts, kids[i] = kids[i], None
         head = format_rational(labels[v]) + ";" if labels is not None else ""
-        return "(" + head + "".join(sorted(parts)) + ")"
-
-    return enc(root, None)
+        code = "(" + head + "".join(sorted(parts)) + ")"
+        if i:
+            if weights is not None:
+                code = "[" + format_rational(weights[edge_key(above[i], v)]) + "]" + code
+            kids[up[i]].append(code)
+    return code
 
 
 def canonical_code(

@@ -151,6 +151,8 @@ def graph_from_json(obj) -> GraphDoc:
         for v, pts in obj["payloads"].items():
             if v not in vertex_set:
                 raise ParseError(f"payload on unknown vertex {v!r}")
+            if not isinstance(pts, list) or not all(isinstance(x, str) for x in pts):
+                raise ParseError(f"payload of {v!r} must be a list of strings")
             payloads[v] = frozenset(pts)
 
     return GraphDoc(graph, root, weights, labels, payloads)

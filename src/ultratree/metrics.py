@@ -85,7 +85,7 @@ class FiniteMetricSpace:
         n = len(pts)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise BadMatrixError(f"matrix must be {n}x{n}")
-        mat = [[Fraction(x) for x in r] for r in rows]
+        mat = [[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows]
         _check_matrix(mat, lambda i, j: repr(pts[i]) if i == j else f"({pts[i]!r}, {pts[j]!r})", True)
         self._store(pts, mat)
 

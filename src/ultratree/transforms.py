@@ -1,11 +1,14 @@
 """Structure-altering constructions on weighted trees and labeled graphs.
 
 The out-degree-one reduction contracts every pass-through vertex of an
-equidistant tree while preserving distances between out-degree-zero vertices.
-The bottleneck spanning tree realizes the minimax label metric of a connected
-graph on a tree.  Two counterexample builders produce weight pairs that are
-isometric but non-isomorphic, one for cyclic graphs and one for rooted trees
-with a pass-through vertex.
+equidistant tree while preserving distances between out-degree-zero
+vertices; one walk from the root finds each kept vertex's nearest kept
+ancestor.  The bottleneck spanning tree realizes the minimax label metric
+of a connected graph on a tree: Kruskal's algorithm on the edge key
+max(l(u), l(v)) (Hu 1961).  Two counterexample constructions produce weight
+pairs that are isometric but non-isomorphic, one for cyclic graphs, whose
+heavy edge is the smallest edge that is not a bridge (one low-link search,
+Tarjan 1974), and one for rooted trees with a pass-through vertex.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .duality import EquidistantTree
+from .duality import EquidistantTree, root_distances
 from .errors import AcyclicInputError, DisconnectedGraphError, PathTreeError
-from .graphs import Edge, Graph, RootedTree, Tree, Vertex, degree_sets, edge_key, find_cycle
+from .graphs import Edge, Graph, RootedTree, Tree, Vertex, degree_sets, edge_key
 from .metrics import normalize_labels
 
 
@@ -32,42 +35,36 @@ def reduce_nabla(et: EquidistantTree) -> NablaResult:
 
     A hanging root chain is dropped by re-rooting at the nearest branching
     descendant; every other out-degree-one vertex is replaced by a single
-    edge carrying the sum of its two incident weights.  Fails on weighted
-    paths, where nothing would remain.
+    edge carrying the sum of its two incident weights.  One walk down from
+    the new root joins each kept vertex (out-degree zero or at least two) to
+    its nearest kept ancestor, at their difference in root distance.  Fails
+    on weighted paths, where nothing would remain.
     """
-    v0, v1, v2 = degree_sets(et.rt)
+    _, v1, v2 = degree_sets(et.rt)
     if not v2:
         raise PathTreeError("every vertex has out-degree at most one")
 
-    root = et.rt.root
-    vertices = set(et.rt.vertices)
-    weights = dict(et.weights)
-
     rt = et.rt
-    while rt.out_degree(root) == 1:
-        (child,) = rt.children(root)
-        vertices.discard(root)
-        del weights[edge_key(root, child)]
-        root = child
-        rt = RootedTree(Tree(Graph(vertices, weights.keys())), root)
+    order = rt.bfs_order()  # the root chain comes first
+    k = 0
+    while rt.out_degree(order[k]) == 1:
+        k += 1
+    root = order[k]
 
-    while True:
-        _, ones, _ = degree_sets(rt)
-        if not ones:
-            break
-        v = min(ones)
-        parent = rt.parent(v)
-        (child,) = rt.children(v)
-        assert parent is not None
-        merged = weights[edge_key(parent, v)] + weights[edge_key(v, child)]
-        vertices.discard(v)
-        del weights[edge_key(parent, v)]
-        del weights[edge_key(v, child)]
-        weights[edge_key(parent, child)] = merged
-        rt = RootedTree(Tree(Graph(vertices, weights.keys())), root)
+    dist = root_distances(rt, et.weights)
+    weights: dict[Edge, Fraction] = {}
+    top = {root: root}  # the nearest kept vertex at or above each vertex
+    for v in order[k:]:
+        for c in rt.children(v):
+            if c in v1:
+                top[c] = top[v]
+            else:
+                weights[edge_key(top[v], c)] = dist[c] - dist[top[v]]
+                top[c] = c
 
-    reduced = EquidistantTree(rt, weights)
-    removed = frozenset(et.rt.vertices) - vertices
+    kept = set(top.values())
+    reduced = EquidistantTree(RootedTree(Tree(Graph(kept, weights.keys())), root), weights)
+    removed = frozenset(et.rt.vertices) - kept
     assert removed == v1
     return NablaResult(reduced, removed, root)
 
@@ -94,33 +91,62 @@ def bottleneck_spanning_tree(g: Graph, l: Mapping) -> Tree:
     """A spanning tree whose max-label path metric equals the graph's
     minimax label metric.
 
-    While a cycle remains, a maximum-label vertex on it loses one of its two
-    cycle edges; ties and the edge choice resolve lexicographically.
+    Kruskal's algorithm on the key (max(l(u), l(v)), edge): a path's max
+    label is the max of this key over its edges, and a minimum spanning tree
+    minimizes the largest key on the path between any two vertices (Hu 1961).
+    Ties go to the lexicographically smaller edge; a tree comes back as is.
     """
     if not g.is_connected():
         raise DisconnectedGraphError("spanning tree needs a connected graph")
     labels = normalize_labels(g, l)
-    current = g
-    while True:
-        cycle = find_cycle(current)
-        if cycle is None:
-            break
-        top = max(labels[v] for v in cycle)
-        v1 = min(v for v in cycle if labels[v] == top)
-        i = cycle.index(v1)
-        around = (cycle[i - 1], cycle[(i + 1) % len(cycle)])
-        doomed = min(edge_key(v1, u) for u in around)
-        current = Graph(current.vertices, [e for e in current.edges if e != doomed])
-    return Tree(current)
+    leader = {v: v for v in g.vertices}
+
+    def find(v: Vertex) -> Vertex:
+        while leader[v] != v:
+            leader[v] = leader[leader[v]]
+            v = leader[v]
+        return v
+
+    chosen = []
+    for u, v in sorted(g.edges, key=lambda e: (max(labels[e[0]], labels[e[1]]), e)):
+        a, b = find(u), find(v)
+        if a != b:
+            leader[a] = b
+            chosen.append((u, v))
+    return Tree(Graph(g.vertices, chosen))
 
 
 def _cycle_edge(g: Graph) -> Edge:
-    # Lexicographically smallest edge lying on a cycle (= smallest non-bridge).
+    # Lexicographically smallest edge lying on a cycle, i.e. the smallest
+    # edge that is not a bridge.  One iterative depth-first search numbers
+    # the vertices in visiting order; low[v] is the smallest number reached
+    # from v's subtree by one back edge, and the tree edge into v is a bridge
+    # iff low[v] exceeds its parent's number.
+    number: dict[Vertex, int] = {}
+    low: dict[Vertex, int] = {}
+    bridges: set[Edge] = set()
+    for start in g.vertices:
+        if start in number:
+            continue
+        number[start] = low[start] = len(number)
+        stack = [(start, None, iter(g.neighbors(start)))]
+        while stack:
+            v, parent, rest = stack[-1]
+            for u in rest:
+                if u not in number:
+                    number[u] = low[u] = len(number)
+                    stack.append((u, v, iter(g.neighbors(u))))
+                    break
+                if u != parent:
+                    low[v] = min(low[v], number[u])
+            else:
+                stack.pop()
+                if parent is not None:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] > number[parent]:
+                        bridges.add(edge_key(parent, v))
     for e in g.edges:
-        rest = Graph(g.vertices, [f for f in g.edges if f != e])
-        comp = rest.components()
-        u, v = e
-        if any(u in c and v in c for c in comp):
+        if e not in bridges:
             return e
     raise AcyclicInputError("graph has no cycle")
 

@@ -30,6 +30,7 @@ from ultratree.generators import (
 )
 from ultratree.graphs import edge_key
 from ultratree.metrics import FiniteMetricSpace
+from ultratree.oracles import centers_by_rooting
 
 from helpers import fig1_tree, fig3_tree, fig10_tree, fig13_tree
 
@@ -266,3 +267,28 @@ def test_analyze_report_unrooted():
     report = analyze(t, w)
     assert report.planted is None and report.K is None
     assert report.centers == ("v1", "v4", "v5")
+
+
+def test_centers_equal_rooting_oracle():
+    rng = random.Random(229)
+    cases = [fig3_tree(), (tree_from_edges([], vertices=["a"]), {}),
+             (tree_from_edges([("a", "b")]), {("a", "b"): F(5, 2)})]
+    for i in range(200):
+        n = rng.randint(2, 300 if i % 20 == 0 else 60)
+        kind = i % 4
+        if kind == 0:  # equidistant by construction, from a monotone labeling
+            et = random_equidistant_tree(rng, 2, n)
+            cases.append((et.rt.tree, et.weights))
+        elif kind == 3:  # a star with all-ones weights: every vertex a center
+            star = tree_from_edges([("c", f"l{j:03d}") for j in range(n - 1)])
+            cases.append((star, {e: F(1) for e in star.edges}))
+        else:  # few distinct weights, so equal leaf distances are common
+            t = random_tree(rng, n)
+            cases.append((t, {e: F(rng.randint(1, kind)) for e in t.edges}))
+    with_centers = 0
+    for t, w in cases:
+        found = centers(t, w)
+        assert found == centers_by_rooting(t, w)
+        with_centers += bool(found)
+    assert centers(*fig3_tree()) == {"v1", "v4", "v5"}
+    assert with_centers > 100

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -33,7 +34,9 @@ from ultratree.generators import (
     random_weights,
     shuffled_renaming,
 )
+from ultratree import canonical
 from ultratree.metrics import FiniteMetricSpace
+from ultratree.oracles import rooted_code_by_recursion
 from ultratree.transforms import cyclic_weight_counterexample
 
 from helpers import (
@@ -336,3 +339,54 @@ def test_leaf_swap_rejects_single_vertex():
     mt = generate_monotone(0, 1, 1)
     with pytest.raises(SingleVertexTreeError):
         leaf_swap_isometry(mt)
+
+
+def _all_flavor_codes(t, labels, weights, root):
+    return {
+        flavor: canonical_code(
+            t,
+            flavor,
+            labels=labels if flavor in canonical._LABELED else None,
+            weights=weights if flavor in canonical._WEIGHTED else None,
+            root=root if flavor in canonical._ROOTED else None,
+        )
+        for flavor in IsoFlavor
+    }
+
+
+def test_codes_equal_recursive_encoder(monkeypatch):
+    rng = random.Random(401)
+    for _ in range(500):
+        n = rng.randint(1, 60)
+        t = random_tree(rng, n)
+        # few distinct values, so equal child codes and ties are common
+        labels = {v: F(rng.randint(0, 3), rng.choice((1, 2))) for v in t.vertices}
+        weights = {e: F(rng.randint(1, 3), rng.choice((1, 2))) for e in t.edges}
+        root = rng.choice(t.vertices)
+        fast = _all_flavor_codes(t, labels, weights, root)
+        with monkeypatch.context() as m:
+            m.setattr(canonical, "_rooted_code", rooted_code_by_recursion)
+            assert _all_flavor_codes(t, labels, weights, root) == fast
+
+
+@pytest.mark.parametrize("shape", ["path", "caterpillar"])
+def test_every_flavor_encodes_20k_vertices_without_recursion(shape):
+    n = 20000
+    names = [f"v{i:05d}" for i in range(n)]
+    if shape == "path":
+        edges = [(names[i - 1], names[i]) for i in range(1, n)]
+    else:  # a spine of n/2 vertices, one pendant leaf on each
+        half = n // 2
+        edges = [(names[i - 1], names[i]) for i in range(1, half)]
+        edges += [(names[i], names[half + i]) for i in range(half)]
+    t = tree_from_edges(edges)
+    labels = {v: F(i % 7) for i, v in enumerate(names)}
+    weights = {e: F(1 + i % 3) for i, e in enumerate(t.edges)}
+    limit = sys.getrecursionlimit()
+    codes = _all_flavor_codes(t, labels, weights, names[0])
+    assert sys.getrecursionlimit() == limit
+    if shape == "path":
+        assert codes[IsoFlavor.ROOTED] == "1R:" + "(" * n + ")" * n
+    else:
+        assert codes[IsoFlavor.ROOTED].count("()") == n // 2
+    assert all(code.count("(") == n for code in codes.values())

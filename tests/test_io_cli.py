@@ -74,6 +74,11 @@ def test_parse_errors():
             doc = {"vertices": ["a", "b"], "edges": [["a", "b"]], field: value}
             with pytest.raises(ParseError, match=f"'{field}' must be a JSON object"):
                 tio.graph_from_json(doc)
+    # payload values that are not lists of strings
+    for value in (5, "ab", ["a", 1]):
+        doc = {"vertices": ["a", "b"], "edges": [["a", "b"]], "payloads": {"a": value}}
+        with pytest.raises(ParseError, match="payload of 'a' must be a list of strings"):
+            tio.graph_from_json(doc)
 
 
 def _write(tmp_path, name, text):
@@ -226,6 +231,11 @@ def test_cli_error_paths(tmp_path, capsys):
     code, out = _run(capsys, "reduce", weights_list)
     assert code == 2 and json.loads(out)["error"]["code"] == "parse-error"
 
+    payload_int = dict(partial, labels={"a": "1", "b": "0"}, payloads={"a": 5})
+    path = _write(tmp_path, "payload_int.json", json.dumps(payload_int))
+    code, out = _run(capsys, "spanning", path)
+    assert code == 2 and json.loads(out)["error"]["code"] == "parse-error"
+
 
 def test_cli_selftest_passes_and_is_deterministic(capsys):
     code, first = _run(capsys, "selftest")
@@ -270,6 +280,62 @@ def test_matrix_verbs_answer_any_input_with_one_json_object(tmp_path):
         path = tmp_path / "in.txt"
         path.write_text(text, encoding="utf-8")
         argv = verb + [str(path)] * (2 if verb[0] == "isometry" else 1)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert isinstance(json.loads(out.getvalue()), dict)
+
+    check()
+
+
+def test_graph_verbs_answer_any_input_with_one_json_object(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    scalars = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-4, 4)
+               | st.sampled_from(["a", "b", "0", "1", "1/2", "-1", "", "a|b"]))
+    values = st.recursive(
+        scalars,
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+        max_leaves=12,
+    )
+    rationals = st.sampled_from(["1", "2", "1/2", "3/4"])
+
+    @st.composite
+    def graph_documents(draw):
+        # a well-formed document, then a few values and fields of random type
+        vs = ["a", "b", "c", "d", "e"][: draw(st.integers(1, 5))]
+        pairs = [[u, v] for i, u in enumerate(vs) for v in vs[i + 1 :]]
+        es = draw(st.lists(st.sampled_from(pairs), unique_by=tuple, max_size=6)) if pairs else []
+        doc = {
+            "vertices": vs,
+            "edges": es,
+            "root": draw(st.sampled_from(vs) | st.none()),
+            "weights": {f"{u}|{v}": draw(rationals | values) for u, v in es},
+            "labels": {v: draw(rationals | st.just("0") | values) for v in vs},
+            "payloads": {v: draw(st.lists(st.sampled_from(vs), max_size=2) | values) for v in vs},
+        }
+        for field in draw(st.sets(st.sampled_from(sorted(doc)), max_size=2)):
+            doc[field] = draw(values)
+        return doc
+
+    documents = values | graph_documents()
+    verbs = st.sampled_from([
+        ["spanning"], ["counterexample"], ["reduce"], ["analyze"],
+        ["dual", "--direction", "w2l"], ["dual", "--direction", "l2w"],
+        *(["iso", "--flavor", f] for f in ("free", "rooted", "vlabel", "eweight", "rlabel", "rweight")),
+    ])
+
+    @hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(verb=verbs, doc=documents, other=documents)
+    def check(verb, doc, other):
+        paths = []
+        for name, value in (("left.json", doc), ("right.json", other)):
+            path = tmp_path / name
+            path.write_text(json.dumps(value), encoding="utf-8")
+            paths.append(str(path))
+        argv = verb + (paths if verb[0] == "iso" else paths[:1])
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)

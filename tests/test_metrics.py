@@ -318,3 +318,12 @@ def test_outside_matrices_are_still_checked():
         space_from("ab", lambda x, y: F(1) if x < y else F(2))
     with pytest.raises(ValueError, match="negative distance"):
         space_from("ab", lambda x, y: F(-1))
+
+
+def test_exact_entries_are_kept_and_others_converted():
+    half = F(1, 2)
+    space = FiniteMetricSpace("ab", [[F(0), half], [half, F(0)]])
+    assert space.rows[0][1] is half
+    mixed = FiniteMetricSpace("ab", [[0, "1/2"], [0.5, 0]])
+    assert mixed.rows == ((F(0), half), (half, F(0)))
+    assert all(type(x) is F for row in mixed.rows for x in row)

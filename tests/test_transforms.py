@@ -28,6 +28,8 @@ from ultratree import (
     weight_to_labeling,
 )
 from ultratree.errors import AcyclicInputError, PathTreeError
+from ultratree.oracles import cycle_edge_by_deletion, reduce_nabla_by_suppression
+from ultratree.transforms import _cycle_edge
 from ultratree.generators import (
     random_connected_graph,
     random_equidistant_tree,
@@ -321,3 +323,80 @@ def test_vertex_count_bounded_by_ball_count():
         )
         assert code_dual == code_repr
         assert (len(et.rt.vertices) == len(balls)) == (not v1)
+
+
+def _chained_equidistant(rng, max_size):
+    """A random equidistant tree of at most max_size vertices: a branching
+    shape whose edges carry chains of pass-through vertices, often hung
+    below a chain of out-degree-one vertices from the root."""
+    size = rng.randint(8, max_size)
+    names = [f"x{i:03d}" for i in range(size)]
+    rng.shuffle(names)
+    top = names[: rng.choice((0, 0, 1, 4))]
+    rest = names[len(top):]
+    k = max(3, len(rest) // 2)
+    base, spare = rest[:k], rest[k:]
+    edges = list(zip(top, top[1:])) + ([(top[-1], base[0])] if top else [])
+    for i in range(1, k):
+        parent = base[0] if i < 3 else base[rng.randrange(i)]  # base[0] branches
+        cut = rng.choice((0, 0, 1, 3, 8))
+        chain = [parent] + spare[:cut] + [base[i]]
+        spare = spare[cut:]
+        edges += zip(chain, chain[1:])
+    rt = RootedTree(tree_from_edges(edges), top[0] if top else base[0])
+    return random_equidistant_on(rng, rt)
+
+
+def test_reduce_nabla_equals_suppression_oracle():
+    rng = random.Random(211)
+    chained = 0
+    for i in range(200):
+        et = _chained_equidistant(rng, 300 if i % 20 == 0 else 60)
+        result = reduce_nabla(et)
+        assert result == reduce_nabla_by_suppression(et)
+        chained += result.new_root != et.rt.root
+    assert chained > 50
+
+
+def test_cycle_edge_equals_deletion_oracle():
+    rng = random.Random(223)
+    bridged = acyclic = 0
+    for i in range(120):
+        n = rng.randint(2, 200 if i % 10 == 0 else 40)
+        kind = i % 4
+        core = random_connected_graph(rng, n, extra_edges=0 if kind == 3 else rng.randint(0, n), prefix="z")
+        if kind == 0:
+            g = core
+        else:
+            # a tree whose names sort first, so the smallest edges are bridges;
+            # hung from the core (1), beside it (2), or beside a tree core (3)
+            tree = random_tree(rng, rng.randint(1, n), prefix="a")
+            edges = list(core.edges) + list(tree.edges)
+            if kind == 1:
+                edges.append((rng.choice(tree.vertices), rng.choice(core.vertices)))
+            g = Graph(core.vertices + tree.vertices, edges)
+        try:
+            expected = cycle_edge_by_deletion(g)
+        except AcyclicInputError:
+            acyclic += 1
+            with pytest.raises(AcyclicInputError, match="graph has no cycle"):
+                _cycle_edge(g)
+            continue
+        bridged += expected != g.edges[0]
+        assert _cycle_edge(g) == expected
+    assert bridged > 30 and acyclic > 20
+
+
+def test_bottleneck_spanning_tree_realizes_minimax_at_scale():
+    rng = random.Random(227)
+    for _ in range(20):
+        n = rng.randint(2, 200)
+        g = random_connected_graph(rng, n, extra_edges=rng.randint(0, 2 * n))
+        # few distinct labels, so many edge keys tie
+        labels = {v: F(rng.randint(0, 5), rng.choice((1, 2))) for v in g.vertices}
+        t = bottleneck_spanning_tree(g, labels)
+        assert t.vertices == g.vertices and set(t.edges) <= set(g.edges)
+        assert label_tree_metric(t, labels)[0] == minimax_label_metric(g, labels)[0]
+        shuffled = Graph(reversed(g.vertices), reversed(g.edges))
+        assert bottleneck_spanning_tree(shuffled, dict(reversed(labels.items()))) == t
+        assert bottleneck_spanning_tree(t.underlying, labels) == t
