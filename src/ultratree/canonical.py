@@ -6,9 +6,11 @@ child codes, built from the leaves up; free flavors root the tree at its one
 or two centers and keep the smaller code.  Rational payloads are embedded in
 canonical lowest-terms text, so value equality and code equality coincide.
 
-General (non-tree) graph isomorphism and isometry search are deliberately
-small brute-force searches with pruning; they are the oracles every fast
-path is tested against.
+General (non-tree) graph isomorphism and isometry search are one small
+pruned search for a bijection carrying a matrix onto another, and one check
+of a given map: a space has its distance matrix, a graph its relation matrix
+(labels on the diagonal, edge weights or an edge mark at adjacent pairs, a
+non-edge mark elsewhere).  They are the oracles fast paths are tested against.
 """
 
 from __future__ import annotations
@@ -149,61 +151,80 @@ def _as_graph(g: Graph | Tree) -> Graph:
     return g.underlying if isinstance(g, Tree) else g
 
 
-def _brute_force_isomorphic(
-    g1: Graph,
-    g2: Graph,
-    labels1: Optional[dict[Vertex, Fraction]],
-    labels2: Optional[dict[Vertex, Fraction]],
-    weights1: Optional[dict[Edge, Fraction]],
-    weights2: Optional[dict[Edge, Fraction]],
-) -> bool:
-    n = len(g1.vertices)
-    if n != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return False
-    if sorted(g1.degree(v) for v in g1.vertices) != sorted(g2.degree(v) for v in g2.vertices):
-        return False
-    if labels1 is not None and sorted(labels1.values()) != sorted(labels2.values()):
-        return False
-    if weights1 is not None and sorted(weights1.values()) != sorted(weights2.values()):
-        return False
+def _relation_rows(g: Graph, labels: Optional[Mapping], weights: Optional[Mapping]) -> list[list[tuple]]:
+    # (label,) on the diagonal, (weight,) or (1,) at adjacent pairs and () at
+    # every other pair.  A non-edge differs from every edge by length alone,
+    # whatever the payload values, and normalized entries all sort together.
+    index = {v: i for i, v in enumerate(g.vertices)}
+    rows: list[list[tuple]] = [[()] * len(index) for _ in index]
+    if labels is not None:
+        for v, i in index.items():
+            rows[i][i] = (labels[v],)
+    for e in g.edges:
+        i, j = index[e[0]], index[e[1]]
+        rows[i][j] = rows[j][i] = (weights[e],) if weights is not None else (1,)
+    return rows
 
-    order = sorted(g1.vertices, key=lambda v: (-g1.degree(v), v))
-    e1, e2 = set(g1.edges), set(g2.edges)
 
-    def compatible(v: Vertex, w: Vertex, image: dict[Vertex, Vertex]) -> bool:
-        if g1.degree(v) != g2.degree(w):
-            return False
-        if labels1 is not None and labels1[v] != labels2[w]:
-            return False
-        for u, fu in image.items():
-            adj1 = (min(u, v), max(u, v)) in e1
-            adj2 = (min(fu, w), max(fu, w)) in e2
-            if adj1 != adj2:
-                return False
-            if adj1 and weights1 is not None:
-                if weights1[edge_key(u, v)] != weights2[edge_key(fu, w)]:
-                    return False
-        return True
+def _search(a: tuple, b: tuple) -> Optional[dict[int, int]]:
+    """An index bijection carrying matrix a onto matrix b, or None.
 
-    used: set[Vertex] = set()
-    image: dict[Vertex, Vertex] = {}
+    a and b are (rows, names) pairs.  Pruning: the sorted multisets of all
+    entries must agree; a point's candidates share its row profile (diagonal
+    entry and sorted row); the point with fewest candidates is placed first.
+    """
+    (rows1, names1), (rows2, names2) = a, b
+    n = len(names1)
+    if n != len(names2):
+        return None
+    if sorted(x for row in rows1 for x in row) != sorted(x for row in rows2 for x in row):
+        return None
 
-    def assign(i: int) -> bool:
-        if i == n:
+    def profile(rows, i: int) -> tuple:
+        return rows[i][i], tuple(sorted(rows[i]))
+
+    profiles2: dict[tuple, list[int]] = {}
+    for j in range(n):
+        profiles2.setdefault(profile(rows2, j), []).append(j)
+    # same-named candidates first, so a matrix searched against itself (or a
+    # same-named copy) yields the identity bijection
+    candidates = [sorted(profiles2.get(profile(rows1, i), []), key=lambda j, i=i: (names2[j] != names1[i], j))
+                  for i in range(n)]
+    if not all(candidates):
+        return None
+
+    order = sorted(range(n), key=lambda i: (len(candidates[i]), names1[i]))
+    image: dict[int, int] = {}
+    used: set[int] = set()
+
+    def assign(k: int) -> bool:
+        if k == n:
             return True
-        v = order[i]
-        for w in g2.vertices:
-            if w in used or not compatible(v, w, image):
+        i = order[k]
+        for j in candidates[i]:
+            if j in used or any(rows1[i][i2] != rows2[j][j2] for i2, j2 in image.items()):
                 continue
-            image[v] = w
-            used.add(w)
-            if assign(i + 1):
+            image[i] = j
+            used.add(j)
+            if assign(k + 1):
                 return True
-            del image[v]
-            used.discard(w)
+            del image[i]
+            used.discard(j)
         return False
 
-    return assign(0)
+    return image if assign(0) else None
+
+
+def _carries(mapping: Mapping[Vertex, Vertex], a: tuple, b: tuple) -> bool:
+    # The check of a given map: a bijection from a's names onto b's that
+    # carries every entry of matrix a onto the entry of matrix b at the images.
+    (rows1, names1), (rows2, names2) = a, b
+    if sorted(mapping) != list(names1) or sorted(mapping.values()) != list(names2):
+        return False
+    at = {v: j for j, v in enumerate(names2)}
+    image = [at[mapping[v]] for v in names1]
+    n = len(image)
+    return all(rows1[i][k] == rows2[image[i]][image[k]] for i in range(n) for k in range(i, n))
 
 
 def are_isomorphic(
@@ -219,14 +240,15 @@ def are_isomorphic(
 ) -> bool:
     """Isomorphism test for the declared flavor.
 
-    Trees compare by canonical code.  Other graphs fall back to brute-force
-    bijection search with degree and payload pruning, limited to
-    GRAPH_SIZE_LIMIT vertices; rooted flavors apply to trees only.
+    Trees compare by canonical code.  Other graphs go to the bijection
+    search on their relation matrices, limited to GRAPH_SIZE_LIMIT
+    vertices; rooted flavors apply to trees only.
     """
-    a, b = _as_graph(g1), _as_graph(g2)
-    if a.is_tree() and b.is_tree():
-        t1 = g1 if isinstance(g1, Tree) else Tree(a)
-        t2 = g2 if isinstance(g2, Tree) else Tree(b)
+    try:
+        t1, t2 = (g if isinstance(g, Tree) else Tree(g) for g in (g1, g2))
+    except ValueError:  # not both trees
+        pass
+    else:
         c1 = canonical_code(t1, flavor, labels1, weights1, root1)
         c2 = canonical_code(t2, flavor, labels2, weights2, root2)
         return c1 == c2
@@ -234,6 +256,7 @@ def are_isomorphic(
         raise ValueError("rooted flavors are defined for trees only")
     _check_payloads(flavor, labels1, weights1, root1)
     _check_payloads(flavor, labels2, weights2, root2)
+    a, b = _as_graph(g1), _as_graph(g2)
     if max(len(a.vertices), len(b.vertices)) > GRAPH_SIZE_LIMIT:
         raise SizeLimitError(
             f"graph isomorphism is limited to {GRAPH_SIZE_LIMIT} vertices"
@@ -242,18 +265,13 @@ def are_isomorphic(
     lab2 = normalize_labels(b, labels2) if labels2 is not None else None
     w1 = normalize_weights(a, weights1, strict=False) if weights1 is not None else None
     w2 = normalize_weights(b, weights2, strict=False) if weights2 is not None else None
-    return _brute_force_isomorphic(a, b, lab1, lab2, w1, w2)
+    rows1, rows2 = _relation_rows(a, lab1, w1), _relation_rows(b, lab2, w2)
+    return _search((rows1, a.vertices), (rows2, b.vertices)) is not None
 
 
 def is_isometry(s1: FiniteMetricSpace, s2: FiniteMetricSpace, mapping: Mapping[Vertex, Vertex]) -> bool:
     """Check a specific bijection preserves all distances."""
-    if sorted(mapping) != list(s1.points) or sorted(mapping.values()) != list(s2.points):
-        return False
-    return all(
-        s1.distance(x, y) == s2.distance(mapping[x], mapping[y])
-        for i, x in enumerate(s1.points)
-        for y in s1.points[i + 1 :]
-    )
+    return _carries(mapping, (s1.rows, s1.points), (s2.rows, s2.points))
 
 
 def is_isomorphism(
@@ -267,26 +285,15 @@ def is_isomorphism(
     root1: Optional[Vertex] = None,
     root2: Optional[Vertex] = None,
 ) -> bool:
-    """Check a specific bijection is an isomorphism, with optional payloads."""
+    """Check a specific bijection is an isomorphism, with optional payloads.
+
+    Labels and weights count when labels1 and weights1 are given.
+    """
     a, b = _as_graph(g1), _as_graph(g2)
-    if sorted(mapping) != list(a.vertices) or sorted(mapping.values()) != list(b.vertices):
-        return False
-    if root1 is not None and mapping[root1] != root2:
-        return False
-    e1, e2 = set(a.edges), set(b.edges)
-    for i, u in enumerate(a.vertices):
-        for v in a.vertices[i + 1 :]:
-            adj1 = (u, v) in e1
-            adj2 = edge_key(mapping[u], mapping[v]) in e2
-            if adj1 != adj2:
-                return False
-            if adj1 and weights1 is not None:
-                if weights1[edge_key(u, v)] != weights2[edge_key(mapping[u], mapping[v])]:
-                    return False
-    if labels1 is not None:
-        if any(labels1[v] != labels2[mapping[v]] for v in a.vertices):
-            return False
-    return True
+    rows1 = _relation_rows(a, labels1, weights1)
+    rows2 = _relation_rows(b, None if labels1 is None else labels2, None if weights1 is None else weights2)
+    carried = _carries(mapping, (rows1, a.vertices), (rows2, b.vertices))
+    return carried and (root1 is None or mapping[root1] == root2)
 
 
 def isometry_search(
@@ -301,56 +308,8 @@ def isometry_search(
         raise SizeLimitError(
             f"isometry search is limited to {ISOMETRY_SIZE_LIMIT} points"
         )
-    if len(s1.points) != len(s2.points):
-        return None
-    n = len(s1.points)
-    all1 = sorted(x for row in s1.rows for x in row)
-    all2 = sorted(x for row in s2.rows for x in row)
-    if all1 != all2:
-        return None
-
-    def profile(space: FiniteMetricSpace, i: int) -> tuple:
-        return tuple(sorted(space.rows[i]))
-
-    profiles2: dict[tuple, list[int]] = {}
-    for j in range(n):
-        profiles2.setdefault(profile(s2, j), []).append(j)
-    # same-named candidates first, so comparing a space against itself (or a
-    # same-named copy) yields the identity bijection
-    candidates = {
-        i: sorted(
-            profiles2.get(profile(s1, i), []),
-            key=lambda j, i=i: (s2.points[j] != s1.points[i], j),
-        )
-        for i in range(n)
-    }
-    if any(not c for c in candidates.values()):
-        return None
-
-    order = sorted(range(n), key=lambda i: (len(candidates[i]), s1.points[i]))
-    image: dict[int, int] = {}
-    used: set[int] = set()
-
-    def assign(k: int) -> bool:
-        if k == n:
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if j in used:
-                continue
-            if any(s1.rows[i][i2] != s2.rows[j][j2] for i2, j2 in image.items()):
-                continue
-            image[i] = j
-            used.add(j)
-            if assign(k + 1):
-                return True
-            del image[i]
-            used.discard(j)
-        return False
-
-    if not assign(0):
-        return None
-    return {s1.points[i]: s2.points[j] for i, j in sorted(image.items())}
+    image = _search((s1.rows, s1.points), (s2.rows, s2.points))
+    return None if image is None else {s1.points[i]: s2.points[j] for i, j in sorted(image.items())}
 
 
 def ultrametric_isometric(s1: FiniteMetricSpace, s2: FiniteMetricSpace) -> bool:

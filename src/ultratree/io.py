@@ -39,9 +39,10 @@ class GraphDoc:
     payloads: Optional[dict[Vertex, frozenset[Vertex]]] = None
 
     def tree(self) -> Tree:
-        if not self.graph.is_tree():
-            raise ParseError("expected a tree (connected and acyclic)")
-        return Tree(self.graph)
+        try:
+            return Tree(self.graph)
+        except ValueError:
+            raise ParseError("expected a tree (connected and acyclic)") from None
 
     def rooted(self) -> RootedTree:
         if self.root is None:
@@ -78,11 +79,11 @@ def graph_to_json(
     }
     if weights is not None:
         doc["weights"] = {
-            _edge_text(edge_key(*e)): format_rational(Fraction(val))
+            _edge_text(edge_key(*e)): format_rational(val)
             for e, val in sorted(weights.items())
         }
     if labels is not None:
-        doc["labels"] = {v: format_rational(Fraction(val)) for v, val in sorted(labels.items())}
+        doc["labels"] = {v: format_rational(val) for v, val in sorted(labels.items())}
     if payloads is not None:
         doc["payloads"] = {v: sorted(pts) for v, pts in sorted(payloads.items())}
     return doc
@@ -100,15 +101,13 @@ def labeled_tree_to_json(t: LabeledRootedTree) -> dict:
 def graph_from_json(obj) -> GraphDoc:
     if not isinstance(obj, dict):
         raise ParseError("graph document must be a JSON object")
-    try:
-        vertices = list(obj["vertices"])
-        edges = [tuple(e) for e in obj.get("edges", [])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed graph document: {exc}") from exc
+    vertices, edges = obj.get("vertices"), obj.get("edges", [])
+    if not isinstance(vertices, list) or not isinstance(edges, list):
+        raise ParseError("'vertices' and 'edges' must be JSON lists")
     _check_ids(vertices)
     for e in edges:
-        if len(e) != 2:
-            raise ParseError(f"edge must have two endpoints: {e!r}")
+        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
+            raise ParseError(f"edge must be a list of two vertex ids: {e!r}")
     try:
         graph = Graph(vertices, edges)
     except Exception as exc:

@@ -28,4 +28,4 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))

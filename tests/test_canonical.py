@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction as F
@@ -12,6 +13,7 @@ from ultratree import (
     additive_metric,
     are_isomorphic,
     canonical_code,
+    edge_key,
     generate_monotone,
     is_isometry,
     is_isomorphism,
@@ -159,6 +161,93 @@ def test_graph_brute_force_and_size_limit():
     )
     with pytest.raises(SizeLimitError):
         are_isomorphic(big, big, IsoFlavor.FREE)
+
+
+def _random_graph(rng, n, prefix, m):
+    names = [f"{prefix}{i}" for i in range(n)]
+    return Graph(names, rng.sample(list(itertools.combinations(names, 2)), m))
+
+
+def _renamed_copy(rng, g):
+    new = dict(zip(g.vertices, rng.sample([f"b{i}" for i in range(len(g.vertices))], len(g.vertices))))
+    return Graph(new.values(), [(new[u], new[v]) for u, v in g.edges]), new
+
+
+def test_graph_search_equals_permutation_reference():
+    # The non-tree branch of are_isomorphic against helpers.brute_iso, on
+    # graphs with cycles; payloads from {0, 1} and {1, 2}, so ties are common.
+    rng = random.Random(409)
+    verdicts = {flavor: set() for flavor in (IsoFlavor.FREE, IsoFlavor.VERTEX_LABELED, IsoFlavor.EDGE_WEIGHTED)}
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        g1 = _random_graph(rng, n, "a", rng.randint(n, min(n * (n - 1) // 2, 2 * n)))  # |E| >= |V|: a cycle
+        l1 = {v: F(rng.randint(0, 1)) for v in g1.vertices}
+        w1 = {e: F(rng.randint(1, 2)) for e in g1.edges}
+        if rng.random() < 0.5:  # a relabeled copy, sometimes with one payload changed
+            g2, new = _renamed_copy(rng, g1)
+            l2 = rename_labels(l1, new)
+            w2 = rename_weights(w1, new)
+            if rng.random() < 0.5:
+                l2[rng.choice(g2.vertices)] = F(rng.randint(0, 1))
+                w2[rng.choice(g2.edges)] = F(rng.randint(1, 2))
+        else:
+            g2 = _random_graph(rng, n, "b", len(g1.edges))
+            l2 = {v: F(rng.randint(0, 1)) for v in g2.vertices}
+            w2 = {e: F(rng.randint(1, 2)) for e in g2.edges}
+        assert not g1.is_tree()
+        cases = {
+            IsoFlavor.FREE: ({}, {}),
+            IsoFlavor.VERTEX_LABELED: ({"labels1": l1, "labels2": l2}, {}),
+            IsoFlavor.EDGE_WEIGHTED: ({}, {"weights1": w1, "weights2": w2}),
+        }
+        for flavor, (labels, weights) in cases.items():
+            verdict = are_isomorphic(g1, g2, flavor, **labels, **weights)
+            assert verdict == brute_iso(g1, g2, **labels, **weights), (flavor, g1, g2)
+            verdicts[flavor].add(verdict)
+    assert all(seen == {True, False} for seen in verdicts.values())
+
+
+def _isomorphism_by_definition(a, b, f, labels1, labels2, weights1, weights2, root1, root2):
+    if sorted(f) != list(a.vertices) or sorted(f.values()) != list(b.vertices):
+        return False  # not a bijection V(a) -> V(b)
+    if root1 is not None and f[root1] != root2:
+        return False
+    ea, eb = set(a.edges), set(b.edges)
+    for u, v in itertools.combinations(a.vertices, 2):
+        if ((u, v) in ea) != (edge_key(f[u], f[v]) in eb):
+            return False
+        if (u, v) in ea and weights1 is not None and weights1[(u, v)] != weights2[edge_key(f[u], f[v])]:
+            return False
+    return labels1 is None or all(labels1[v] == labels2[f[v]] for v in a.vertices)
+
+
+def test_is_isomorphism_equals_definition_for_every_map():
+    rng = random.Random(419)
+    verdicts = set()
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        g1 = _random_graph(rng, n, "a", rng.randint(0, n * (n - 1) // 2))
+        g2, new = _renamed_copy(rng, g1)
+        l1 = {v: F(rng.randint(0, 1)) for v in g1.vertices}
+        w1 = {e: F(rng.randint(1, 2)) for e in g1.edges}
+        l2, w2 = rename_labels(l1, new), rename_weights(w1, new)
+        if rng.random() < 0.5:
+            l2[rng.choice(g2.vertices)] = F(rng.randint(0, 1))
+        if g2.edges and rng.random() < 0.5:
+            w2[rng.choice(g2.edges)] = F(rng.randint(1, 2))
+        root1, root2 = rng.choice(g1.vertices), rng.choice(g2.vertices)
+        maps = [dict(zip(g1.vertices, perm)) for perm in itertools.permutations(g2.vertices)]
+        if n > 1:  # and two maps that are not bijections
+            maps.append(dict(zip(g1.vertices, [g2.vertices[0]] * n)))
+            maps.append(dict(zip(g1.vertices[1:], g2.vertices[1:])))
+        for f in maps:
+            for use_l, use_w, use_r in itertools.product((False, True), repeat=3):
+                args = (l1 if use_l else None, l2 if use_l else None, w1 if use_w else None,
+                        w2 if use_w else None, root1 if use_r else None, root2 if use_r else None)
+                verdict = is_isomorphism(g1, g2, f, *args)
+                assert verdict == _isomorphism_by_definition(g1, g2, f, *args), (g1, g2, f, args)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_cyclic_counterexample_weightings_not_isomorphic():

@@ -74,11 +74,46 @@ def test_parse_errors():
             doc = {"vertices": ["a", "b"], "edges": [["a", "b"]], field: value}
             with pytest.raises(ParseError, match=f"'{field}' must be a JSON object"):
                 tio.graph_from_json(doc)
+    # vertex and edge lists that are strings or objects, edges that are not
+    # pairs of strings
+    for doc in ({"vertices": "abc", "edges": ["ab", "bc"], "labels": {"a": "1", "b": "0", "c": "2"}},
+                {"vertices": {"a": 1, "b": 2}, "edges": [{"a": 1, "b": 2}]},
+                {"vertices": ["a", "b"], "edges": ["ab"]},
+                {"vertices": ["a", "b"], "edges": [{"a": 1, "b": 2}]},
+                {"vertices": ["a", "b"], "edges": {"a": "b"}},
+                {"vertices": ["a", "b"], "edges": [["a", 1]]},
+                {"vertices": ["a", "b"], "edges": None},
+                {"edges": []}):
+        with pytest.raises(ParseError, match="must be"):
+            tio.graph_from_json(doc)
     # payload values that are not lists of strings
     for value in (5, "ab", ["a", 1]):
         doc = {"vertices": ["a", "b"], "edges": [["a", "b"]], "payloads": {"a": value}}
         with pytest.raises(ParseError, match="payload of 'a' must be a list of strings"):
             tio.graph_from_json(doc)
+
+
+def test_format_rational_keeps_the_text_of_any_exact_value():
+    from ultratree.rational import format_rational
+
+    assert [format_rational(x) for x in (F(2, 4), F(-1, 3), 3, "6/4")] == ["1/2", "-1/3", "3", "3/2"]
+
+
+def test_each_tree_is_checked_once(monkeypatch):
+    from ultratree import Graph, IsoFlavor, are_isomorphic
+
+    searches = []
+    components = Graph.components
+    monkeypatch.setattr(Graph, "components", lambda g: searches.append(g) or components(g))
+    path = tio.graph_from_json({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]})
+    path.tree()
+    assert len(searches) == 1
+    assert are_isomorphic(path.graph, path.graph, IsoFlavor.FREE)
+    assert len(searches) == 3
+    cycle = tio.graph_from_json({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]})
+    with pytest.raises(ParseError, match=r"expected a tree \(connected and acyclic\)"):
+        cycle.tree()
+    assert not are_isomorphic(cycle.graph, path.graph, IsoFlavor.FREE)
 
 
 def _write(tmp_path, name, text):
@@ -233,6 +268,11 @@ def test_cli_error_paths(tmp_path, capsys):
 
     payload_int = dict(partial, labels={"a": "1", "b": "0"}, payloads={"a": 5})
     path = _write(tmp_path, "payload_int.json", json.dumps(payload_int))
+    code, out = _run(capsys, "spanning", path)
+    assert code == 2 and json.loads(out)["error"]["code"] == "parse-error"
+
+    split = {"vertices": "abc", "edges": ["ab", "bc"], "labels": {"a": "1", "b": "0", "c": "2"}}
+    path = _write(tmp_path, "split.json", json.dumps(split))
     code, out = _run(capsys, "spanning", path)
     assert code == 2 and json.loads(out)["error"]["code"] == "parse-error"
 
