@@ -1,78 +1,68 @@
-"""Exact toolkit for finite ultrametric spaces and weighted/labeled trees."""
+"""Exact toolkit for finite ultrametric spaces and weighted/labeled trees.
 
-from .graphs import (
-    Graph,
-    Path,
-    RootedTree,
-    Tree,
-    all_simple_paths,
-    degree_sets,
-    edge_key,
-    find_cycle,
-    find_path,
-    subtree_below,
-    tree_from_edges,
-)
-from .metrics import (
-    FiniteMetricSpace,
-    MetricClass,
-    additive_metric,
-    classify_metric,
-    hausdorff_distance,
-    label_tree_metric,
-    minimax_label_metric,
-    restrict,
-    shortest_path_metric,
-)
-from .representing import (
-    Ballean,
-    LabeledRootedTree,
-    ballean,
-    ballean_tree,
-    diametrical_graph,
-    multipartite_parts,
-    representing_tree,
-)
-from .canonical import (
-    IsoFlavor,
-    are_isomorphic,
-    canonical_code,
-    is_isometry,
-    is_isomorphism,
-    isometry_search,
-    leaf_swap_isometry,
-    tree_centers,
-    ultrametric_isometric,
-)
-from .duality import (
-    EquidistantTree,
-    MonotoneTree,
-    check_equidistant,
-    check_monotone,
-    generate_monotone,
-    labeling_to_weight,
-    weight_to_labeling,
-)
-from .transforms import (
-    NablaResult,
-    bottleneck_spanning_tree,
-    passthrough_counterexample_pair,
-    nabla_geometric_membership,
-    cyclic_weight_counterexample,
-    reduce_nabla,
-)
-from .analysis import (
-    DiameterBound,
-    StructureReport,
-    analyze,
-    centers,
-    diameter_bound_check,
-    is_star,
-    phylo_shape,
-    planted_leaf_ultrametric_check,
-    sphere_center_check,
-    star_equidistant_witness,
-)
-from .rational import Rational, format_rational, parse_rational
+The public names below are imported from their submodule on first access
+(PEP 562), so ``import ultratree`` or ``python -m ultratree.cli`` loads only
+the modules a caller uses.
+"""
+
+from importlib import import_module
+from importlib.util import find_spec
 
 __version__ = "0.1.0"
+
+# public name -> submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        ("Graph", "Path", "RootedTree", "Tree", "all_simple_paths", "degree_sets", "edge_key",
+         "find_cycle", "find_path", "subtree_below", "tree_from_edges"),
+        "graphs",
+    ),
+    **dict.fromkeys(
+        ("FiniteMetricSpace", "MetricClass", "additive_metric", "classify_metric", "hausdorff_distance",
+         "label_tree_metric", "minimax_label_metric", "restrict", "shortest_path_metric"),
+        "metrics",
+    ),
+    **dict.fromkeys(
+        ("Ballean", "LabeledRootedTree", "ballean", "ballean_tree", "diametrical_graph",
+         "multipartite_parts", "representing_tree"),
+        "representing",
+    ),
+    **dict.fromkeys(
+        ("IsoFlavor", "are_isomorphic", "canonical_code", "is_isometry", "is_isomorphism",
+         "isometry_search", "leaf_swap_isometry", "tree_centers", "ultrametric_isometric"),
+        "canonical",
+    ),
+    **dict.fromkeys(
+        ("EquidistantTree", "MonotoneTree", "check_equidistant", "check_monotone", "generate_monotone",
+         "labeling_to_weight", "weight_to_labeling"),
+        "duality",
+    ),
+    **dict.fromkeys(
+        ("NablaResult", "bottleneck_spanning_tree", "passthrough_counterexample_pair",
+         "nabla_geometric_membership", "cyclic_weight_counterexample", "reduce_nabla"),
+        "transforms",
+    ),
+    **dict.fromkeys(
+        ("DiameterBound", "StructureReport", "analyze", "centers", "diameter_bound_check", "is_star",
+         "phylo_shape", "planted_leaf_ultrametric_check", "sphere_center_check", "star_equidistant_witness"),
+        "analysis",
+    ),
+    **dict.fromkeys(("Rational", "format_rational", "parse_rational"), "rational"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif not name.startswith("_") and find_spec(f".{name}", __name__):
+        value = import_module(f".{name}", __name__)  # `ultratree.graphs` after a bare `import ultratree`
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

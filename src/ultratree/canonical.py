@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
-from .duality import MonotoneTree
 from .errors import (
     MissingPayloadError,
     NotUltrametricError,
@@ -34,7 +33,9 @@ from .metrics import (
     normalize_weights,
 )
 from .rational import format_rational
-from .representing import _hierarchy
+
+if TYPE_CHECKING:
+    from .duality import MonotoneTree
 
 SCHEMA_VERSION = "1"
 GRAPH_SIZE_LIMIT = 8
@@ -141,7 +142,7 @@ def canonical_code(
     wts = normalize_weights(t.underlying, weights, strict=False) if weights is not None else None
     prefix = SCHEMA_VERSION + _TAG[flavor] + ":"
     if flavor in _ROOTED:
-        if root not in t.vertices:
+        if not t.underlying.has_vertex(root):
             raise VertexNotFoundError(f"root {root!r} not a vertex")
         return prefix + _rooted_code(t, root, lab, wts)
     return prefix + min(_rooted_code(t, c, lab, wts) for c in tree_centers(t))
@@ -314,6 +315,8 @@ def isometry_search(
 
 def ultrametric_isometric(s1: FiniteMetricSpace, s2: FiniteMetricSpace) -> bool:
     """Fast isometry test: equal canonical codes of the hierarchy trees."""
+    from .representing import _hierarchy
+
     r1, r2 = _hierarchy(s1), _hierarchy(s2)
     if r1 is None or r2 is None:
         raise NotUltrametricError("both spaces must be ultrametric")

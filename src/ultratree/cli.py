@@ -12,21 +12,49 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 
-from . import io as tio
-from .analysis import analyze
-from .canonical import _LABELED, _ROOTED, _WEIGHTED, IsoFlavor, are_isomorphic, isometry_search, ultrametric_isometric
-from .duality import EquidistantTree, MonotoneTree, labeling_to_weight, weight_to_labeling
 from .errors import ParseError, UltratreeError
-from .metrics import label_tree_metric
-from .rational import format_rational
-from .representing import ballean, ballean_tree, representing_tree
-from .selftest import run_selftest
-from .transforms import cyclic_weight_counterexample, reduce_nabla, bottleneck_spanning_tree
+
+# Library names the verbs call, by defining module.  Each is imported on first
+# use and bound in this module's globals, where the handlers look it up at call
+# time, so a verb loads only its own modules and a name rebound on this module
+# (as the traced replay does) is the one that runs.
+_LIBRARY = {
+    "tio": "io",
+    "analyze": "analysis",
+    **dict.fromkeys(("IsoFlavor", "_LABELED", "_ROOTED", "_WEIGHTED", "are_isomorphic", "isometry_search",
+                     "ultrametric_isometric"), "canonical"),
+    **dict.fromkeys(("EquidistantTree", "MonotoneTree", "labeling_to_weight", "weight_to_labeling"), "duality"),
+    "label_tree_metric": "metrics",
+    "format_rational": "rational",
+    **dict.fromkeys(("ballean", "ballean_tree", "representing_tree"), "representing"),
+    "run_selftest": "selftest",
+    **dict.fromkeys(("cyclic_weight_counterexample", "reduce_nabla", "bottleneck_spanning_tree"), "transforms"),
+}
+
+# IsoFlavor values, in order, so that building the parser imports no library
+ISO_FLAVORS = ("free", "rooted", "vlabel", "eweight", "rlabel", "rweight")
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
+
+
+def _load(*names: str) -> None:
+    """Bind each library name in this module's globals unless it is bound."""
+    scope = globals()
+    for name in names:
+        if name not in scope:
+            module = import_module(f".{_LIBRARY[name]}", __package__)
+            scope[name] = module if name == "tio" else getattr(module, name)
+
+
+def __getattr__(name: str):
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(name)
+    return globals()[name]
 
 
 def _read(path: str) -> str:
@@ -56,6 +84,7 @@ def _graph_arg(path: str) -> tio.GraphDoc:
 
 
 def _cmd_repr(args) -> str:
+    _load("label_tree_metric", "representing_tree")
     if args.labeled_tree:
         doc = _graph_arg(args.input)
         if doc.labels is None:
@@ -67,6 +96,7 @@ def _cmd_repr(args) -> str:
 
 
 def _cmd_iso(args) -> str:
+    _load("IsoFlavor", "_LABELED", "_WEIGHTED", "_ROOTED", "are_isomorphic")
     flavor = IsoFlavor(args.flavor)
     a, b = _graph_arg(args.left), _graph_arg(args.right)
     verdict = are_isomorphic(
@@ -84,6 +114,7 @@ def _cmd_iso(args) -> str:
 
 
 def _cmd_isometry(args) -> str:
+    _load("ultrametric_isometric", "isometry_search")
     s1, s2 = _space_arg(args.left), _space_arg(args.right)
     if args.fast_ultrametric:
         return tio.dump_json({"isometric": ultrametric_isometric(s1, s2), "bijection": None})
@@ -92,6 +123,7 @@ def _cmd_isometry(args) -> str:
 
 
 def _cmd_dual(args) -> str:
+    _load("EquidistantTree", "MonotoneTree", "weight_to_labeling", "labeling_to_weight")
     doc = _graph_arg(args.input)
     rt = doc.rooted()
     if args.direction == "w2l":
@@ -110,6 +142,7 @@ def _cmd_dual(args) -> str:
 
 
 def _cmd_reduce(args) -> str:
+    _load("EquidistantTree", "reduce_nabla")
     doc = _graph_arg(args.input)
     if doc.weights is None:
         raise ParseError("reduce needs weights")
@@ -125,6 +158,7 @@ def _cmd_reduce(args) -> str:
 
 
 def _cmd_spanning(args) -> str:
+    _load("bottleneck_spanning_tree")
     doc = _graph_arg(args.input)
     if doc.labels is None:
         raise ParseError("spanning needs labels")
@@ -133,6 +167,7 @@ def _cmd_spanning(args) -> str:
 
 
 def _cmd_analyze(args) -> str:
+    _load("analyze", "format_rational")
     doc = _graph_arg(args.input)
     if doc.weights is None:
         raise ParseError("analyze needs weights")
@@ -151,6 +186,7 @@ def _cmd_analyze(args) -> str:
 
 
 def _cmd_ballean(args) -> str:
+    _load("ballean", "ballean_tree")
     space = _space_arg(args.input)
     if args.tree:
         return tio.dump_json(tio.labeled_tree_to_json(ballean_tree(space)))
@@ -161,6 +197,7 @@ def _cmd_ballean(args) -> str:
 
 
 def _cmd_counterexample(args) -> str:
+    _load("cyclic_weight_counterexample", "format_rational")
     doc = _graph_arg(args.input)
     w1, w2 = cyclic_weight_counterexample(doc.graph)
     return tio.dump_json(
@@ -173,6 +210,7 @@ def _cmd_counterexample(args) -> str:
 
 
 def _cmd_selftest(args) -> str:
+    _load("run_selftest")
     seed = int(os.environ.get("ULTRATREE_SEED", "0"))
     report, ok = run_selftest(seed)
     if not ok:
@@ -193,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_repr)
 
     p = sub.add_parser("iso", help="tree/graph isomorphism for a flavor")
-    p.add_argument("--flavor", required=True, choices=[f.value for f in IsoFlavor])
+    p.add_argument("--flavor", required=True, choices=ISO_FLAVORS)
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(func=_cmd_iso)
@@ -239,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _load("tio")
     try:
         text = args.func(args)
     except ParseError as exc:

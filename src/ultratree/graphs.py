@@ -64,11 +64,14 @@ class Graph:
     def degree(self, v: Vertex) -> int:
         return len(self.neighbors(v))
 
+    def has_vertex(self, v: Vertex) -> bool:
+        try:
+            return v in self._adj  # type: ignore[attr-defined]
+        except TypeError:  # an unhashable id names no vertex
+            return False
+
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         return u != v and edge_key(u, v) in self._edge_set  # type: ignore[attr-defined]
-
-    def vertex_count(self) -> int:
-        return len(self.vertices)
 
     def components(self) -> list[tuple[Vertex, ...]]:
         """Connected components, each sorted, ordered by smallest member."""
@@ -164,7 +167,7 @@ class RootedTree:
     root: Vertex
 
     def __post_init__(self):
-        if self.root not in self.tree.vertices:
+        if not self.tree.underlying.has_vertex(self.root):
             raise VertexNotFoundError(f"root {self.root!r} not a vertex")
         parent: dict[Vertex, Optional[Vertex]] = {self.root: None}
         children: dict[Vertex, tuple[Vertex, ...]] = {}
@@ -215,22 +218,15 @@ class RootedTree:
             stack.extend(self.children(x))
         return frozenset(out)
 
-    def root_path(self, v: Vertex) -> Path:
-        """Vertex sequence from the root down to v."""
-        rev = [v]
-        while (p := self.parent(rev[-1])) is not None:
-            rev.append(p)
-        return tuple(reversed(rev))
-
     def is_planted(self) -> bool:
         return self.out_degree(self.root) == 1
 
 
 def find_path(t: Tree, u: Vertex, v: Vertex) -> Path:
     """The unique u-v path in a tree, as a vertex sequence."""
-    if u not in t.vertices:
+    if not t.underlying.has_vertex(u):
         raise VertexNotFoundError(f"no vertex {u!r}")
-    if v not in t.vertices:
+    if not t.underlying.has_vertex(v):
         raise VertexNotFoundError(f"no vertex {v!r}")
     if u == v:
         return (u,)
@@ -320,7 +316,7 @@ def all_simple_paths(g: Graph, u: Vertex, v: Vertex, max_vertices: int = 10) -> 
         raise SizeLimitError(
             f"path enumeration limited to {max_vertices} vertices, got {len(g.vertices)}"
         )
-    if u not in g.vertices or v not in g.vertices:
+    if not (g.has_vertex(u) and g.has_vertex(v)):
         raise VertexNotFoundError(f"unknown endpoint {u!r} or {v!r}")
 
     path = [u]

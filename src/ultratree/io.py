@@ -19,13 +19,15 @@ import io as _io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ParseError
 from .graphs import Edge, Graph, RootedTree, Tree, Vertex, edge_key
 from .metrics import FiniteMetricSpace
 from .rational import format_rational, parse_rational
-from .representing import LabeledRootedTree
+
+if TYPE_CHECKING:
+    from .representing import LabeledRootedTree
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ def graph_from_json(obj) -> GraphDoc:
         raise ParseError(f"bad graph: {exc}") from exc
 
     root = obj.get("root")
-    if root is not None and root not in graph.vertices:
+    if root is not None and not graph.has_vertex(root):
         raise ParseError(f"root {root!r} is not a vertex")
     for field in ("weights", "labels", "payloads"):
         if not isinstance(obj.get(field), (dict, type(None))):

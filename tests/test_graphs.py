@@ -30,6 +30,18 @@ def test_graph_rejects_bad_input():
         Graph([], [])
 
 
+def test_unknown_or_unhashable_vertex_is_not_found():
+    t = tree_from_edges([("a", "b"), ("b", "c")])
+    for bad in ("z", ["a"], {"a": 1}):
+        assert not t.underlying.has_vertex(bad)
+        with pytest.raises(VertexNotFoundError):
+            RootedTree(t, bad)
+        with pytest.raises(VertexNotFoundError):
+            find_path(t, bad, "a")
+        with pytest.raises(VertexNotFoundError):
+            find_path(t, "a", bad)
+
+
 def test_tree_rejects_cycles_and_forests():
     with pytest.raises(ValueError):
         Tree(Graph("abc", [("a", "b"), ("b", "c"), ("a", "c")]))

@@ -297,6 +297,81 @@ def test_cli_selftest_subprocess_bytes_identical():
     assert a.stdout == b.stdout
 
 
+# Runs the CLI the way `python -m` does, as a module that is not
+# sys.modules["ultratree.cli"], then prints its exit code and the names of
+# the ultratree submodules that were imported.
+_LOADED_BY = """
+import runpy, sys
+sys.argv[0] = "ultratree"
+try:
+    runpy.run_module("ultratree.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(k[len("ultratree."):] for k in sys.modules if k.startswith("ultratree.")))
+"""
+
+
+def _modules_loaded_by(*argv):
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    return set(modules)
+
+
+def test_each_verb_loads_only_its_modules(tmp_path):
+    g, labels = fig6_graph()
+    space, _ = minimax_label_metric(g, labels)
+    matrix = _write(tmp_path, "fig6.json", tio.dump_json(tio.matrix_to_json(space)))
+    graph = _write(tmp_path, "fig6g.json", tio.dump_json(tio.graph_to_json(g, labels=labels)))
+    rt, w = fig10_tree()
+    tree = _write(tmp_path, "fig10.json", tio.dump_json(tio.graph_to_json(rt.tree.underlying, root="r", weights=w)))
+    runs = {
+        "repr": [matrix],
+        "iso": ["--flavor", "rweight", tree, tree],
+        "isometry": [matrix, matrix],
+        "dual": ["--direction", "w2l", tree],
+        "reduce": [tree],
+        "spanning": [graph],
+        "analyze": [tree],
+        "ballean": [matrix],
+        "counterexample": [graph],
+        "selftest": [],
+    }
+    loaded = {verb: _modules_loaded_by(verb, *argv) for verb, argv in runs.items()}
+
+    assert _modules_loaded_by("--help") <= {"cli", "errors"}
+    assert not loaded["iso"] & {"analysis", "duality", "representing", "selftest", "transforms"}
+    assert not loaded["repr"] & {"analysis", "canonical", "duality", "selftest", "transforms"}
+    assert [verb for verb, modules in loaded.items() if "selftest" in modules] == ["selftest"]
+
+
+def test_public_api_resolves_lazily_to_the_defining_objects():
+    import importlib
+
+    import ultratree
+    from ultratree.canonical import IsoFlavor
+    from ultratree.cli import ISO_FLAVORS
+
+    assert len(set(ultratree.__all__)) == len(ultratree.__all__) == 62
+    for name in ultratree.__all__:
+        module = importlib.import_module(f"ultratree.{ultratree._EXPORTS[name]}")
+        assert getattr(ultratree, name) is getattr(module, name)
+    assert set(ultratree.__all__) <= set(dir(ultratree))
+    assert "__version__" in dir(ultratree) and ultratree.__version__ == "0.1.0"
+    star: dict = {}
+    exec("from ultratree import *", star)
+    assert {name: star[name] for name in ultratree.__all__} == {
+        name: getattr(ultratree, name) for name in ultratree.__all__
+    }
+    assert ultratree.graphs is importlib.import_module("ultratree.graphs")
+    for unknown in ("no_such_name", "_no_such_name"):
+        assert not hasattr(ultratree, unknown)
+        with pytest.raises(AttributeError, match=unknown):
+            getattr(ultratree, unknown)
+    assert list(ISO_FLAVORS) == [f.value for f in IsoFlavor]
+
+
 def test_matrix_verbs_answer_any_input_with_one_json_object(tmp_path):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
