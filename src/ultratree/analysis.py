@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping, Optional
 
-from .duality import EquidistantTree, check_equidistant
+from .duality import EquidistantTree, check_equidistant, root_distances
 from .errors import (
     NoBranchingVertexError,
     NotPlantedError,
@@ -110,10 +110,9 @@ def planted_leaf_ultrametric_check(et: EquidistantTree) -> tuple[bool, Fraction,
         raise NotPlantedError("root must have out-degree one")
     if not v2:
         raise NoBranchingVertexError("no vertex with out-degree at least two")
-    space = et.metric()
-    r = et.rt.root
-    lhs = 2 * min(space.distance(r, v) for v in v2)
-    rhs = min(space.distance(r, v) for v in v0)
+    dist = root_distances(et.rt, et.weights)
+    lhs = 2 * min(dist[v] for v in v2)
+    rhs = min(dist[v] for v in v0)
     return lhs >= rhs, lhs, rhs
 
 
@@ -158,7 +157,8 @@ class StructureReport:
 
 def analyze(t: Tree, w: Mapping, root: Optional[Vertex] = None) -> StructureReport:
     """One-stop report over a weighted tree, optionally rooted."""
-    cs = centers(t, w)
+    weights = normalize_weights(t.underlying, w, strict=True)
+    cs = centers(t, weights)
     planted: Optional[bool] = None
     K: Optional[Fraction] = None
     lhs: Optional[Fraction] = None
@@ -166,7 +166,7 @@ def analyze(t: Tree, w: Mapping, root: Optional[Vertex] = None) -> StructureRepo
     if root is not None:
         rt = RootedTree(t, root)
         planted = rt.is_planted()
-        K = check_equidistant(rt, w)
+        K = check_equidistant(rt, weights)
         if K is not None and planted and degree_sets(rt)[2]:
-            _, lhs, rhs = planted_leaf_ultrametric_check(EquidistantTree(rt, dict(normalize_weights(t.underlying, w))))
+            _, lhs, rhs = planted_leaf_ultrametric_check(EquidistantTree(rt, weights))
     return StructureReport(planted, tuple(sorted(cs)), is_star(t), phylo_shape(t), K, lhs, rhs)

@@ -69,10 +69,19 @@ def _read(path: str) -> str:
 
 def _emit(text: str, output: str | None) -> None:
     if output and output != "-":
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _error_json(exc: Exception) -> str:
+    # ValueError: contract violations inside otherwise well-formed documents
+    code = exc.code if isinstance(exc, UltratreeError) else "invalid-input"
+    return tio.dump_json({"error": {"code": code, "message": str(exc)}})
 
 
 def _space_arg(path: str):
@@ -131,14 +140,12 @@ def _cmd_dual(args) -> str:
             raise ParseError("w2l needs weights")
         et = EquidistantTree(rt, doc.weights)
         mt = weight_to_labeling(et)
-        out = tio.graph_to_json(rt.tree.underlying, root=rt.root, weights=et.weights, labels=mt.labels)
     else:
         if doc.labels is None:
             raise ParseError("l2w needs labels")
         mt = MonotoneTree(rt, doc.labels)
         et = labeling_to_weight(mt)
-        out = tio.graph_to_json(rt.tree.underlying, root=rt.root, weights=et.weights, labels=mt.labels)
-    return tio.dump_json(out)
+    return tio.dump_json(tio.graph_to_json(rt.tree.underlying, root=rt.root, weights=et.weights, labels=mt.labels))
 
 
 def _cmd_reduce(args) -> str:
@@ -279,19 +286,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _load("tio")
     try:
-        text = args.func(args)
-    except ParseError as exc:
-        _emit(tio.dump_json({"error": {"code": exc.code, "message": str(exc)}}), args.output)
+        text, status = args.func(args), EXIT_OK
+    except (UltratreeError, ValueError) as exc:
+        text, status = _error_json(exc), EXIT_PARSE if isinstance(exc, ParseError) else EXIT_DOMAIN
+    try:
+        _emit(text, args.output)
+    except ParseError as exc:  # the output file cannot take the error object either
+        sys.stdout.write(_error_json(exc))
         return EXIT_PARSE
-    except UltratreeError as exc:
-        _emit(tio.dump_json({"error": {"code": exc.code, "message": str(exc)}}), args.output)
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        # contract violations inside otherwise well-formed documents
-        _emit(tio.dump_json({"error": {"code": "invalid-input", "message": str(exc)}}), args.output)
-        return EXIT_DOMAIN
-    _emit(text, args.output)
-    return EXIT_OK
+    return status
 
 
 if __name__ == "__main__":

@@ -35,47 +35,23 @@ def root_distances(rt: RootedTree, weights: Mapping[Edge, Fraction]) -> dict[Ver
     return out
 
 
-def check_equidistant(rt: RootedTree, w: Mapping) -> Optional[Fraction]:
-    """The common root-to-leaf weight sum K, or None if the sums disagree.
-
-    Leaf here means out-degree zero; the weight must be strictly positive.
-    """
-    weights = normalize_weights(rt.tree.underlying, w, strict=True)
-    dist = root_distances(rt, weights)
-    v0, _, _ = degree_sets(rt)
-    sums = {dist[v] for v in v0}
-    if len(sums) != 1:
-        return None
-    return sums.pop()
-
-
-def check_monotone(rt: RootedTree, l: Mapping) -> bool:
-    """True iff zeros sit exactly on out-degree-zero vertices and labels
-    strictly decrease along every parent-to-child edge."""
-    labels = normalize_labels(rt.tree.underlying, l)
-    v0, _, _ = degree_sets(rt)
-    if {v for v in rt.vertices if labels[v] == 0} != set(v0):
-        return False
-    return all(
-        labels[c] < labels[v] for v in rt.vertices for c in rt.children(v)
-    )
-
-
 @dataclass(frozen=True)
 class EquidistantTree:
     """Rooted tree whose strictly positive weight sums to the same K on every
-    root-to-leaf path."""
+    root-to-leaf path (leaf here means out-degree zero)."""
 
     rt: RootedTree
     weights: dict[Edge, Fraction]
     K: Fraction = field(init=False)
 
     def __post_init__(self):
-        k = check_equidistant(self.rt, self.weights)
-        if k is None:
+        weights = normalize_weights(self.rt.tree.underlying, self.weights, strict=True)
+        dist = root_distances(self.rt, weights)
+        sums = {dist[v] for v in self.v0()}
+        if len(sums) != 1:
             raise NotEquidistantError("root-to-leaf weight sums differ")
-        object.__setattr__(self, "weights", normalize_weights(self.rt.tree.underlying, self.weights, strict=True))
-        object.__setattr__(self, "K", k)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "K", sums.pop())
 
     def metric(self) -> FiniteMetricSpace:
         return additive_metric(self.rt.tree, self.weights)
@@ -86,21 +62,42 @@ class EquidistantTree:
 
 @dataclass(frozen=True)
 class MonotoneTree:
-    """Rooted tree with a monotone labeling."""
+    """Rooted tree with a monotone labeling: zeros sit exactly on the
+    out-degree-zero vertices and labels strictly decrease along every
+    parent-to-child edge."""
 
     rt: RootedTree
     labels: dict[Vertex, Fraction]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", normalize_labels(self.rt.tree.underlying, self.labels))
-        if not check_monotone(self.rt, self.labels):
+        rt, labels = self.rt, normalize_labels(self.rt.tree.underlying, self.labels)
+        zeros = {v for v in rt.vertices if labels[v] == 0}
+        if zeros != self.v0() or any(labels[c] >= labels[v] for v in rt.vertices for c in rt.children(v)):
             raise NotMonotoneError("labeling is not monotone for this root")
+        object.__setattr__(self, "labels", labels)
 
     def metric(self) -> FiniteMetricSpace:
         return label_tree_metric(self.rt.tree, self.labels)[0]
 
     def v0(self) -> frozenset[Vertex]:
         return degree_sets(self.rt)[0]
+
+
+def check_equidistant(rt: RootedTree, w: Mapping) -> Optional[Fraction]:
+    """The common root-to-leaf weight sum K, or None if the sums disagree."""
+    try:
+        return EquidistantTree(rt, w).K
+    except NotEquidistantError:
+        return None
+
+
+def check_monotone(rt: RootedTree, l: Mapping) -> bool:
+    """True iff the labeling is monotone for this root (see MonotoneTree)."""
+    try:
+        MonotoneTree(rt, l)
+    except NotMonotoneError:
+        return False
+    return True
 
 
 def labeling_to_weight(mt: MonotoneTree) -> EquidistantTree:

@@ -58,7 +58,7 @@ class Graph:
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         try:
             return self._adj[v]  # type: ignore[attr-defined]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable id names no vertex
             raise VertexNotFoundError(f"no vertex {v!r}")
 
     def degree(self, v: Vertex) -> int:
@@ -192,13 +192,13 @@ class RootedTree:
     def parent(self, v: Vertex) -> Optional[Vertex]:
         try:
             return self._parent[v]  # type: ignore[attr-defined]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable id names no vertex
             raise VertexNotFoundError(f"no vertex {v!r}")
 
     def children(self, v: Vertex) -> tuple[Vertex, ...]:
         try:
             return self._children[v]  # type: ignore[attr-defined]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable id names no vertex
             raise VertexNotFoundError(f"no vertex {v!r}")
 
     def out_degree(self, v: Vertex) -> int:

@@ -46,8 +46,7 @@ def normalize_weights(g: Graph, w: Mapping, strict: bool = True) -> dict[Edge, F
     out: dict[Edge, Fraction] = {}
     for raw_key, raw_val in w.items():
         u, v = raw_key
-        key = edge_key(u, v)
-        out[key] = Fraction(raw_val)
+        out[edge_key(u, v)] = raw_val if isinstance(raw_val, Fraction) else Fraction(raw_val)
     for e in g.edges:
         if e not in out:
             raise NonPositiveWeightError(f"missing weight for edge {e!r}")
@@ -58,7 +57,7 @@ def normalize_weights(g: Graph, w: Mapping, strict: bool = True) -> dict[Edge, F
 
 def normalize_labels(g: Graph, l: Mapping) -> dict[Vertex, Fraction]:
     """Check a label map is total on V(g) and nonnegative."""
-    out = {v: Fraction(val) for v, val in l.items()}
+    out = {v: val if isinstance(val, Fraction) else Fraction(val) for v, val in l.items()}
     for v in g.vertices:
         if v not in out:
             raise ValueError(f"missing label for vertex {v!r}")

@@ -9,8 +9,7 @@ into diametrical blocks, one sub-matrix per ball.
 
 The rest are the direct, quadratic forms of the one-pass routes: the
 Delta-reduction suppressing one out-degree-one vertex per rebuilt rooted
-tree, centers by checking every rooting, the minimax spanning tree by
-deleting one cycle edge per rebuilt graph, the smallest cycle edge by
+tree, centers by checking every rooting, the smallest cycle edge by
 deleting each edge in turn, and the rooted canonical code by recursion.
 """
 
@@ -20,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .duality import EquidistantTree, check_equidistant
-from .errors import AcyclicInputError, DisconnectedGraphError, PathTreeError
+from .errors import AcyclicInputError, PathTreeError
 from .graphs import (
     Edge,
     Graph,
@@ -31,9 +30,8 @@ from .graphs import (
     all_simple_paths,
     degree_sets,
     edge_key,
-    find_cycle,
 )
-from .metrics import FiniteMetricSpace, normalize_labels, normalize_weights, restrict
+from .metrics import FiniteMetricSpace, normalize_weights, restrict
 from .rational import format_rational
 from .representing import LabeledRootedTree, ball_id, diametrical_graph, multipartite_parts
 from .transforms import NablaResult
@@ -162,27 +160,6 @@ def centers_by_rooting(t: Tree, w: Mapping) -> frozenset[Vertex]:
         if check_equidistant(RootedTree(t, r), weights) is not None:
             found.add(r)
     return frozenset(found)
-
-
-def spanning_tree_by_cycle_deletion(g: Graph, l: Mapping) -> Tree:
-    """A minimax spanning tree by cycle deletion: while a cycle remains, a
-    maximum-label vertex on it loses one of its two cycle edges; ties and
-    the edge choice resolve lexicographically."""
-    if not g.is_connected():
-        raise DisconnectedGraphError("spanning tree needs a connected graph")
-    labels = normalize_labels(g, l)
-    current = g
-    while True:
-        cycle = find_cycle(current)
-        if cycle is None:
-            break
-        top = max(labels[v] for v in cycle)
-        v1 = min(v for v in cycle if labels[v] == top)
-        i = cycle.index(v1)
-        around = (cycle[i - 1], cycle[(i + 1) % len(cycle)])
-        doomed = min(edge_key(v1, u) for u in around)
-        current = Graph(current.vertices, [e for e in current.edges if e != doomed])
-    return Tree(current)
 
 
 def cycle_edge_by_deletion(g: Graph) -> Edge:

@@ -1,5 +1,8 @@
+import json
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from ultratree import (
     IsoFlavor,
     MonotoneTree,
     RootedTree,
+    analyze,
     are_isomorphic,
     check_equidistant,
     check_monotone,
@@ -18,6 +22,7 @@ from ultratree import (
     tree_from_edges,
     weight_to_labeling,
 )
+from ultratree.analysis import planted_leaf_ultrametric_check
 from ultratree.duality import root_distances
 from ultratree.errors import NotEquidistantError, NotMonotoneError, NonPositiveWeightError
 from ultratree.generators import random_equidistant_tree
@@ -182,3 +187,97 @@ def test_root_distances_helper():
     rt, w, _ = fig11_trees()
     dist = root_distances(rt, EquidistantTree(rt, w).weights)
     assert dist["r"] == 0 and dist["a"] == 1 and dist["t"] == 5
+
+
+_FIG10_LABELS = {"r": F(14), "a": F(12), "b": F(8), "c": F(0), "d": F(0)}
+_BAD_WEIGHTS = [
+    ({("r", "a"): F(1), ("a", "b"): F(2), ("b", "c"): F(4)},
+     NonPositiveWeightError, "missing weight for edge ('b', 'd')"),
+    ({("r", "a"): F(1), ("a", "b"): F(2), ("b", "c"): F(0), ("b", "d"): F(4)},
+     NonPositiveWeightError, "weight 0 on edge ('b', 'c')"),
+    ({("r", "a"): F(1), ("a", "b"): F(-2), ("b", "c"): F(4), ("b", "d"): F(4)},
+     NonPositiveWeightError, "weight -2 on edge ('a', 'b')"),
+]
+_BAD_LABELS = [
+    ({v: x for v, x in _FIG10_LABELS.items() if v != "d"}, ValueError, "missing label for vertex 'd'"),
+    (dict(_FIG10_LABELS, c=F(-1)), ValueError, "negative label -1 on vertex 'c'"),
+]
+
+
+@pytest.mark.parametrize("w, error, text", _BAD_WEIGHTS)
+def test_bad_weights_raise_one_error_everywhere(w, error, text):
+    rt, _ = fig10_tree()
+    for call in (lambda: EquidistantTree(rt, w), lambda: check_equidistant(rt, w),
+                 lambda: analyze(rt.tree, w, root="r")):
+        with pytest.raises(error) as caught:
+            call()
+        assert type(caught.value) is error and str(caught.value) == text
+
+
+@pytest.mark.parametrize("l, error, text", _BAD_LABELS)
+def test_bad_labels_raise_one_error_everywhere(l, error, text):
+    rt, _ = fig10_tree()
+    for call in (lambda: MonotoneTree(rt, l), lambda: check_monotone(rt, l)):
+        with pytest.raises(error) as caught:
+            call()
+        assert type(caught.value) is error and str(caught.value) == text
+
+
+def test_unpaired_maps_are_refused_or_reported():
+    rt, w = fig10_tree()
+    unbalanced = w | {("b", "d"): F(3)}
+    with pytest.raises(NotEquidistantError, match="^root-to-leaf weight sums differ$"):
+        EquidistantTree(rt, unbalanced)
+    assert check_equidistant(rt, unbalanced) is None
+    report = analyze(rt.tree, unbalanced, root="r")
+    assert (report.planted, report.K, report.branching_lhs, report.branching_rhs) == (True, None, None, None)
+    for labels in (dict(_FIG10_LABELS, b=F(0)), dict(_FIG10_LABELS, a=F(20))):
+        with pytest.raises(NotMonotoneError, match="^labeling is not monotone for this root$"):
+            MonotoneTree(rt, labels)
+        assert check_monotone(rt, labels) is False
+
+
+def test_each_payload_is_normalized_once_per_object(tmp_path, monkeypatch, capsys):
+    # Count the two normalizers under every module name they are bound to.
+    from ultratree import cli, metrics
+
+    counts = dict.fromkeys(("normalize_weights", "normalize_labels"), 0)
+    for name in counts:
+        original = getattr(metrics, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "ultratree" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    corpus = Path(cli.__file__).parent / "corpus" / "fig10.json"
+    weighted = tmp_path / "fig10.json"
+    weighted.write_text(json.dumps(json.loads(corpus.read_text())["input"]))
+
+    def normalizations(*argv):
+        counts.update(dict.fromkeys(counts, 0))
+        assert cli.main(list(argv)) == 0
+        return capsys.readouterr().out, (counts["normalize_weights"], counts["normalize_labels"])
+
+    out, seen = normalizations("dual", "--direction", "w2l", str(weighted))
+    assert seen == (1, 1)
+    labeled = tmp_path / "labeled.json"
+    labeled.write_text(out)
+    assert normalizations("dual", "--direction", "l2w", str(labeled))[1] == (1, 1)
+    assert normalizations("reduce", str(weighted))[1] == (2, 0)
+    weights, labels = normalizations("analyze", str(weighted))[1]
+    assert weights <= 4 and labels == 0
+
+
+def test_planted_check_builds_no_metric(monkeypatch):
+    from ultratree import metrics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the planted check built a metric")
+
+    monkeypatch.setattr(metrics, "shortest_path_metric", refuse)
+    rt, w = fig10_tree()
+    assert planted_leaf_ultrametric_check(EquidistantTree(rt, w)) == (False, 6, 7)

@@ -32,8 +32,12 @@ def test_graph_rejects_bad_input():
 
 def test_unknown_or_unhashable_vertex_is_not_found():
     t = tree_from_edges([("a", "b"), ("b", "c")])
+    rt = RootedTree(t, "a")
     for bad in ("z", ["a"], {"a": 1}):
         assert not t.underlying.has_vertex(bad)
+        for lookup in (t.underlying.neighbors, t.underlying.degree, rt.parent, rt.children):
+            with pytest.raises(VertexNotFoundError):
+                lookup(bad)
         with pytest.raises(VertexNotFoundError):
             RootedTree(t, bad)
         with pytest.raises(VertexNotFoundError):

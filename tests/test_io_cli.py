@@ -277,6 +277,32 @@ def test_cli_error_paths(tmp_path, capsys):
     assert code == 2 and json.loads(out)["error"]["code"] == "parse-error"
 
 
+def test_cli_output_file_takes_results_and_errors(tmp_path, capsys):
+    rt, w = fig10_tree()
+    tree_doc = tio.graph_to_json(rt.tree.underlying, root="r", weights=w)
+    tree_path = _write(tmp_path, "fig10.json", tio.dump_json(tree_doc))
+    target = tmp_path / "out.json"
+
+    code, out = _run(capsys, "-o", str(target), "analyze", tree_path)
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text(encoding="utf-8"))["K"] == "7"
+
+    code, out = _run(capsys, "-o", str(target), "dual", "--direction", "l2w", tree_path)
+    assert code == 2 and out == ""
+    assert json.loads(target.read_text(encoding="utf-8"))["error"]["code"] == "parse-error"
+
+    path_doc = {"vertices": ["a", "b"], "edges": [["a", "b"]], "root": "a", "weights": {"a|b": "1"}, "labels": None}
+    code, out = _run(capsys, "-o", str(target), "reduce", _write(tmp_path, "path.json", json.dumps(path_doc)))
+    assert code == 1 and out == ""
+    assert json.loads(target.read_text(encoding="utf-8"))["error"]["code"] == "path-tree"
+
+    for unwritable in (tmp_path / "no" / "such" / "out.json", tmp_path):
+        code, out = _run(capsys, "-o", str(unwritable), "analyze", tree_path)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "parse-error" and error["message"].startswith(f"cannot write {unwritable}: ")
+
+
 def test_cli_selftest_passes_and_is_deterministic(capsys):
     code, first = _run(capsys, "selftest")
     assert code == 0
