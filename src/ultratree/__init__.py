@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # public name -> submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(
-        ("Graph", "Path", "RootedTree", "Tree", "all_simple_paths", "degree_sets", "edge_key",
+        ("Graph", "Path", "RootedTree", "Tree", "degree_sets", "edge_key",
          "find_cycle", "find_path", "subtree_below", "tree_from_edges"),
         "graphs",
     ),
@@ -48,6 +48,7 @@ _EXPORTS = {
         "analysis",
     ),
     **dict.fromkeys(("Rational", "format_rational", "parse_rational"), "rational"),
+    "all_simple_paths": "oracles",
 }
 
 __all__ = list(_EXPORTS)

@@ -13,9 +13,10 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping, Optional
 
-from .duality import EquidistantTree, check_equidistant, root_distances
+from .duality import EquidistantTree, root_distances
 from .errors import (
     NoBranchingVertexError,
+    NotEquidistantError,
     NotPlantedError,
     NotUltrametricError,
 )
@@ -166,7 +167,12 @@ def analyze(t: Tree, w: Mapping, root: Optional[Vertex] = None) -> StructureRepo
     if root is not None:
         rt = RootedTree(t, root)
         planted = rt.is_planted()
-        K = check_equidistant(rt, weights)
-        if K is not None and planted and degree_sets(rt)[2]:
-            _, lhs, rhs = planted_leaf_ultrametric_check(EquidistantTree(rt, weights))
+        try:
+            et = EquidistantTree(rt, weights)
+        except NotEquidistantError:
+            pass
+        else:
+            K = et.K
+            if planted and degree_sets(rt)[2]:
+                _, lhs, rhs = planted_leaf_ultrametric_check(et)
     return StructureReport(planted, tuple(sorted(cs)), is_star(t), phylo_shape(t), K, lhs, rhs)

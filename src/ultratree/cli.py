@@ -204,15 +204,11 @@ def _cmd_ballean(args) -> str:
 
 
 def _cmd_counterexample(args) -> str:
-    _load("cyclic_weight_counterexample", "format_rational")
+    _load("cyclic_weight_counterexample")
     doc = _graph_arg(args.input)
     w1, w2 = cyclic_weight_counterexample(doc.graph)
     return tio.dump_json(
-        {
-            "graph": tio.graph_to_json(doc.graph),
-            "w1": {f"{u}|{v}": format_rational(w1[(u, v)]) for u, v in doc.graph.edges},
-            "w2": {f"{u}|{v}": format_rational(w2[(u, v)]) for u, v in doc.graph.edges},
-        }
+        {"graph": tio.graph_to_json(doc.graph), "w1": tio.weights_to_json(w1), "w2": tio.weights_to_json(w2)}
     )
 
 

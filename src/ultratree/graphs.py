@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import VertexNotFoundError
 
@@ -98,10 +98,6 @@ class Graph:
 
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edges) == len(self.vertices) - 1
-
-    def induced(self, keep: Iterable[Vertex]) -> "Graph":
-        ks = set(keep)
-        return Graph(ks, [e for e in self.edges if e[0] in ks and e[1] in ks])
 
     def complement(self) -> "Graph":
         vs = self.vertices
@@ -208,16 +204,6 @@ class RootedTree:
     def bfs_order(self) -> tuple[Vertex, ...]:
         return self._bfs  # type: ignore[attr-defined]
 
-    def successors(self, v: Vertex) -> frozenset[Vertex]:
-        """All vertices strictly below v."""
-        out: set[Vertex] = set()
-        stack = list(self.children(v))
-        while stack:
-            x = stack.pop()
-            out.add(x)
-            stack.extend(self.children(x))
-        return frozenset(out)
-
     def is_planted(self) -> bool:
         return self.out_degree(self.root) == 1
 
@@ -228,24 +214,11 @@ def find_path(t: Tree, u: Vertex, v: Vertex) -> Path:
         raise VertexNotFoundError(f"no vertex {u!r}")
     if not t.underlying.has_vertex(v):
         raise VertexNotFoundError(f"no vertex {v!r}")
-    if u == v:
-        return (u,)
-    parent: dict[Vertex, Vertex] = {}
-    queue = deque([u])
-    seen = {u}
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            break
-        for y in t.neighbors(x):
-            if y not in seen:
-                seen.add(y)
-                parent[y] = x
-                queue.append(y)
-    rev = [v]
-    while rev[-1] != u:
-        rev.append(parent[rev[-1]])
-    return tuple(reversed(rev))
+    rt = RootedTree(t, v)
+    path = [u]
+    while path[-1] != v:
+        path.append(rt.parent(path[-1]))
+    return tuple(path)
 
 
 def _canonical_cycle(cycle: list[Vertex]) -> tuple[Vertex, ...]:
@@ -300,43 +273,7 @@ def degree_sets(rt: RootedTree) -> tuple[frozenset[Vertex], frozenset[Vertex], f
 
 def subtree_below(rt: RootedTree, v: Vertex) -> RootedTree:
     """The rooted subtree lying below v (v together with its successors)."""
-    keep = {v} | rt.successors(v)
-    return RootedTree(Tree(rt.tree.underlying.induced(keep)), v)
-
-
-def all_simple_paths(g: Graph, u: Vertex, v: Vertex, max_vertices: int = 10) -> Iterator[Path]:
-    """Every simple u-v path, in depth-first lexicographic order.
-
-    Exhaustive enumeration is exponential; inputs beyond max_vertices are
-    refused so this stays a test-scale oracle.
-    """
-    if len(g.vertices) > max_vertices:
-        from .errors import SizeLimitError
-
-        raise SizeLimitError(
-            f"path enumeration limited to {max_vertices} vertices, got {len(g.vertices)}"
-        )
-    if not (g.has_vertex(u) and g.has_vertex(v)):
-        raise VertexNotFoundError(f"unknown endpoint {u!r} or {v!r}")
-
-    path = [u]
-    on_path = {u}
-
-    def walk() -> Iterator[Path]:
-        x = path[-1]
-        if x == v:
-            yield tuple(path)
-            return
-        for y in g.neighbors(x):
-            if y in on_path:
-                continue
-            path.append(y)
-            on_path.add(y)
-            yield from walk()
-            on_path.discard(y)
-            path.pop()
-
-    if u == v:
-        yield (u,)
-        return
-    yield from walk()
+    below = [v]
+    for x in below:
+        below += rt.children(x)
+    return RootedTree(Tree(Graph(below, [(rt.parent(x), x) for x in below[1:]])), v)

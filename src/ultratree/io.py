@@ -52,8 +52,9 @@ class GraphDoc:
         return RootedTree(self.tree(), self.root)
 
 
-def _edge_text(e: Edge) -> str:
-    return f"{e[0]}|{e[1]}"
+def weights_to_json(weights) -> dict:
+    """The "weights" block of a graph document: "u|v" keys, "p/q" values."""
+    return {"|".join(edge_key(*e)): format_rational(val) for e, val in sorted(weights.items())}
 
 
 def _check_ids(ids) -> None:
@@ -80,10 +81,7 @@ def graph_to_json(
         "labels": None,
     }
     if weights is not None:
-        doc["weights"] = {
-            _edge_text(edge_key(*e)): format_rational(val)
-            for e, val in sorted(weights.items())
-        }
+        doc["weights"] = weights_to_json(weights)
     if labels is not None:
         doc["labels"] = {v: format_rational(val) for v, val in sorted(labels.items())}
     if payloads is not None:
@@ -169,7 +167,12 @@ def matrix_to_json(space: FiniteMetricSpace) -> dict:
 def matrix_from_json(obj) -> FiniteMetricSpace:
     if not isinstance(obj, dict) or "points" not in obj or "matrix" not in obj:
         raise ParseError("matrix document needs 'points' and 'matrix'")
-    points, matrix = obj["points"], obj["matrix"]
+    return _matrix(obj["points"], obj["matrix"])
+
+
+def _matrix(points, matrix) -> FiniteMetricSpace:
+    # The tail of both matrix forms, so they refuse the same point ids and
+    # entries and report every defect of the space as one ParseError.
     if not isinstance(points, list) or not all(isinstance(p, str) and p for p in points):
         raise ParseError("'points' must be a list of nonempty strings")
     if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
@@ -204,13 +207,10 @@ def matrix_from_csv(text: str) -> FiniteMetricSpace:
         if len(r) != len(header) + 1:
             raise ParseError(f"row length mismatch in CSV near {r[:1]!r}")
         points.append(r[0])
-        matrix.append([parse_rational(x) for x in r[1:]])
+        matrix.append(r[1:])
     if points != header:
         raise ParseError("CSV row ids must repeat the header order")
-    try:
-        return FiniteMetricSpace(points, matrix)
-    except Exception as exc:
-        raise ParseError(f"bad matrix: {exc}") from exc
+    return _matrix(points, matrix)
 
 
 def load_matrix_text(text: str) -> FiniteMetricSpace:

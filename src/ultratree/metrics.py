@@ -6,7 +6,8 @@ and the max vertex label along it (on trees, and its minimax extension to
 graphs); over several joining paths the minimum counts.  Plus classification
 of matrices, each checked once, and the Hausdorff distance between subsets.
 The ultrametric decision and the hierarchy tree of representing.py both come
-from one single-linkage pass over a minimum spanning tree (_linkage).
+from one Prim search (_linkage): every ball is an interval of its visiting
+order, so the order and the rank each point joins at give both.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -182,17 +182,21 @@ def _classify(mat: Sequence[Sequence[Fraction]]) -> MetricClass:
 def _linkage(mat: Sequence[Sequence[Fraction]]) -> Optional[list[tuple[Fraction, tuple[int, ...]]]]:
     """Checked single-linkage merges of a symmetric zero-diagonal matrix.
 
-    The strong triangle inequality holds exactly when the matrix equals the
-    max-edge distance along its minimum spanning tree (its subdominant
-    ultrametric).  Values are ranked once, so all work is on exact integers:
-    a dense O(n^2) Prim search finds a spanning tree, and its edges, taken by
-    increasing rank with a union-find, merge components; the edges of one
-    rank that touch one component make one multiway merge.  Every pair
-    across the children of a merge must carry the merge's rank, so each pair
-    of points is checked once.
+    Values are ranked once, so all work is on exact integers.  A dense
+    O(n^2) Prim search visits the points in an order p_0, ..., p_{n-1}, and
+    p_k joins at rank j_k, its least rank to an earlier point.  Every
+    single-linkage cluster is an interval of that order: once the search
+    enters a cluster, the cluster's own points have the least keys until it
+    is used up.  So the subdominant ultrametric of p_i and p_k (i < k) is
+    max(j_{i+1}, ..., j_k), and the strong triangle inequality holds exactly
+    when every pair carries that interval maximum; each pair is checked once.
+    The hierarchy is then the tree of interval maxima, equal ranks merged
+    into one vertex, built with one stack of open merges along its right
+    spine.
 
-    Returns (value, children) per merge in increasing value, where a child is
-    a point index below n or n + k for merge k; None at the first failed pair.
+    Returns (value, children) per merge, children before parents and the
+    root last, where a child is a point index below n or n + k for merge k;
+    None at the first failed pair.
     """
     n = len(mat)
     # Number the values in order of appearance, then by size: each entry is
@@ -205,46 +209,34 @@ def _linkage(mat: Sequence[Sequence[Fraction]]) -> Optional[list[tuple[Fraction,
         rank[code[x]] = r
     ranks = [list(map(rank.__getitem__, row)) for row in coded]
 
-    spanning = []  # (rank, x, y) per edge
-    if n:
-        key, link, todo = list(ranks[0]), [0] * n, list(range(1, n))
-        while todo:
-            y = min(todo, key=key.__getitem__)
-            todo.remove(y)
-            spanning.append((key[y], link[y], y))
-            row = ranks[y]
-            for z in todo:
-                if row[z] < key[z]:
-                    key[z], link[z] = row[z], y
-    spanning.sort()
+    # Key -1 starts the search at point 0; len(values) is above every rank.
+    order, joins = [], []  # visiting order, and the rank each point joins at
+    key, todo = [-1] + [len(values)] * (n - 1), list(range(n))
+    while todo:
+        y = min(todo, key=key.__getitem__)
+        todo.remove(y)
+        order.append(y)
+        joins.append(key[y])
+        row = ranks[y]
+        for z in todo:
+            if row[z] < key[z]:
+                key[z] = row[z]
+    for i, x in enumerate(order):
+        if list(map(ranks[x].__getitem__, order[i + 1 :])) != list(itertools.accumulate(joins[i + 1 :], max)):
+            return None
 
-    boss = list(range(n))  # union-find parent pointers over the points
-
-    def find(x: int) -> int:
-        while boss[x] != x:
-            boss[x] = boss[boss[x]]
-            x = boss[x]
-        return x
-
-    node = list(range(n))  # child id of the component whose union-find root is x
-    members = [[x] for x in range(n)]
     merges = []
-    for r, group in itertools.groupby(spanning, key=operator.itemgetter(0)):
-        pairs = [(find(x), find(y)) for _, x, y in group]
-        for a, b in pairs:
-            boss[find(a)] = find(b)
-        blocks: dict[int, list[int]] = {}
-        for a in dict.fromkeys(itertools.chain.from_iterable(pairs)):
-            blocks.setdefault(find(a), []).append(a)
-        for root, kids in blocks.items():
-            joined = members[kids[0]]
-            for a in kids[1:]:
-                for x in members[a]:
-                    if not all(map(r.__eq__, map(ranks[x].__getitem__, joined))):
-                        return None
-                joined += members[a]
-            merges.append((values[r], tuple(node[a] for a in kids)))
-            node[root], members[root] = n + len(merges) - 1, joined
+    spine: list[tuple[int, list[int]]] = []  # open merges, ranks falling toward the top
+    for x, r in zip(order, joins[1:] + [len(values)]):  # the last rank closes every merge
+        while spine and spine[-1][0] < r:
+            top, kids = spine.pop()
+            kids.append(x)
+            merges.append((values[top], tuple(kids)))
+            x = n + len(merges) - 1
+        if spine and spine[-1][0] == r:
+            spine[-1][1].append(x)
+        else:
+            spine.append((r, [x]))
     return merges
 
 

@@ -16,10 +16,10 @@ deleting each edge in turn, and the rooted canonical code by recursion.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .duality import EquidistantTree, check_equidistant
-from .errors import AcyclicInputError, PathTreeError
+from .errors import AcyclicInputError, PathTreeError, SizeLimitError, VertexNotFoundError
 from .graphs import (
     Edge,
     Graph,
@@ -27,7 +27,6 @@ from .graphs import (
     RootedTree,
     Tree,
     Vertex,
-    all_simple_paths,
     degree_sets,
     edge_key,
 )
@@ -35,6 +34,45 @@ from .metrics import FiniteMetricSpace, normalize_weights, restrict
 from .rational import format_rational
 from .representing import LabeledRootedTree, ball_id, diametrical_graph, multipartite_parts
 from .transforms import NablaResult
+
+
+PATH_SIZE_LIMIT = 10
+
+
+def all_simple_paths(g: Graph, u: Vertex, v: Vertex) -> Iterator[Path]:
+    """Every simple u-v path, in depth-first lexicographic order.
+
+    Exhaustive enumeration is exponential; inputs beyond PATH_SIZE_LIMIT
+    vertices are refused so this stays a test-scale oracle.
+    """
+    if len(g.vertices) > PATH_SIZE_LIMIT:
+        raise SizeLimitError(
+            f"path enumeration limited to {PATH_SIZE_LIMIT} vertices, got {len(g.vertices)}"
+        )
+    if not (g.has_vertex(u) and g.has_vertex(v)):
+        raise VertexNotFoundError(f"unknown endpoint {u!r} or {v!r}")
+
+    path = [u]
+    on_path = {u}
+
+    def walk() -> Iterator[Path]:
+        x = path[-1]
+        if x == v:
+            yield tuple(path)
+            return
+        for y in g.neighbors(x):
+            if y in on_path:
+                continue
+            path.append(y)
+            on_path.add(y)
+            yield from walk()
+            on_path.discard(y)
+            path.pop()
+
+    if u == v:
+        yield (u,)
+        return
+    yield from walk()
 
 
 def unique_path_by_enumeration(t: Tree, u: Vertex, v: Vertex) -> Path:

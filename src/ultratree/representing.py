@@ -4,11 +4,10 @@ A finite ultrametric space decomposes recursively: pairs realizing the
 diameter form a complete multipartite graph whose blocks are the children.
 The resulting labeled rooted tree has the space's balls as vertex payloads,
 one extra zero leaf per internal vertex gives the tree of the ball space.
-The tree is built from one minimum spanning tree in O(n^2), its edges of
-equal value merged into one vertex; this gives the same tree as the
-recursion into diametrical blocks, which stays in oracles.py as the test
-reference.  diametrical_graph and multipartite_parts are that recursion's
-steps.
+The tree is built in O(n^2) from the visiting order of one Prim search, in
+which every ball is an interval; this gives the same tree as the recursion
+into diametrical blocks, which stays in oracles.py as the test reference.
+diametrical_graph and multipartite_parts are that recursion's steps.
 """
 
 from __future__ import annotations
@@ -116,10 +115,11 @@ def representing_tree(space: FiniteMetricSpace) -> LabeledRootedTree:
 
     The root holds the whole point set labeled by its diameter, every other
     vertex a ball labeled by its diameter, with the points as zero-labeled
-    leaves.  It is read off one minimum spanning tree: the spanning-tree
-    edges of one value that join the same component make one vertex whose
-    children are the components they join.  This is the same tree as the
-    paper's recursion into diametrical blocks (kept as a test reference in
+    leaves.  It is read off the visiting order of one Prim search: the
+    distance of two points is the largest join rank between them in that
+    order, and runs of equal largest joins make one vertex whose children
+    are the intervals between them.  This is the same tree as the paper's
+    recursion into diametrical blocks (kept as a test reference in
     oracles.py).  Vertex ids encode the payload sets, so the vertex set
     doubles as the ballean.
     """

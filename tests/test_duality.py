@@ -269,7 +269,7 @@ def test_each_payload_is_normalized_once_per_object(tmp_path, monkeypatch, capsy
     assert normalizations("dual", "--direction", "l2w", str(labeled))[1] == (1, 1)
     assert normalizations("reduce", str(weighted))[1] == (2, 0)
     weights, labels = normalizations("analyze", str(weighted))[1]
-    assert weights <= 4 and labels == 0
+    assert (weights, labels) == (3, 0)
 
 
 def test_planted_check_builds_no_metric(monkeypatch):

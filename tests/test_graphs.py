@@ -149,3 +149,17 @@ def test_subtree_below_fig1():
     assert subtree_below(rt, "v1").tree == t
     single = subtree_below(rt, "v9")
     assert single.tree.vertices == ("v9",)
+
+
+def test_subtree_below_is_every_vertex_whose_root_path_meets_v():
+    rng = random.Random(83)
+    for _ in range(3):
+        t = random_tree(rng, 300)
+        root = rng.choice(t.vertices)
+        rt = RootedTree(t, root)
+        on_path = {u: set(find_path(t, u, root)) for u in t.vertices}
+        for v in t.vertices:
+            sub = subtree_below(rt, v)
+            below = {u for u in t.vertices if v in on_path[u]}
+            assert sub.root == v and set(sub.vertices) == below
+            assert all(sub.parent(x) == rt.parent(x) for x in below - {v})

@@ -63,6 +63,8 @@ def test_parse_errors():
         tio.matrix_from_csv("a,b\n1,2\n")
     with pytest.raises(ParseError, match="bad CSV"):
         tio.matrix_from_csv(",a\na," + "0" * (1 << 18) + "\n")  # over the csv field limit
+    with pytest.raises(ParseError, match="'points' must be a list of nonempty strings"):
+        tio.matrix_from_csv(",,b\n,0,1\nb,1,0\n")  # an empty point id, refused as in JSON
     # matrix documents whose fields have the wrong JSON type
     for points, matrix in ((["a"], 5), (["a"], ["0"]), (["a"], {"0": "0"}), (5, [["0"]]),
                            ([1, 2], [["0", "1"], ["1", "0"]]), ([""], [["0"]]), ("a", [["0"]])):
@@ -260,6 +262,10 @@ def test_cli_error_paths(tmp_path, capsys):
         path = _write(tmp_path, "typed.json", json.dumps(doc))
         code, out = _run(capsys, "repr", path)
         assert code == 2 and json.loads(out)["error"]["code"] == "parse-error"
+
+    empty_id = _write(tmp_path, "empty_id.csv", ",,b\n,0,1\nb,1,0\n")
+    code, out = _run(capsys, "repr", empty_id)
+    assert code == 2 and json.loads(out)["error"]["code"] == "parse-error"
 
     listed = dict(partial, root="a", weights=[["a|b", "1"]], labels=None)
     weights_list = _write(tmp_path, "weights_list.json", tio.dump_json(listed))

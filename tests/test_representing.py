@@ -6,7 +6,10 @@ import pytest
 from ultratree import (
     Graph,
     IsoFlavor,
+    LabeledRootedTree,
     MetricClass,
+    RootedTree,
+    Tree,
     ballean,
     ballean_tree,
     canonical_code,
@@ -23,6 +26,7 @@ from ultratree.errors import (
 )
 from ultratree.generators import random_ultrametric_space
 from ultratree.metrics import FiniteMetricSpace, _linkage, classify_metric, minimax_label_metric
+from ultratree.representing import ball_id
 from ultratree.oracles import (
     balls_by_enumeration,
     hierarchy_by_diametrical_blocks,
@@ -261,6 +265,44 @@ def test_engine_verdict_equals_strong_triangle_oracle():
             assert got is MetricClass.ULTRAMETRIC
         else:
             assert got in (MetricClass.METRIC_ONLY, MetricClass.NOT_SEMIMETRIC)
+
+
+def _renamed_tree(tree, mapping):
+    # the hierarchy tree with every point renamed, vertex ids recomputed
+    payloads = {v: frozenset(mapping[p] for p in tree.payload(v)) for v in tree.rt.vertices}
+    ids = {v: ball_id(b) for v, b in payloads.items()}
+    rt = RootedTree(Tree(Graph(ids.values(), [(ids[u], ids[v]) for u, v in tree.rt.tree.edges])), ids[tree.rt.root])
+    return LabeledRootedTree(rt, {ids[v]: x for v, x in tree.labels.items()}, {ids[v]: b for v, b in payloads.items()})
+
+
+def test_engine_ignores_the_point_order():
+    # Renaming reorders the rows, so the Prim search starts at another point
+    # and breaks ties between equal ranks another way.
+    rng = random.Random(79)
+    for k in range(240):
+        space = random_ultrametric_space(rng, rng.randint(1, 25))
+        rows = [list(r) for r in space.rows]
+        if k % 4 == 1:  # a duplicated point: a zero pair
+            rows = [r + [r[0]] for r in rows] + [rows[0] + [F(0)]]
+        elif k % 4 == 2 and len(rows) > 1:  # one pair moved to a value already present, or off it
+            i, j = rng.sample(range(len(rows)), 2)
+            values = sorted({x for r in rows for x in r if x})
+            rows[i][j] = rows[j][i] = rng.choice(values + [rows[i][j] + F(1, 3)])
+        space = FiniteMetricSpace([f"p{i:02d}" for i in range(len(rows))], rows)
+        verdict = _linkage(space.rows) is not None
+        tree = tio.labeled_tree_to_json(representing_tree(space)) if space.classify() is MetricClass.ULTRAMETRIC else None
+        for _ in range(4):
+            names = list(space.points)
+            rng.shuffle(names)
+            forward = dict(zip(space.points, names))
+            moved = space.rename(forward)
+            assert (_linkage(moved.rows) is not None) == verdict
+            if tree is not None:
+                back = {y: x for x, y in forward.items()}
+                assert tio.labeled_tree_to_json(_renamed_tree(representing_tree(moved), back)) == tree
+            else:
+                with pytest.raises(NotUltrametricError):
+                    representing_tree(moved)
 
 
 def test_representing_tree_rejects_zero_pairs():
