@@ -34,7 +34,7 @@ def centers(t: Tree, w: Mapping) -> frozenset[Vertex]:
     and farthest such leaf lie at one distance.  One rerooting pass finds
     both for every r: bottom-up from an arbitrary root, then top-down.
     """
-    weights = normalize_weights(t.underlying, w, strict=True)
+    weights = normalize_weights(t, w, strict=True)
     if len(t.vertices) == 1:
         return frozenset(t.vertices)
     rt = RootedTree(t, t.vertices[0])
@@ -158,7 +158,7 @@ class StructureReport:
 
 def analyze(t: Tree, w: Mapping, root: Optional[Vertex] = None) -> StructureReport:
     """One-stop report over a weighted tree, optionally rooted."""
-    weights = normalize_weights(t.underlying, w, strict=True)
+    weights = normalize_weights(t, w, strict=True)
     cs = centers(t, weights)
     planted: Optional[bool] = None
     K: Optional[Fraction] = None

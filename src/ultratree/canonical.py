@@ -138,18 +138,14 @@ def canonical_code(
 ) -> str:
     """Canonical code of a tree under the given isomorphism flavor."""
     _check_payloads(flavor, labels, weights, root)
-    lab = normalize_labels(t.underlying, labels) if labels is not None else None
-    wts = normalize_weights(t.underlying, weights, strict=False) if weights is not None else None
+    lab = normalize_labels(t, labels) if labels is not None else None
+    wts = normalize_weights(t, weights, strict=False) if weights is not None else None
     prefix = SCHEMA_VERSION + _TAG[flavor] + ":"
     if flavor in _ROOTED:
-        if not t.underlying.has_vertex(root):
+        if not t.has_vertex(root):
             raise VertexNotFoundError(f"root {root!r} not a vertex")
         return prefix + _rooted_code(t, root, lab, wts)
     return prefix + min(_rooted_code(t, c, lab, wts) for c in tree_centers(t))
-
-
-def _as_graph(g: Graph | Tree) -> Graph:
-    return g.underlying if isinstance(g, Tree) else g
 
 
 def _relation_rows(g: Graph, labels: Optional[Mapping], weights: Optional[Mapping]) -> list[list[tuple]]:
@@ -229,8 +225,8 @@ def _carries(mapping: Mapping[Vertex, Vertex], a: tuple, b: tuple) -> bool:
 
 
 def are_isomorphic(
-    g1: Graph | Tree,
-    g2: Graph | Tree,
+    g1: Graph,
+    g2: Graph,
     flavor: IsoFlavor,
     labels1: Optional[Mapping] = None,
     labels2: Optional[Mapping] = None,
@@ -257,17 +253,16 @@ def are_isomorphic(
         raise ValueError("rooted flavors are defined for trees only")
     _check_payloads(flavor, labels1, weights1, root1)
     _check_payloads(flavor, labels2, weights2, root2)
-    a, b = _as_graph(g1), _as_graph(g2)
-    if max(len(a.vertices), len(b.vertices)) > GRAPH_SIZE_LIMIT:
+    if max(len(g1.vertices), len(g2.vertices)) > GRAPH_SIZE_LIMIT:
         raise SizeLimitError(
             f"graph isomorphism is limited to {GRAPH_SIZE_LIMIT} vertices"
         )
-    lab1 = normalize_labels(a, labels1) if labels1 is not None else None
-    lab2 = normalize_labels(b, labels2) if labels2 is not None else None
-    w1 = normalize_weights(a, weights1, strict=False) if weights1 is not None else None
-    w2 = normalize_weights(b, weights2, strict=False) if weights2 is not None else None
-    rows1, rows2 = _relation_rows(a, lab1, w1), _relation_rows(b, lab2, w2)
-    return _search((rows1, a.vertices), (rows2, b.vertices)) is not None
+    lab1 = normalize_labels(g1, labels1) if labels1 is not None else None
+    lab2 = normalize_labels(g2, labels2) if labels2 is not None else None
+    w1 = normalize_weights(g1, weights1, strict=False) if weights1 is not None else None
+    w2 = normalize_weights(g2, weights2, strict=False) if weights2 is not None else None
+    rows1, rows2 = _relation_rows(g1, lab1, w1), _relation_rows(g2, lab2, w2)
+    return _search((rows1, g1.vertices), (rows2, g2.vertices)) is not None
 
 
 def is_isometry(s1: FiniteMetricSpace, s2: FiniteMetricSpace, mapping: Mapping[Vertex, Vertex]) -> bool:
@@ -276,8 +271,8 @@ def is_isometry(s1: FiniteMetricSpace, s2: FiniteMetricSpace, mapping: Mapping[V
 
 
 def is_isomorphism(
-    g1: Graph | Tree,
-    g2: Graph | Tree,
+    g1: Graph,
+    g2: Graph,
     mapping: Mapping[Vertex, Vertex],
     labels1: Optional[Mapping] = None,
     labels2: Optional[Mapping] = None,
@@ -290,10 +285,9 @@ def is_isomorphism(
 
     Labels and weights count when labels1 and weights1 are given.
     """
-    a, b = _as_graph(g1), _as_graph(g2)
-    rows1 = _relation_rows(a, labels1, weights1)
-    rows2 = _relation_rows(b, None if labels1 is None else labels2, None if weights1 is None else weights2)
-    carried = _carries(mapping, (rows1, a.vertices), (rows2, b.vertices))
+    rows1 = _relation_rows(g1, labels1, weights1)
+    rows2 = _relation_rows(g2, None if labels1 is None else labels2, None if weights1 is None else weights2)
+    carried = _carries(mapping, (rows1, g1.vertices), (rows2, g2.vertices))
     return carried and (root1 is None or mapping[root1] == root2)
 
 

@@ -145,7 +145,7 @@ def _cmd_dual(args) -> str:
             raise ParseError("l2w needs labels")
         mt = MonotoneTree(rt, doc.labels)
         et = labeling_to_weight(mt)
-    return tio.dump_json(tio.graph_to_json(rt.tree.underlying, root=rt.root, weights=et.weights, labels=mt.labels))
+    return tio.dump_json(tio.graph_to_json(rt.tree, root=rt.root, weights=et.weights, labels=mt.labels))
 
 
 def _cmd_reduce(args) -> str:
@@ -155,7 +155,7 @@ def _cmd_reduce(args) -> str:
         raise ParseError("reduce needs weights")
     result = reduce_nabla(EquidistantTree(doc.rooted(), doc.weights))
     tree_doc = tio.graph_to_json(
-        result.reduced.rt.tree.underlying,
+        result.reduced.rt.tree,
         root=result.reduced.rt.root,
         weights=result.reduced.weights,
     )
@@ -170,7 +170,7 @@ def _cmd_spanning(args) -> str:
     if doc.labels is None:
         raise ParseError("spanning needs labels")
     tree = bottleneck_spanning_tree(doc.graph, doc.labels)
-    return tio.dump_json(tio.graph_to_json(tree.underlying, labels=doc.labels))
+    return tio.dump_json(tio.graph_to_json(tree, labels=doc.labels))
 
 
 def _cmd_analyze(args) -> str:

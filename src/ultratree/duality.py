@@ -45,7 +45,7 @@ class EquidistantTree:
     K: Fraction = field(init=False)
 
     def __post_init__(self):
-        weights = normalize_weights(self.rt.tree.underlying, self.weights, strict=True)
+        weights = normalize_weights(self.rt.tree, self.weights, strict=True)
         dist = root_distances(self.rt, weights)
         sums = {dist[v] for v in self.v0()}
         if len(sums) != 1:
@@ -70,7 +70,7 @@ class MonotoneTree:
     labels: dict[Vertex, Fraction]
 
     def __post_init__(self):
-        rt, labels = self.rt, normalize_labels(self.rt.tree.underlying, self.labels)
+        rt, labels = self.rt, normalize_labels(self.rt.tree, self.labels)
         zeros = {v for v in rt.vertices if labels[v] == 0}
         if zeros != self.v0() or any(labels[c] >= labels[v] for v in rt.vertices for c in rt.children(v)):
             raise NotMonotoneError("labeling is not monotone for this root")

@@ -1,9 +1,11 @@
 """Finite graphs, trees and rooted trees over opaque string vertex ids.
 
-All values are immutable after construction and every operation is a pure
-function, so sharing across threads needs no coordination.  Determinism
-convention: vertex ids are ordered lexicographically everywhere (neighbor
-lists, components, returned sets), so equal inputs give identical outputs.
+A Tree is a Graph checked to be connected and acyclic, so graph code takes
+it as it is; a RootedTree is a Tree with a root.  All values are immutable
+after construction and every operation is a pure function, so sharing across
+threads needs no coordination.  Determinism convention: vertex ids are
+ordered lexicographically everywhere (neighbor lists, components, returned
+sets), so equal inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -111,32 +113,14 @@ class Graph:
         return Graph(vs, es)
 
 
-@dataclass(frozen=True)
-class Tree:
-    """Connected acyclic graph."""
+class Tree(Graph):
+    """A Graph checked to be connected and acyclic."""
 
-    underlying: Graph
-
-    def __post_init__(self):
-        g = self.underlying
-        if not g.is_connected():
-            raise ValueError("tree must be connected")
-        if len(g.edges) != len(g.vertices) - 1:
-            raise ValueError("tree must satisfy |E| = |V| - 1")
-
-    @property
-    def vertices(self) -> tuple[Vertex, ...]:
-        return self.underlying.vertices
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return self.underlying.edges
-
-    def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        return self.underlying.neighbors(v)
-
-    def degree(self, v: Vertex) -> int:
-        return self.underlying.degree(v)
+    def __init__(self, g: Graph):
+        if not g.is_tree():
+            raise ValueError("not a tree: must be connected with |E| = |V| - 1")
+        # Graph is frozen, so the vertices, edges and adjacency can be shared.
+        vars(self).update(vars(g))
 
     def leaves(self) -> frozenset[Vertex]:
         """Vertices of degree less than two (a lone vertex is a leaf)."""
@@ -163,7 +147,7 @@ class RootedTree:
     root: Vertex
 
     def __post_init__(self):
-        if not self.tree.underlying.has_vertex(self.root):
+        if not self.tree.has_vertex(self.root):
             raise VertexNotFoundError(f"root {self.root!r} not a vertex")
         parent: dict[Vertex, Optional[Vertex]] = {self.root: None}
         children: dict[Vertex, tuple[Vertex, ...]] = {}
@@ -210,9 +194,9 @@ class RootedTree:
 
 def find_path(t: Tree, u: Vertex, v: Vertex) -> Path:
     """The unique u-v path in a tree, as a vertex sequence."""
-    if not t.underlying.has_vertex(u):
+    if not t.has_vertex(u):
         raise VertexNotFoundError(f"no vertex {u!r}")
-    if not t.underlying.has_vertex(v):
+    if not t.has_vertex(v):
         raise VertexNotFoundError(f"no vertex {v!r}")
     rt = RootedTree(t, v)
     path = [u]

@@ -91,7 +91,7 @@ def graph_to_json(
 
 def labeled_tree_to_json(t: LabeledRootedTree) -> dict:
     return graph_to_json(
-        t.rt.tree.underlying,
+        t.rt.tree,
         root=t.rt.root,
         labels=t.labels,
         payloads=t.payloads,
@@ -133,6 +133,8 @@ def graph_from_json(obj) -> GraphDoc:
                 raise ParseError(str(exc)) from exc
             if not graph.has_edge(*e):
                 raise ParseError(f"weight on unknown edge {key!r}")
+            if e in weights:
+                raise ParseError(f"second weight on edge {key!r}")
             weights[e] = parse_rational(val)
 
     vertex_set = set(graph.vertices)  # object keys are hashable, unlike a root
@@ -175,6 +177,7 @@ def _matrix(points, matrix) -> FiniteMetricSpace:
     # entries and report every defect of the space as one ParseError.
     if not isinstance(points, list) or not all(isinstance(p, str) and p for p in points):
         raise ParseError("'points' must be a list of nonempty strings")
+    _check_ids(points)
     if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
         raise ParseError("'matrix' must be a list of lists")
     rows = [[parse_rational(x) for x in row] for row in matrix]

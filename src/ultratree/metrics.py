@@ -268,7 +268,7 @@ def _path_metric(g: Graph, start: LabelMap, step: Callable[[Fraction, Vertex, Ve
 
 def additive_metric(t: Tree, w: WeightMap) -> FiniteMetricSpace:
     """Path-weight-sum distances on a strictly positively weighted tree."""
-    return shortest_path_metric(t.underlying, w)
+    return shortest_path_metric(t, w)
 
 
 def shortest_path_metric(g: Graph, w: WeightMap) -> FiniteMetricSpace:
@@ -291,7 +291,7 @@ def label_tree_metric(t: Tree, l: LabelMap) -> tuple[FiniteMetricSpace, MetricCl
     edge carries at least one positive endpoint label, pseudoultrametric
     otherwise.
     """
-    return minimax_label_metric(t.underlying, l)
+    return minimax_label_metric(t, l)
 
 
 def minimax_label_metric(g: Graph, l: LabelMap) -> tuple[FiniteMetricSpace, MetricClass]:

@@ -77,7 +77,7 @@ def all_simple_paths(g: Graph, u: Vertex, v: Vertex) -> Iterator[Path]:
 
 def unique_path_by_enumeration(t: Tree, u: Vertex, v: Vertex) -> Path:
     """The u-v path found by exhaustive search; asserts uniqueness."""
-    paths = list(all_simple_paths(t.underlying, u, v))
+    paths = list(all_simple_paths(t, u, v))
     if len(paths) != 1:
         raise AssertionError(f"expected exactly one path, found {len(paths)}")
     return paths[0]
@@ -192,7 +192,7 @@ def reduce_nabla_by_suppression(et: EquidistantTree) -> NablaResult:
 
 def centers_by_rooting(t: Tree, w: Mapping) -> frozenset[Vertex]:
     """analysis.centers by checking every rooting for equidistance."""
-    weights = normalize_weights(t.underlying, w, strict=True)
+    weights = normalize_weights(t, w, strict=True)
     found = set()
     for r in t.vertices:
         if check_equidistant(RootedTree(t, r), weights) is not None:

@@ -19,6 +19,8 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse "p/q" / integer text (or an already-exact number) exactly."""
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, (bool, float)):  # JSON true/false, or a number already rounded to binary
+        raise ParseError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     try:

@@ -35,9 +35,6 @@ class LabeledRootedTree:
     labels: dict[Vertex, Fraction]
     payloads: Optional[dict[Vertex, frozenset[Vertex]]] = None
 
-    def label(self, v: Vertex) -> Fraction:
-        return self.labels[v]
-
     def payload(self, v: Vertex) -> frozenset[Vertex]:
         if self.payloads is None:
             raise ValueError("tree carries no payloads")

@@ -83,11 +83,9 @@ def fig1_tree():
     )
 
 
-def brute_iso(g1, g2, labels1=None, labels2=None, weights1=None, weights2=None,
+def brute_iso(a, b, labels1=None, labels2=None, weights1=None, weights2=None,
               root1=None, root2=None) -> bool:
     """Permutation-search isomorphism, written from the definitions."""
-    a = g1.underlying if isinstance(g1, Tree) else g1
-    b = g2.underlying if isinstance(g2, Tree) else g2
     if len(a.vertices) != len(b.vertices):
         return False
     ea, eb = set(a.edges), set(b.edges)

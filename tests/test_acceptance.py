@@ -361,7 +361,7 @@ def test_planted_biconditional_suite():
     for _ in range(40):
         base = random_equidistant_tree(rng, 3, 8, branching_only=True)
         old_root = base.rt.root
-        g = base.rt.tree.underlying
+        g = base.rt.tree
         t = Tree(Graph(list(g.vertices) + ["zz"], list(g.edges) + [(old_root, "zz")]))
         w = dict(base.weights)
         w[edge_key(old_root, "zz")] = F(rng.randint(1, 9), rng.choice((1, 2)))
@@ -395,7 +395,7 @@ def test_star_biconditional_suite():
             assert centers(t, witness) == frozenset(t.vertices)
         else:
             for _ in range(4):
-                assert centers(t, random_weights(rng, t.underlying)) != frozenset(t.vertices)
+                assert centers(t, random_weights(rng, t)) != frozenset(t.vertices)
     _ok("star = existence of an all-roots equidistant weight, on trees up to 8 vertices")
 
 

@@ -39,7 +39,7 @@ def _planted_equidistant(rng, stem_weight=None):
     # hang a fresh root above a random equidistant tree
     base = random_equidistant_tree(rng, 3, 8, branching_only=True)
     old_root = base.rt.root
-    g = base.rt.tree.underlying
+    g = base.rt.tree
     t = Tree(Graph(list(g.vertices) + ["zz_root"], list(g.edges) + [(old_root, "zz_root")]))
     w = dict(base.weights)
     w[edge_key(old_root, "zz_root")] = stem_weight if stem_weight is not None else F(rng.randint(1, 9), rng.choice((1, 2)))
@@ -109,7 +109,7 @@ def test_star_biconditional_fuzz():
             assert centers(t, witness) == frozenset(t.vertices)
         else:
             for _ in range(5):
-                w = random_weights(rng, t.underlying)
+                w = random_weights(rng, t)
                 assert centers(t, w) != frozenset(t.vertices)
 
 
@@ -156,7 +156,7 @@ def test_leaf_root_equivalences():
             t, w = et.rt.tree, et.weights
         else:
             t = random_tree(rng, rng.randint(2, 9))
-            w = random_weights(rng, t.underlying)
+            w = random_weights(rng, t)
         space = additive_metric(t, w)
         leaves = sorted(t.leaves())
         leaf_space = restrict(space, leaves)

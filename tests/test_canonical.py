@@ -94,7 +94,7 @@ def test_code_invariance_under_renaming():
     rng = random.Random(71)
     for _ in range(15):
         t = random_tree(rng, rng.randint(1, 7))
-        w = random_weights(rng, t.underlying)
+        w = random_weights(rng, t)
         labels = {v: F(rng.randint(0, 4)) for v in t.vertices}
         names = list(t.vertices)
         shuffled = names[:]
@@ -328,7 +328,7 @@ def test_equal_additive_metrics_force_equal_weighted_trees():
     for _ in range(30):
         n = rng.randint(2, 7)
         t1 = random_tree(rng, n)
-        w1 = random_weights(rng, t1.underlying)
+        w1 = random_weights(rng, t1)
         s1 = additive_metric(t1, w1)
         ident = {v: v for v in s1.points}
         assert is_isometry(s1, additive_metric(t1, dict(w1)), ident)
@@ -339,7 +339,7 @@ def test_equal_additive_metrics_force_equal_weighted_trees():
         assert not is_isometry(s1, additive_metric(t1, bumped), ident)
 
         t2 = random_tree(random.Random(rng.randrange(10**6)), n)
-        w2 = random_weights(rng, t2.underlying)
+        w2 = random_weights(rng, t2)
         if (t2, w2) != (t1, w1):
             assert not is_isometry(s1, additive_metric(t2, w2), ident)
 
@@ -349,7 +349,7 @@ def test_weighted_tree_isometry_iff_weighted_isomorphism():
     for _ in range(30):
         n = rng.randint(2, 7)
         t1 = random_tree(rng, n, prefix="a")
-        w1 = random_weights(rng, t1.underlying)
+        w1 = random_weights(rng, t1)
         if rng.random() < 0.5:
             names = list(t1.vertices)
             shuffled = [f"b{i:02d}" for i in range(n)]
@@ -358,7 +358,7 @@ def test_weighted_tree_isometry_iff_weighted_isomorphism():
             t2, w2 = rename_tree(t1, m), rename_weights(w1, m)
         else:
             t2 = random_tree(rng, n, prefix="b")
-            w2 = random_weights(rng, t2.underlying)
+            w2 = random_weights(rng, t2)
         iso = are_isomorphic(t1, t2, IsoFlavor.EDGE_WEIGHTED, weights1=w1, weights2=w2)
         isometric = (
             isometry_search(additive_metric(t1, w1), additive_metric(t2, w2)) is not None

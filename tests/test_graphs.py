@@ -34,8 +34,8 @@ def test_unknown_or_unhashable_vertex_is_not_found():
     t = tree_from_edges([("a", "b"), ("b", "c")])
     rt = RootedTree(t, "a")
     for bad in ("z", ["a"], {"a": 1}):
-        assert not t.underlying.has_vertex(bad)
-        for lookup in (t.underlying.neighbors, t.underlying.degree, rt.parent, rt.children):
+        assert not t.has_vertex(bad)
+        for lookup in (t.neighbors, t.degree, rt.parent, rt.children):
             with pytest.raises(VertexNotFoundError):
                 lookup(bad)
         with pytest.raises(VertexNotFoundError):
@@ -51,6 +51,31 @@ def test_tree_rejects_cycles_and_forests():
         Tree(Graph("abc", [("a", "b"), ("b", "c"), ("a", "c")]))
     with pytest.raises(ValueError):
         Tree(Graph("abcd", [("a", "b"), ("c", "d")]))
+
+
+def test_a_tree_is_the_graph_it_was_checked_from():
+    rng = random.Random(41)
+    for size in (1, 2, 3, 8, 40, 200):
+        base = random_tree(rng, size)
+        g = Graph(base.vertices, base.edges)
+        t = Tree(g)
+        assert isinstance(t, Graph) and t.is_tree()
+        assert t.vertices is g.vertices and t.edges is g.edges
+        assert all(t.neighbors(v) is g.neighbors(v) for v in g.vertices)  # shared, not copied
+        assert all(t.has_vertex(v) for v in g.vertices) and not t.has_vertex("z")
+        assert all(t.has_edge(u, v) and t.has_edge(v, u) for u, v in g.edges)
+        assert t.components() == [g.vertices]
+        assert t.complement() == g.complement()
+        assert t == Tree(g) == base and t != g and g != t
+        if size < 3:
+            continue
+        u, v = g.complement().edges[0]
+        cycle = Graph(g.vertices, g.edges + ((u, v),))
+        forest = Graph(g.vertices, g.edges[1:])
+        disconnected = Graph(g.vertices + ("z",), g.edges + ((u, v),))  # |E| = |V| - 1
+        for bad in (cycle, forest, disconnected):
+            with pytest.raises(ValueError):
+                Tree(bad)
 
 
 def test_find_path_fig13():
@@ -82,7 +107,7 @@ def test_find_cycle_none_on_trees():
     rng = random.Random(3)
     for _ in range(10):
         t = random_tree(rng, rng.randint(1, 9))
-        assert find_cycle(t.underlying) is None
+        assert find_cycle(t) is None
 
 
 def test_find_cycle_fig6_returns_valid_canonical_cycle():
@@ -137,7 +162,7 @@ def test_path_enumeration_refuses_large_inputs():
 
     t = random_tree(1, 11)
     with pytest.raises(SizeLimitError):
-        list(all_simple_paths(t.underlying, t.vertices[0], t.vertices[1]))
+        list(all_simple_paths(t, t.vertices[0], t.vertices[1]))
 
 
 def test_subtree_below_fig1():

@@ -19,10 +19,10 @@ from helpers import fig6_graph, fig10_tree, fig13_tree
 
 def test_graph_json_round_trip():
     rt, w = fig10_tree()
-    doc = tio.graph_to_json(rt.tree.underlying, root="r", weights=w)
+    doc = tio.graph_to_json(rt.tree, root="r", weights=w)
     text = tio.dump_json(doc)
     back = tio.graph_from_json(json.loads(text))
-    assert back.graph == rt.tree.underlying
+    assert back.tree() == rt.tree
     assert back.root == "r"
     assert back.weights == {tuple(sorted(e)): F(v) for e, v in w.items()}
     # dumping the parsed value reproduces the bytes
@@ -50,6 +50,27 @@ def test_matrix_json_and_csv_round_trip():
     assert via_csv == space
     sniffed = tio.load_matrix_text(tio.matrix_to_csv(space))
     assert sniffed == space
+
+
+# Inputs that parse as JSON or CSV but are refused: each is (CLI verb, file
+# name, document text, message).  Numbers must be exact, so JSON true/false
+# and floats (1e-400 arrives as 0.0) are not rationals; ids may not contain
+# '|' in either matrix form; an edge has one weight.
+_REFUSED = (
+    ("repr", "bools.json", '{"points": ["a", "b"], "matrix": [[false, true], [true, false]]}',
+     "not a rational: False"),
+    ("reduce", "true_weight.json",
+     '{"vertices": ["a", "b"], "edges": [["a", "b"]], "root": "a", "weights": {"a|b": true}}',
+     "not a rational: True"),
+    ("repr", "float.json", '{"points": ["a", "b"], "matrix": [["0", 1e-400], [1e-400, "0"]]}',
+     "not a rational: 0.0"),
+    ("ballean", "bar_id.json", '{"points": ["a|b", "c"], "matrix": [["0", "1"], ["1", "0"]]}',
+     "vertex id may not contain '|': 'a|b'"),
+    ("ballean", "bar_id.csv", ",a|b,c\na|b,0,1\nc,1,0\n", "vertex id may not contain '|': 'a|b'"),
+    ("reduce", "two_weights.json",
+     '{"vertices": ["a", "b"], "edges": [["a", "b"]], "root": "a", "weights": {"a|b": "1", "b|a": "2"}}',
+     "second weight on edge 'b|a'"),
+)
 
 
 def test_parse_errors():
@@ -93,6 +114,11 @@ def test_parse_errors():
         doc = {"vertices": ["a", "b"], "edges": [["a", "b"]], "payloads": {"a": value}}
         with pytest.raises(ParseError, match="payload of 'a' must be a list of strings"):
             tio.graph_from_json(doc)
+    for verb, _, text, message in _REFUSED:
+        load = tio.load_graph_text if verb == "reduce" else tio.load_matrix_text
+        with pytest.raises(ParseError) as caught:
+            load(text)
+        assert str(caught.value) == message
 
 
 def test_format_rational_keeps_the_text_of_any_exact_value():
@@ -194,7 +220,7 @@ def test_cli_iso_and_isometry(tmp_path, capsys):
 
 def test_cli_dual_reduce_analyze_spanning_counterexample(tmp_path, capsys):
     rt, w = fig10_tree()
-    tree_doc = tio.dump_json(tio.graph_to_json(rt.tree.underlying, root="r", weights=w))
+    tree_doc = tio.dump_json(tio.graph_to_json(rt.tree, root="r", weights=w))
     tree_path = _write(tmp_path, "fig10.json", tree_doc)
 
     code, out = _run(capsys, "dual", "--direction", "w2l", tree_path)
@@ -282,10 +308,14 @@ def test_cli_error_paths(tmp_path, capsys):
     code, out = _run(capsys, "spanning", path)
     assert code == 2 and json.loads(out)["error"]["code"] == "parse-error"
 
+    for verb, name, text, message in _REFUSED:
+        code, out = _run(capsys, verb, _write(tmp_path, name, text))
+        assert code == 2 and json.loads(out)["error"] == {"code": "parse-error", "message": message}
+
 
 def test_cli_output_file_takes_results_and_errors(tmp_path, capsys):
     rt, w = fig10_tree()
-    tree_doc = tio.graph_to_json(rt.tree.underlying, root="r", weights=w)
+    tree_doc = tio.graph_to_json(rt.tree, root="r", weights=w)
     tree_path = _write(tmp_path, "fig10.json", tio.dump_json(tree_doc))
     target = tmp_path / "out.json"
 
@@ -357,7 +387,7 @@ def test_each_verb_loads_only_its_modules(tmp_path):
     matrix = _write(tmp_path, "fig6.json", tio.dump_json(tio.matrix_to_json(space)))
     graph = _write(tmp_path, "fig6g.json", tio.dump_json(tio.graph_to_json(g, labels=labels)))
     rt, w = fig10_tree()
-    tree = _write(tmp_path, "fig10.json", tio.dump_json(tio.graph_to_json(rt.tree.underlying, root="r", weights=w)))
+    tree = _write(tmp_path, "fig10.json", tio.dump_json(tio.graph_to_json(rt.tree, root="r", weights=w)))
     runs = {
         "repr": [matrix],
         "iso": ["--flavor", "rweight", tree, tree],

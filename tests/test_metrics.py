@@ -70,8 +70,8 @@ def test_shortest_path_equals_additive_on_trees():
     rng = random.Random(5)
     for _ in range(20):
         t = random_tree(rng, rng.randint(1, 8))
-        w = random_weights(rng, t.underlying)
-        assert shortest_path_metric(t.underlying, w) == additive_metric(t, w)
+        w = random_weights(rng, t)
+        assert shortest_path_metric(t, w) == additive_metric(t, w)
 
 
 def test_shortest_path_triangle_shortcut():
@@ -127,7 +127,7 @@ def test_label_tree_metric_strong_triangle_on_random_trees():
     rng = random.Random(17)
     for _ in range(15):
         t = random_tree(rng, rng.randint(1, 8))
-        s, _ = label_tree_metric(t, random_labels(rng, t.underlying))
+        s, _ = label_tree_metric(t, random_labels(rng, t))
         pts = s.points
         for x in pts:
             for y in pts:
@@ -152,8 +152,8 @@ def test_minimax_equals_label_tree_on_trees():
     rng = random.Random(23)
     for _ in range(15):
         t = random_tree(rng, rng.randint(1, 8))
-        labels = random_labels(rng, t.underlying)
-        assert minimax_label_metric(t.underlying, labels)[0] == label_tree_metric(t, labels)[0]
+        labels = random_labels(rng, t)
+        assert minimax_label_metric(t, labels)[0] == label_tree_metric(t, labels)[0]
 
 
 def test_minimax_matches_enumeration_on_random_graphs():
@@ -249,8 +249,8 @@ def test_tree_metrics_match_path_folds_at_n300(shape):
     # references fold the weights/labels along find_path, not the metric kernel
     rng = random.Random(300)
     t = random_tree(rng, 300) if shape == "random" else _caterpillar(300)
-    w = random_weights(rng, t.underlying)
-    labels = random_labels(rng, t.underlying)
+    w = random_weights(rng, t)
+    labels = random_labels(rng, t)
     add = additive_metric(t, w)
     lab, _ = label_tree_metric(t, labels)
     assert len(t.vertices) == 300 and add.points == lab.points == t.vertices

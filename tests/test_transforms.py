@@ -150,7 +150,7 @@ def test_bottleneck_spanning_tree_fig6():
 def test_bottleneck_spanning_tree_on_tree_is_identity():
     t = tree_from_edges([("a", "b"), ("b", "c")])
     labels = {"a": F(1), "b": F(2), "c": F(0)}
-    assert bottleneck_spanning_tree(t.underlying, labels) == t
+    assert bottleneck_spanning_tree(t, labels) == t
 
 
 def test_bottleneck_spanning_tree_fuzz():
@@ -183,7 +183,7 @@ def test_cyclic_weight_counterexample_fig6_edge_count():
 def test_cyclic_weight_counterexample_rejects_trees():
     t = random_tree(0, 5)
     with pytest.raises(AcyclicInputError):
-        cyclic_weight_counterexample(t.underlying)
+        cyclic_weight_counterexample(t)
 
 
 def test_cyclic_counterexample_postconditions_fuzz():
@@ -399,4 +399,4 @@ def test_bottleneck_spanning_tree_realizes_minimax_at_scale():
         assert label_tree_metric(t, labels)[0] == minimax_label_metric(g, labels)[0]
         shuffled = Graph(reversed(g.vertices), reversed(g.edges))
         assert bottleneck_spanning_tree(shuffled, dict(reversed(labels.items()))) == t
-        assert bottleneck_spanning_tree(t.underlying, labels) == t
+        assert bottleneck_spanning_tree(t, labels) == t
