@@ -8,7 +8,6 @@ recognition, and the inequalities governing planted equidistant trees.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping, Optional
@@ -20,7 +19,7 @@ from .errors import (
     NotPlantedError,
     NotUltrametricError,
 )
-from .graphs import RootedTree, Tree, Vertex, degree_sets, edge_key
+from .graphs import RootedTree, Tree, Vertex, degree_sets, edge_key, record
 from .metrics import FiniteMetricSpace, MetricClass, normalize_weights, restrict
 
 ZERO = Fraction(0)
@@ -117,7 +116,7 @@ def planted_leaf_ultrametric_check(et: EquidistantTree) -> tuple[bool, Fraction,
     return lhs >= rhs, lhs, rhs
 
 
-@dataclass(frozen=True)
+@record
 class DiameterBound:
     """Diameter of the out-degree-zero set against twice the root-to-leaf
     distance; strictness coincides with the tree being planted.  The
@@ -145,7 +144,7 @@ def phylo_shape(t: Tree) -> bool:
     return all(t.degree(v) >= 3 for v in t.internal_vertices())
 
 
-@dataclass(frozen=True)
+@record
 class StructureReport:
     planted: Optional[bool]
     centers: tuple[Vertex, ...]

@@ -9,12 +9,11 @@ constant.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import NotEquidistantError, NotMonotoneError
-from .graphs import Edge, Graph, RootedTree, Tree, Vertex, degree_sets, edge_key
+from .graphs import Edge, Graph, RootedTree, Tree, Vertex, degree_sets, edge_key, record
 from .metrics import (
     FiniteMetricSpace,
     additive_metric,
@@ -35,18 +34,19 @@ def root_distances(rt: RootedTree, weights: Mapping[Edge, Fraction]) -> dict[Ver
     return out
 
 
-@dataclass(frozen=True)
+@record
 class EquidistantTree:
     """Rooted tree whose strictly positive weight sums to the same K on every
     root-to-leaf path (leaf here means out-degree zero)."""
 
     rt: RootedTree
     weights: dict[Edge, Fraction]
-    K: Fraction = field(init=False)
+    K: Fraction  # derived: the common sum, not an argument
 
-    def __post_init__(self):
-        weights = normalize_weights(self.rt.tree, self.weights, strict=True)
-        dist = root_distances(self.rt, weights)
+    def __init__(self, rt: RootedTree, weights: Mapping[Edge, Fraction]):
+        object.__setattr__(self, "rt", rt)
+        weights = normalize_weights(rt.tree, weights, strict=True)
+        dist = root_distances(rt, weights)
         sums = {dist[v] for v in self.v0()}
         if len(sums) != 1:
             raise NotEquidistantError("root-to-leaf weight sums differ")
@@ -60,7 +60,7 @@ class EquidistantTree:
         return degree_sets(self.rt)[0]
 
 
-@dataclass(frozen=True)
+@record
 class MonotoneTree:
     """Rooted tree with a monotone labeling: zeros sit exactly on the
     out-degree-zero vertices and labels strictly decrease along every

@@ -82,10 +82,14 @@ def random_ultrametric_space(
     if len(pts) != size or size < 1:
         raise ValueError("need size >= 1 matching names")
     dist: dict[tuple[Vertex, Vertex], Fraction] = {}
-
-    def fill(block: list[Vertex], diam: Fraction) -> None:
+    # Blocks wait on a stack with their parent's diameter (None at the top),
+    # so the draws come in the order of a depth-first recursion.
+    todo: list[tuple[list[Vertex], Optional[Fraction]]] = [(list(pts), None)]
+    while todo:
+        block, above = todo.pop()
+        diam = Fraction(rng.randint(1, 8)) if above is None else above * Fraction(rng.randint(1, 3), 4)
         if len(block) == 1:
-            return
+            continue
         k = rng.randint(2, len(block))
         shuffled = block[:]
         rng.shuffle(shuffled)
@@ -96,11 +100,7 @@ def random_ultrametric_space(
                 for x in part:
                     for y in other:
                         dist[(x, y)] = dist[(y, x)] = diam
-        for part in parts:
-            sub = diam * Fraction(rng.randint(1, 3), 4)
-            fill(part, sub)
-
-    fill(list(pts), Fraction(rng.randint(1, 8)))
+        todo += [(part, diam) for part in reversed(parts)]
     return space_from(pts, lambda x, y: dist[(x, y)])
 
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from .errors import ParseError
-from .graphs import Edge, Graph, RootedTree, Tree, Vertex, edge_key
+from .graphs import Edge, Graph, RootedTree, Tree, Vertex, edge_key, record
 from .metrics import FiniteMetricSpace
 from .rational import format_rational, parse_rational
 
@@ -30,7 +29,7 @@ if TYPE_CHECKING:
     from .representing import LabeledRootedTree
 
 
-@dataclass(frozen=True)
+@record
 class GraphDoc:
     """A parsed graph document with its optional decorations."""
 
@@ -218,22 +217,32 @@ def matrix_from_csv(text: str) -> FiniteMetricSpace:
 
 def load_matrix_text(text: str) -> FiniteMetricSpace:
     """Accept either the JSON or the CSV matrix form."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc}") from exc
-        return matrix_from_json(obj)
+    if text.lstrip().startswith("{"):
+        return matrix_from_json(_load_json(text))
     return matrix_from_csv(text)
 
 
 def load_graph_text(text: str) -> GraphDoc:
+    return graph_from_json(_load_json(text))
+
+
+def _load_json(text: str):
+    # json.loads, refusing an object that repeats a key rather than keep the last
     try:
-        obj = json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
-    return graph_from_json(obj)
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"bad JSON: repeated key {key!r}")
+            seen.add(key)
+    return obj
 
 
 def dump_json(obj) -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -26,7 +25,7 @@ from .errors import (
     NonPositiveWeightError,
     VertexNotFoundError,
 )
-from .graphs import Edge, Graph, Tree, Vertex, edge_key
+from .graphs import Edge, Graph, Tree, Vertex, edge_key, record
 
 WeightMap = Mapping[Edge, Fraction]
 LabelMap = Mapping[Vertex, Fraction]
@@ -66,7 +65,7 @@ def normalize_labels(g: Graph, l: Mapping) -> dict[Vertex, Fraction]:
     return {v: out[v] for v in g.vertices}
 
 
-@dataclass(frozen=True)
+@record
 class FiniteMetricSpace:
     """Point set with an exact symmetric zero-diagonal distance matrix.
 

@@ -13,12 +13,11 @@ diametrical_graph and multipartite_parts are that recursion's steps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import NotCompleteMultipartiteError, NotUltrametricError, TooFewPointsError
-from .graphs import Graph, RootedTree, Tree, Vertex
+from .graphs import Graph, RootedTree, Tree, Vertex, record
 from .metrics import FiniteMetricSpace, _linkage, hausdorff_distance, space_from
 
 
@@ -27,7 +26,7 @@ def ball_id(points: Iterable[Vertex]) -> str:
     return json.dumps(sorted(points), separators=(",", ":"))
 
 
-@dataclass(frozen=True)
+@record
 class LabeledRootedTree:
     """Rooted tree with rational vertex labels and optional point-set payloads."""
 
@@ -47,7 +46,7 @@ class LabeledRootedTree:
         raise ValueError(f"no leaf for point {x!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Ballean:
     """All metric balls of a finite ultrametric space."""
 

@@ -13,17 +13,16 @@ Tarjan 1974), and one for rooted trees with a pass-through vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .duality import EquidistantTree, root_distances
 from .errors import AcyclicInputError, DisconnectedGraphError, PathTreeError
-from .graphs import Edge, Graph, RootedTree, Tree, Vertex, degree_sets, edge_key
+from .graphs import Edge, Graph, RootedTree, Tree, Vertex, degree_sets, edge_key, record
 from .metrics import normalize_labels
 
 
-@dataclass(frozen=True)
+@record
 class NablaResult:
     reduced: EquidistantTree
     removed: frozenset[Vertex]

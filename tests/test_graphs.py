@@ -1,18 +1,34 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
 from ultratree import (
+    Ballean,
+    DiameterBound,
+    EquidistantTree,
+    FiniteMetricSpace,
     Graph,
+    LabeledRootedTree,
+    MonotoneTree,
+    NablaResult,
     RootedTree,
+    StructureReport,
     Tree,
+    analyze,
+    ballean,
     degree_sets,
+    diameter_bound_check,
     find_cycle,
     find_path,
+    reduce_nabla,
+    representing_tree,
     subtree_below,
     tree_from_edges,
+    weight_to_labeling,
 )
 from ultratree.errors import VertexNotFoundError
+from ultratree.io import GraphDoc, load_graph_text
 from ultratree.generators import random_tree
 from ultratree.oracles import unique_path_by_enumeration
 
@@ -188,3 +204,70 @@ def test_subtree_below_is_every_vertex_whose_root_path_meets_v():
             below = {u for u in t.vertices if v in on_path[u]}
             assert sub.root == v and set(sub.vertices) == below
             assert all(sub.parent(x) == rt.parent(x) for x in below - {v})
+
+
+
+def test_records_are_frozen_values():
+    rt, w = fig10_tree()
+    g, et = rt.tree, EquidistantTree(rt, w)
+    space = FiniteMetricSpace("ab", [[0, 1], [1, 0]])
+    # one record of each class as the library makes it, its fields in order,
+    # and whether it holds a dict
+    records = [
+        (g, "vertices edges", False),
+        (g.complement(), "vertices edges", False),
+        (rt, "tree root", False),
+        (space, "points rows", False),
+        (load_graph_text('{"vertices": ["a"], "edges": [], "root": "a"}'), "graph root weights labels payloads",
+         False),
+        (GraphDoc(g, "r", w), "graph root weights labels payloads", True),
+        (et, "rt weights K", True),
+        (weight_to_labeling(et), "rt labels", True),
+        (representing_tree(space), "rt labels payloads", True),
+        (ballean(space), "balls host", False),
+        (reduce_nabla(et), "reduced removed new_root", True),
+        (diameter_bound_check(et), "diam_v0 K strict diam_v1", False),
+        (analyze(g, w, "r"), "planted centers is_star phylo_shape K branching_lhs branching_rhs", False),
+    ]
+    assert {type(r) for r, _, _ in records} == {
+        Graph, Tree, RootedTree, FiniteMetricSpace, GraphDoc, EquidistantTree, MonotoneTree,
+        LabeledRootedTree, Ballean, NablaResult, DiameterBound, StructureReport,
+    }
+    for made, names, holds_dict in records:
+        cls, names = Graph if type(made) is Tree else type(made), names.split()
+        values = tuple(getattr(made, n) for n in names)
+        params = dict(zip(names, values))
+        if cls is EquidistantTree:
+            del params["K"]  # derived in its own __init__
+        by_position, by_keyword = cls(*params.values()), cls(**params)
+        assert by_position == by_keyword and not by_position != by_keyword
+        assert tuple(getattr(by_position, n) for n in names) == values
+        assert repr(by_position) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+        if holds_dict:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(by_position)
+        else:
+            assert hash(by_position) == hash(by_keyword) == hash(values)
+        for name in (names[0], "other"):
+            with pytest.raises(AttributeError):
+                setattr(made, name, None)
+            with pytest.raises(AttributeError):
+                delattr(made, name)
+        assert tuple(getattr(made, n) for n in names) == values
+        with pytest.raises(TypeError):
+            cls(*params.values(), *params.values())
+        with pytest.raises(TypeError):
+            cls(*params.values(), no_such_field=1)
+
+    # defaults come from class attributes; the derived K is no argument
+    assert GraphDoc(g) == GraphDoc(g, None, None, None, None) and hash(GraphDoc(g)) == hash(GraphDoc(g, None))
+    assert LabeledRootedTree(rt, {}) == LabeledRootedTree(rt, {}, None) and Graph("ab") == Graph("ab", ())
+    assert et.K == 7 and et == EquidistantTree(rt=rt, weights=w)
+    for bad in (lambda: EquidistantTree(rt, w, F(7)), lambda: EquidistantTree(rt, w, K=F(7)),
+                lambda: EquidistantTree(rt), lambda: RootedTree(g, "r", root="r"), lambda: GraphDoc()):
+        with pytest.raises(TypeError):
+            bad()
+    # equal fields, other class: a tree never equals its graph
+    plain = Graph(g.vertices, g.edges)
+    assert g != plain and plain != g and not g == plain and g == Tree(plain)
+    assert repr(g) == f"Tree(vertices={g.vertices!r}, edges={g.edges!r})"

@@ -55,7 +55,7 @@ def test_matrix_json_and_csv_round_trip():
 # Inputs that parse as JSON or CSV but are refused: each is (CLI verb, file
 # name, document text, message).  Numbers must be exact, so JSON true/false
 # and floats (1e-400 arrives as 0.0) are not rationals; ids may not contain
-# '|' in either matrix form; an edge has one weight.
+# '|' in either matrix form; an edge has one weight; a JSON object repeats no key.
 _REFUSED = (
     ("repr", "bools.json", '{"points": ["a", "b"], "matrix": [[false, true], [true, false]]}',
      "not a rational: False"),
@@ -70,6 +70,11 @@ _REFUSED = (
     ("reduce", "two_weights.json",
      '{"vertices": ["a", "b"], "edges": [["a", "b"]], "root": "a", "weights": {"a|b": "1", "b|a": "2"}}',
      "second weight on edge 'b|a'"),
+    ("repr", "two_points.json", '{"points": ["a","b"], "points": ["c","d"], "matrix": [["0","1"],["1","0"]]}',
+     "bad JSON: repeated key 'points'"),
+    ("reduce", "repeated_weight.json",
+     '{"vertices": ["a", "b"], "edges": [["a", "b"]], "root": "a", "weights": {"a|b": "1", "a|b": "2"}}',
+     "bad JSON: repeated key 'a|b'"),
 )
 
 
@@ -361,7 +366,7 @@ def test_cli_selftest_subprocess_bytes_identical():
 
 # Runs the CLI the way `python -m` does, as a module that is not
 # sys.modules["ultratree.cli"], then prints its exit code and the names of
-# the ultratree submodules that were imported.
+# all imported modules.
 _LOADED_BY = """
 import runpy, sys
 sys.argv[0] = "ultratree"
@@ -369,16 +374,18 @@ try:
     runpy.run_module("ultratree.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print(code, *sorted(k[len("ultratree."):] for k in sys.modules if k.startswith("ultratree.")))
+print(code, *sorted(sys.modules))
 """
 
 
 def _modules_loaded_by(*argv):
+    """(ultratree submodules, other modules) a CLI call imports."""
     proc = subprocess.run([sys.executable, "-c", _LOADED_BY, *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     code, *modules = proc.stdout.splitlines()[-1].split()
     assert code == "0", proc.stderr
-    return set(modules)
+    package = {m for m in modules if m.startswith("ultratree.")}
+    return {m[len("ultratree."):] for m in package}, set(modules) - package
 
 
 def test_each_verb_loads_only_its_modules(tmp_path):
@@ -401,11 +408,17 @@ def test_each_verb_loads_only_its_modules(tmp_path):
         "selftest": [],
     }
     loaded = {verb: _modules_loaded_by(verb, *argv) for verb, argv in runs.items()}
+    package = {verb: modules for verb, (modules, _) in loaded.items()}
 
-    assert _modules_loaded_by("--help") <= {"cli", "errors"}
-    assert not loaded["iso"] & {"analysis", "duality", "representing", "selftest", "transforms"}
-    assert not loaded["repr"] & {"analysis", "canonical", "duality", "selftest", "transforms"}
-    assert [verb for verb, modules in loaded.items() if "selftest" in modules] == ["selftest"]
+    assert _modules_loaded_by("--help")[0] <= {"cli", "errors"}
+    assert not package["iso"] & {"analysis", "duality", "representing", "selftest", "transforms"}
+    assert not package["repr"] & {"analysis", "canonical", "duality", "selftest", "transforms"}
+    assert [verb for verb, modules in package.items() if "selftest" in modules] == ["selftest"]
+    # Records come from graphs.record, so no verb pays for the code-generating
+    # dataclasses module and the inspect module it imports.
+    assert {verb: others & {"dataclasses", "inspect"} for verb, (_, others) in loaded.items()} == dict.fromkeys(
+        runs, set()
+    )
 
 
 def test_public_api_resolves_lazily_to_the_defining_objects():

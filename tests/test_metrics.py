@@ -1,4 +1,7 @@
+import hashlib
 import random
+import sys
+import traceback
 from fractions import Fraction as F
 
 import pytest
@@ -66,12 +69,27 @@ def test_additive_metric_rejects_zero_weight():
         additive_metric(t, {})
 
 
+def _tree_pairs(rng, sizes):
+    """(tree, pairs) per size: every pair up to 8 vertices, else 300 random ones."""
+    for n in sizes:
+        t = random_tree(rng, n)
+        vs = t.vertices
+        if n <= 8:
+            yield t, [(u, v) for u in vs for v in vs]
+        else:
+            yield t, [(rng.choice(vs), rng.choice(vs)) for _ in range(300)]
+
+
 def test_shortest_path_equals_additive_on_trees():
+    # Both are the weight sum along the unique path, read off find_path.
     rng = random.Random(5)
-    for _ in range(20):
-        t = random_tree(rng, rng.randint(1, 8))
+    for t, pairs in _tree_pairs(rng, [rng.randint(1, 8) for _ in range(20)] + [200, 400]):
         w = random_weights(rng, t)
-        assert shortest_path_metric(t, w) == additive_metric(t, w)
+        s = additive_metric(t, w)
+        assert shortest_path_metric(t, w) == s
+        for u, v in pairs:
+            p = find_path(t, u, v)
+            assert s.distance(u, v) == sum((w[edge_key(a, b)] for a, b in zip(p, p[1:])), F(0))
 
 
 def test_shortest_path_triangle_shortcut():
@@ -149,11 +167,14 @@ def test_minimax_fig6_values():
 
 
 def test_minimax_equals_label_tree_on_trees():
+    # Both are the largest label on the unique path, endpoints included.
     rng = random.Random(23)
-    for _ in range(15):
-        t = random_tree(rng, rng.randint(1, 8))
+    for t, pairs in _tree_pairs(rng, [rng.randint(1, 8) for _ in range(15)] + [200, 400]):
         labels = random_labels(rng, t)
-        assert minimax_label_metric(t, labels)[0] == label_tree_metric(t, labels)[0]
+        s, _ = label_tree_metric(t, labels)
+        assert minimax_label_metric(t, labels)[0] == s
+        for u, v in pairs:
+            assert s.distance(u, v) == (max(labels[x] for x in find_path(t, u, v)) if u != v else 0)
 
 
 def test_minimax_matches_enumeration_on_random_graphs():
@@ -262,6 +283,35 @@ def test_tree_metrics_match_path_folds_at_n300(shape):
     # the kernel's unchecked output passes the validating constructor unchanged
     assert FiniteMetricSpace(add.points, add.rows) == add
     assert FiniteMetricSpace(lab.points, lab.rows) == lab
+
+
+def test_random_ultrametric_spaces_keep_their_bytes():
+    # pinned before the partition recursion became a loop over a stack
+    h = hashlib.sha256()
+    for seed in range(200):
+        for size in range(1, 13):
+            s = random_ultrametric_space(seed, size)
+            h.update(repr((s.points, [[str(x) for x in row] for row in s.rows])).encode())
+    assert h.hexdigest() == "324e219fe8f44ee13afa3e027ccb578ab9096f530464ee992a46ad7288bfb463"
+
+
+def test_random_ultrametric_space_needs_no_recursion():
+    class Least(random.Random):
+        # every draw is its least value, so each block splits into one point
+        # and the rest, 299 levels deep
+        def getrandbits(self, k):
+            return 0
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 50)
+    try:
+        space = random_ultrametric_space(Least(), 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    # level d has diameter 4^-d, and the first point stays in the larger part
+    # for 263 levels, far deeper than the lowered limit allows a recursion
+    assert len(space.points) == 300
+    assert sorted(set(space.rows[0])) == [F(0)] + [F(1, 4**d) for d in reversed(range(263))]
 
 
 def test_restrict_and_rename_equal_validated_construction():
