@@ -56,6 +56,21 @@ def weights_to_json(weights) -> dict:
     return {"|".join(edge_key(*e)): format_rational(val) for e, val in sorted(weights.items())}
 
 
+def _parser():
+    # parse_rational for one document: equal tokens share one Fraction.  The key holds
+    # the type, so true never meets 1; an unhashable token gets parse_rational's error.
+    memo: dict = {}
+
+    def parse(token) -> Fraction:
+        try:
+            key = type(token), token
+            return memo[key] if key in memo else memo.setdefault(key, parse_rational(token))
+        except TypeError:
+            return parse_rational(token)
+
+    return parse
+
+
 def _check_ids(ids) -> None:
     for v in ids:
         if not isinstance(v, str) or not v:
@@ -119,7 +134,7 @@ def graph_from_json(obj) -> GraphDoc:
         if not isinstance(obj.get(field), (dict, type(None))):
             raise ParseError(f"{field!r} must be a JSON object or null")
 
-    weights = None
+    weights, parse = None, _parser()
     if obj.get("weights") is not None:
         weights = {}
         for key, val in obj["weights"].items():
@@ -134,7 +149,7 @@ def graph_from_json(obj) -> GraphDoc:
                 raise ParseError(f"weight on unknown edge {key!r}")
             if e in weights:
                 raise ParseError(f"second weight on edge {key!r}")
-            weights[e] = parse_rational(val)
+            weights[e] = parse(val)
 
     vertex_set = set(graph.vertices)  # object keys are hashable, unlike a root
     labels = None
@@ -143,7 +158,7 @@ def graph_from_json(obj) -> GraphDoc:
         for v, val in obj["labels"].items():
             if v not in vertex_set:
                 raise ParseError(f"label on unknown vertex {v!r}")
-            labels[v] = parse_rational(val)
+            labels[v] = parse(val)
 
     payloads = None
     if obj.get("payloads") is not None:
@@ -179,7 +194,8 @@ def _matrix(points, matrix) -> FiniteMetricSpace:
     _check_ids(points)
     if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
         raise ParseError("'matrix' must be a list of lists")
-    rows = [[parse_rational(x) for x in row] for row in matrix]
+    parse = _parser()
+    rows = [[parse(x) for x in row] for row in matrix]
     try:
         return FiniteMetricSpace(points, rows)
     except Exception as exc:

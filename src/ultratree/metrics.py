@@ -3,11 +3,13 @@
 The four constructions share one traversal with two combine rules: the sum
 of edge weights along a path (additive on trees, shortest-path on graphs)
 and the max vertex label along it (on trees, and its minimax extension to
-graphs); over several joining paths the minimum counts.  Plus classification
-of matrices, each checked once, and the Hausdorff distance between subsets.
-The ultrametric decision and the hierarchy tree of representing.py both come
-from one Prim search (_linkage): every ball is an interval of its visiting
-order, so the order and the rank each point joins at give both.
+graphs); over several joining paths the minimum counts, all folded on
+integers.  Plus classification of matrices and the Hausdorff distance.  A
+space ranks its distinct distances once when it is made, and every check after
+that, the ultrametric decision and the hierarchy tree of representing.py run
+on those integer ranks.  The last two come from one Prim search (_linkage):
+every ball is an interval of its visiting order, so the order and the rank
+each point joins at give both.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -84,22 +87,21 @@ class FiniteMetricSpace:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise BadMatrixError(f"matrix must be {n}x{n}")
         mat = [[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows]
-        _check_matrix(mat, lambda i, j: repr(pts[i]) if i == j else f"({pts[i]!r}, {pts[j]!r})", True)
-        self._store(pts, mat)
+        ranked = _rank(mat)
+        _check_matrix(*ranked, lambda i, j: repr(pts[i]) if i == j else f"({pts[i]!r}, {pts[j]!r})", True)
+        self._store(pts, mat, ranked)
 
-    @classmethod
-    def _trusted(cls, points: Sequence[Vertex], rows: Sequence[Sequence[Fraction]]) -> "FiniteMetricSpace":
-        # For matrices already exact and checked: no conversion, no check.
-        space = object.__new__(cls)
-        space._store(points, rows)
-        return space
+    # For matrices already exact and checked, with their (values, ranks): no conversion, no check.
+    _trusted = classmethod(lambda cls, *args: object.__new__(cls)._store(*args))
 
-    def _store(self, pts: Sequence[Vertex], mat: Sequence[Sequence[Fraction]]) -> None:
+    def _store(self, pts: Sequence[Vertex], mat: Sequence[Sequence[Fraction]], ranked) -> "FiniteMetricSpace":
         order = sorted(range(len(pts)), key=pts.__getitem__)
-        sorted_pts = tuple(pts[i] for i in order)
-        object.__setattr__(self, "points", sorted_pts)
-        object.__setattr__(self, "rows", tuple(tuple(mat[i][j] for j in order) for i in order))
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(sorted_pts)})
+        sort = lambda m: tuple(tuple(map(m[i].__getitem__, order)) for i in order)
+        object.__setattr__(self, "points", tuple(map(pts.__getitem__, order)))
+        object.__setattr__(self, "rows", sort(mat))
+        object.__setattr__(self, "_ranks", (ranked[0], sort(ranked[1])))
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
+        return self
 
     def index(self, x: Vertex) -> int:
         try:
@@ -114,14 +116,14 @@ class FiniteMetricSpace:
         return max((x for row in self.rows for x in row), default=ZERO)
 
     def classify(self) -> MetricClass:
-        return _classify(self.rows)
+        return _classify(*self._ranks)  # type: ignore[attr-defined]
 
     def rename(self, mapping: Mapping[Vertex, Vertex]) -> "FiniteMetricSpace":
         """Isometric copy under a point-renaming bijection."""
         new_pts = [mapping[p] for p in self.points]
         if len(set(new_pts)) != len(new_pts):
             raise ValueError("renaming is not injective")
-        return FiniteMetricSpace._trusted(new_pts, self.rows)
+        return FiniteMetricSpace._trusted(new_pts, self.rows, self._ranks)  # type: ignore[attr-defined]
 
 
 def space_from(points: Iterable[Vertex], dist: Callable[[Vertex, Vertex], Fraction]) -> FiniteMetricSpace:
@@ -129,19 +131,30 @@ def space_from(points: Iterable[Vertex], dist: Callable[[Vertex, Vertex], Fracti
     return FiniteMetricSpace(pts, [[dist(x, y) if x != y else ZERO for y in pts] for x in pts])
 
 
-def _check_matrix(mat: Sequence[Sequence[Fraction]], where: Callable[[int, int], str], nonnegative: bool) -> None:
-    # The check every outside matrix gets: zero diagonal, symmetry and, if
-    # asked, no negative entry.  The first defect in row order is raised;
-    # where(i, i) names a diagonal entry in the message, where(i, j) a pair.
-    n = len(mat)
-    for i in range(n):
-        if mat[i][i] != 0:
+def _rank(mat: Sequence[Sequence]) -> tuple[list, tuple[tuple[int, ...], ...]]:
+    # The distinct values in increasing order, and the matrix of their ranks.  Entries are
+    # told apart by identity, then by exact ratio, a pair of ints that hashes fast.
+    objs = {id(x): x for row in mat for x in row}
+    values = sorted({x.as_integer_ratio(): x for x in objs.values()}.values())  # one object per value
+    rank = {x.as_integer_ratio(): r for r, x in enumerate(values)}
+    by_id = {i: rank[x.as_integer_ratio()] for i, x in objs.items()}
+    return values, tuple(tuple(map(by_id.__getitem__, map(id, row))) for row in mat)
+
+
+def _check_matrix(values: Sequence, ranks: Sequence[tuple], where: Callable, nonnegative: bool) -> None:
+    # Zero diagonal, symmetry and, if asked, no negative entry, on the ranks.
+    # The first defect in row order is raised, named by where(i, i) or where(i, j);
+    # rows above are sound, so only a row unlike its column or negative is scanned.
+    zero = ranks[0][0] if ranks and values[ranks[0][0]] == 0 else -1
+    for i, (row, col) in enumerate(zip(ranks, zip(*ranks))):
+        if row[i] != zero:
             raise BadMatrixError(f"nonzero diagonal at {where(i, i)}")
-        for j in range(i + 1, n):
-            if mat[i][j] != mat[j][i]:
-                raise BadMatrixError(f"asymmetric at {where(i, j)}")
-            if nonnegative and mat[i][j] < 0:
-                raise ValueError(f"negative distance at {where(i, j)}")
+        if row != col or nonnegative and min(row) < zero:
+            for j in range(i + 1, len(row)):
+                if row[j] != col[j]:
+                    raise BadMatrixError(f"asymmetric at {where(i, j)}")
+                if nonnegative and row[j] < zero:
+                    raise ValueError(f"negative distance at {where(i, j)}")
 
 
 def classify_metric(rows: Sequence[Sequence[Fraction]]) -> MetricClass:
@@ -151,86 +164,72 @@ def classify_metric(rows: Sequence[Sequence[Fraction]]) -> MetricClass:
     positivity, the triangle inequality and the strong triangle inequality.
     """
     n = len(rows)
-    mat = [[Fraction(x) for x in r] for r in rows]
+    mat = [[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows]
     if any(len(r) != n for r in mat):
         raise BadMatrixError("matrix not square")
-    _check_matrix(mat, lambda i, j: f"row {i}" if i == j else f"({i}, {j})", False)
-    return _classify(mat)
+    ranked = _rank(mat)
+    _check_matrix(*ranked, lambda i, j: f"row {i}" if i == j else f"({i}, {j})", False)
+    return _classify(*ranked)
 
 
-def _classify(mat: Sequence[Sequence[Fraction]]) -> MetricClass:
-    # classify_metric without the checks, for matrices already checked.
-    n = len(mat)
-    if any(mat[i][j] < 0 for i in range(n) for j in range(n)):
+def _classify(values: Sequence[Fraction], ranks: Sequence[Sequence[int]]) -> MetricClass:
+    # classify_metric without the checks, on the ranks of a checked matrix.
+    n = len(ranks)
+    zero = ranks[0][0] if n else 0
+    if any(min(row) < zero for row in ranks):
         return MetricClass.NOT_SEMIMETRIC
-    has_zero_pair = any(mat[i][j] == 0 for i in range(n) for j in range(i + 1, n))
-    strong = _linkage(mat) is not None
+    has_zero_pair = sum(row.count(zero) for row in ranks) > n
+    strong = not n or _linkage(ranks) is not None
     if has_zero_pair:
         return MetricClass.PSEUDO_ULTRAMETRIC if strong else MetricClass.NOT_SEMIMETRIC
     if strong:
         return MetricClass.ULTRAMETRIC
-    triangle = all(
-        mat[i][j] <= mat[i][k] + mat[k][j]
-        for i in range(n)
-        for j in range(i + 1, n)
-        for k in range(n)
-    )
+    den = math.lcm(*(x.denominator for x in values))  # d(i, j) <= d(i, k) + d(j, k), scaled to integers
+    d = [[x.numerator * (den // x.denominator) for x in map(values.__getitem__, row)] for row in ranks]
+    triangle = all(min(map(int.__add__, d[i], d[j])) >= d[i][j] for i in range(n) for j in range(i + 1, n))
     return MetricClass.METRIC_ONLY if triangle else MetricClass.NOT_SEMIMETRIC
 
 
-def _linkage(mat: Sequence[Sequence[Fraction]]) -> Optional[list[tuple[Fraction, tuple[int, ...]]]]:
-    """Checked single-linkage merges of a symmetric zero-diagonal matrix.
+def _linkage(mat: Sequence[Sequence]) -> Optional[list[tuple[object, tuple[int, ...]]]]:
+    """Checked single-linkage merges of a nonempty symmetric zero-diagonal matrix.
 
-    Values are ranked once, so all work is on exact integers.  A dense
-    O(n^2) Prim search visits the points in an order p_0, ..., p_{n-1}, and
-    p_k joins at rank j_k, its least rank to an earlier point.  Every
-    single-linkage cluster is an interval of that order: once the search
-    enters a cluster, the cluster's own points have the least keys until it
-    is used up.  So the subdominant ultrametric of p_i and p_k (i < k) is
-    max(j_{i+1}, ..., j_k), and the strong triangle inequality holds exactly
-    when every pair carries that interval maximum; each pair is checked once.
-    The hierarchy is then the tree of interval maxima, equal ranks merged
-    into one vertex, built with one stack of open merges along its right
-    spine.
+    Entries need only compare: a space passes the integer ranks it made once.
+    A dense O(n^2) Prim search visits the points in an order p_0, ..., p_{n-1},
+    and p_k (k > 0) joins at j_k, its least entry to an earlier point.  Every
+    single-linkage cluster is an interval of that order, as the search uses
+    up a cluster before it leaves it.  So the subdominant ultrametric of p_i
+    and p_k (i < k) is max(j_{i+1}, ..., j_k), and the strong triangle
+    inequality holds exactly when every pair carries that maximum; each pair
+    is checked once.  The tree of interval maxima, equal entries merged into
+    one vertex, is the hierarchy, built with one stack of open merges.
 
-    Returns (value, children) per merge, children before parents and the
+    Returns (entry, children) per merge, children before parents and the
     root last, where a child is a point index below n or n + k for merge k;
     None at the first failed pair.
     """
     n = len(mat)
-    # Number the values in order of appearance, then by size: each entry is
-    # hashed once, as Fraction hashing is most of the encoding's cost.
-    code: dict[Fraction, int] = {}
-    coded = [[code.setdefault(x, len(code)) for x in row] for row in mat]
-    values = sorted(code)
-    rank = [0] * len(values)
-    for r, x in enumerate(values):
-        rank[code[x]] = r
-    ranks = [list(map(rank.__getitem__, row)) for row in coded]
-
-    # Key -1 starts the search at point 0; len(values) is above every rank.
-    order, joins = [], []  # visiting order, and the rank each point joins at
-    key, todo = [-1] + [len(values)] * (n - 1), list(range(n))
+    order, joins = [0], []  # visiting order, and the entry each later point joins at
+    key, todo = list(mat[0]), list(range(1, n))
     while todo:
         y = min(todo, key=key.__getitem__)
         todo.remove(y)
         order.append(y)
         joins.append(key[y])
-        row = ranks[y]
+        row = mat[y]
         for z in todo:
             if row[z] < key[z]:
                 key[z] = row[z]
     for i, x in enumerate(order):
-        if list(map(ranks[x].__getitem__, order[i + 1 :])) != list(itertools.accumulate(joins[i + 1 :], max)):
+        if list(map(mat[x].__getitem__, order[i + 1 :])) != list(itertools.accumulate(joins[i:], max)):
             return None
 
     merges = []
-    spine: list[tuple[int, list[int]]] = []  # open merges, ranks falling toward the top
-    for x, r in zip(order, joins[1:] + [len(values)]):  # the last rank closes every merge
-        while spine and spine[-1][0] < r:
+    spine: list[tuple[object, list[int]]] = []  # open merges, entries falling toward the top
+    for x, r in itertools.zip_longest(order, joins):  # the last point closes every merge
+        while spine and (r is None or spine[-1][0] < r):
             top, kids = spine.pop()
             kids.append(x)
-            merges.append((values[top], tuple(kids)))
+            merges.append((top, tuple(kids)))
             x = n + len(merges) - 1
         if spine and spine[-1][0] == r:
             spine[-1][1].append(x)
@@ -239,18 +238,19 @@ def _linkage(mat: Sequence[Sequence[Fraction]]) -> Optional[list[tuple[Fraction,
     return merges
 
 
-def _path_metric(g: Graph, start: LabelMap, step: Callable[[Fraction, Vertex, Vertex], Fraction]) -> FiniteMetricSpace:
+def _path_metric(g: Graph, start: Mapping[Vertex, int], step: Callable, value: Callable) -> FiniteMetricSpace:
     """d(x, y): min over x-y paths of start[x] folded by step(d, u, v) per edge.
 
     Search from every source of a connected graph, settling each vertex once:
     the frontier is a heap, or a stack on a tree, where the unique path gives
-    the first value.  The diagonal is zero.
+    the first value.  The diagonal is 0.  The fold runs on integers, and
+    value makes one Fraction of each distinct result.
     """
     tree = len(g.edges) < len(g.vertices)  # g is connected, so this means a tree
     push, pop = (list.append, list.pop) if tree else (heapq.heappush, heapq.heappop)
     rows = []
     for src in g.vertices:
-        best: dict[Vertex, Fraction] = {}
+        best: dict[Vertex, int] = {}
         frontier = [(start[src], src)]
         while frontier:
             d, x = pop(frontier)
@@ -260,9 +260,11 @@ def _path_metric(g: Graph, start: LabelMap, step: Callable[[Fraction, Vertex, Ve
             for y in g.neighbors(x):
                 if y not in best:
                     push(frontier, (step(d, x, y), y))
-        best[src] = ZERO
-        rows.append([best[y] for y in g.vertices])
-    return FiniteMetricSpace._trusted(g.vertices, rows)
+        best[src] = 0
+        rows.append(list(map(best.__getitem__, g.vertices)))
+    keys, ranks = _rank(rows)
+    values = list(map(value, keys))
+    return FiniteMetricSpace._trusted(g.vertices, [list(map(values.__getitem__, r)) for r in ranks], (values, ranks))
 
 
 def additive_metric(t: Tree, w: WeightMap) -> FiniteMetricSpace:
@@ -275,12 +277,10 @@ def shortest_path_metric(g: Graph, w: WeightMap) -> FiniteMetricSpace:
     if not g.is_connected():
         raise DisconnectedGraphError("shortest-path metric needs a connected graph")
     weights = normalize_weights(g, w, strict=True)
-    return _path_metric(g, dict.fromkeys(g.vertices, ZERO), lambda d, x, y: d + weights[edge_key(x, y)])
-
-
-def _edge_condition(g: Graph, labels: LabelMap) -> bool:
-    # Ultrametricity criterion: no edge has both endpoint labels zero.
-    return all(max(labels[u], labels[v]) > 0 for u, v in g.edges)
+    den = math.lcm(*(x.denominator for x in weights.values()))
+    scaled = {e: x.numerator * (den // x.denominator) for e, x in weights.items()}
+    step = lambda d, x, y: d + scaled[edge_key(x, y)]
+    return _path_metric(g, dict.fromkeys(g.vertices, 0), step, lambda d: Fraction(d, den))
 
 
 def label_tree_metric(t: Tree, l: LabelMap) -> tuple[FiniteMetricSpace, MetricClass]:
@@ -298,9 +298,11 @@ def minimax_label_metric(g: Graph, l: LabelMap) -> tuple[FiniteMetricSpace, Metr
     if not g.is_connected():
         raise DisconnectedGraphError("minimax label metric needs a connected graph")
     labels = normalize_labels(g, l)
-    space = _path_metric(g, labels, lambda d, x, y: max(d, labels[y]))
-    cls = MetricClass.ULTRAMETRIC if _edge_condition(g, labels) else MetricClass.PSEUDO_ULTRAMETRIC
-    return space, cls
+    keys, (ranks,) = _rank([[ZERO, *labels.values()]])
+    start = dict(zip(labels, ranks[1:]))  # label ranks, 0 for a zero label
+    space = _path_metric(g, start, lambda d, x, y: max(d, start[y]), keys.__getitem__)
+    ultra = all(start[u] or start[v] for u, v in g.edges)  # no edge has two zero labels
+    return space, MetricClass.ULTRAMETRIC if ultra else MetricClass.PSEUDO_ULTRAMETRIC
 
 
 def restrict(space: FiniteMetricSpace, subset: Iterable[Vertex]) -> FiniteMetricSpace:
@@ -309,7 +311,8 @@ def restrict(space: FiniteMetricSpace, subset: Iterable[Vertex]) -> FiniteMetric
     if not keep:
         raise EmptySetError("cannot restrict to the empty set")
     idx = [space.index(p) for p in keep]
-    return FiniteMetricSpace._trusted(keep, [[space.rows[i][j] for j in idx] for i in idx])
+    pick = lambda m: [list(map(m[i].__getitem__, idx)) for i in idx]
+    return FiniteMetricSpace._trusted(keep, pick(space.rows), (space._ranks[0], pick(space._ranks[1])))
 
 
 def hausdorff_distance(space: FiniteMetricSpace, a: Iterable[Vertex], b: Iterable[Vertex]) -> Fraction:

@@ -127,17 +127,18 @@ def representing_tree(space: FiniteMetricSpace) -> LabeledRootedTree:
 
 def _hierarchy(space: FiniteMetricSpace) -> Optional[LabeledRootedTree]:
     # representing_tree, or None when the space is not ultrametric.
-    merges = _linkage(space.rows)
-    if merges is None or any(value == 0 for value, _ in merges):
+    values, ranks = space._ranks  # type: ignore[attr-defined]
+    merges = _linkage(ranks)
+    if merges is None or any(values[r] == 0 for r, _ in merges):
         return None
     payloads = [frozenset({p}) for p in space.points]
     ids = [ball_id(b) for b in payloads]
     labels = dict.fromkeys(ids, Fraction(0))
     edges = []
-    for value, kids in merges:
+    for r, kids in merges:
         payloads.append(frozenset().union(*(payloads[k] for k in kids)))
         ids.append(ball_id(payloads[-1]))
-        labels[ids[-1]] = value
+        labels[ids[-1]] = values[r]
         edges += [(ids[-1], ids[k]) for k in kids]
     rt = RootedTree(Tree(Graph(ids, edges)), ids[-1])
     return LabeledRootedTree(rt, labels, dict(zip(ids, payloads)))

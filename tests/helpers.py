@@ -8,6 +8,7 @@ import itertools
 from fractions import Fraction
 
 from ultratree import Graph, RootedTree, Tree, edge_key, tree_from_edges
+from ultratree.errors import BadMatrixError
 
 F = Fraction
 
@@ -118,3 +119,18 @@ def rename_weights(w, mapping):
 
 def rename_labels(l, mapping):
     return {mapping[v]: val for v, val in l.items()}
+
+
+def check_matrix_by_fractions(mat, where, nonnegative) -> None:
+    """The matrix check on the values themselves, pairwise in row order: zero
+    diagonal, symmetry and, if asked, no negative entry.  The reference the
+    rank check must agree with, defect for defect and message for message."""
+    n = len(mat)
+    for i in range(n):
+        if mat[i][i] != 0:
+            raise BadMatrixError(f"nonzero diagonal at {where(i, i)}")
+        for j in range(i + 1, n):
+            if mat[i][j] != mat[j][i]:
+                raise BadMatrixError(f"asymmetric at {where(i, j)}")
+            if nonnegative and mat[i][j] < 0:
+                raise ValueError(f"negative distance at {where(i, j)}")

@@ -533,3 +533,46 @@ def test_graph_verbs_answer_any_input_with_one_json_object(tmp_path):
         assert isinstance(json.loads(out.getvalue()), dict)
 
     check()
+
+
+def _error_bytes(message):
+    return tio.dump_json({"error": {"code": "parse-error", "message": message}})
+
+
+def test_each_number_text_is_parsed_once_per_document(tmp_path, capsys):
+    # A JSON true next to a 1 is still refused: the parse memo keys each
+    # token with its type, so true never meets the entry for 1.
+    path = _write(tmp_path, "true.json", '{"points": ["a", "b"], "matrix": [[0, 1], [true, 0]]}')
+    assert _run(capsys, "repr", path) == (2, _error_bytes("not a rational: True"))
+    # 1, "1" and "2/2" are one value, so the mixed matrix is symmetric
+    mixed = _write(tmp_path, "mixed.json",
+                   '{"points": ["a", "b", "c"], "matrix": [[0, 1, "2/2"], ["1", 0, 1], ["2/2", 1, "0"]]}')
+    plain = _write(tmp_path, "plain.json",
+                   '{"points": ["a", "b", "c"], "matrix": [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]]}')
+    code, out = _run(capsys, "repr", mixed)
+    assert code == 0 and json.loads(out)["labels"]['["a","b","c"]'] == "1"
+    assert _run(capsys, "repr", plain) == (code, out)
+    # a cell that cannot be a memo key gets the parse error it always got
+    for cell, shown in (("[0]", "[0]"), ("{}", "{}"), ("null", "None")):
+        path = _write(tmp_path, "cell.json", '{"points": ["a", "b"], "matrix": [["0", %s], [%s, "0"]]}' % (cell, cell))
+        assert _run(capsys, "repr", path) == (2, _error_bytes(f"not a rational: {shown}"))
+        doc = '{"vertices": ["a", "b"], "edges": [["a", "b"]], "root": "a", "weights": {"a|b": %s}}' % cell
+        refused = (2, _error_bytes(f"not a rational: {shown}"))
+        assert _run(capsys, "reduce", _write(tmp_path, "weight.json", doc)) == refused
+        doc = '{"vertices": ["a", "b"], "edges": [["a", "b"]], "labels": {"a": "1", "b": %s}}' % cell
+        assert _run(capsys, "repr", "--labeled-tree", _write(tmp_path, "label.json", doc)) == refused
+
+
+def test_equal_texts_share_one_value_within_a_document_only():
+    text = '{"points": ["a", "b", "c"], "matrix": [["0", "1/2", "1"], ["1/2", "0", "1"], ["1", "1", "0"]]}'
+    s1, s2 = tio.load_matrix_text(text), tio.load_matrix_text(text)
+    for s in (s1, s2, tio.load_matrix_text(tio.matrix_to_csv(s1))):
+        assert s.rows[0][1] is s.rows[1][0] and s.rows[0][2] is s.rows[1][2] is s.rows[2][0]
+        assert s.rows[0][0] is s.rows[1][1] is s.rows[2][2]
+    assert not {id(x) for r in s1.rows for x in r} & {id(x) for r in s2.rows for x in r}
+    doc = ('{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]],'
+           ' "weights": {"a|b": "3/2", "b|c": "3/2"}, "labels": {"a": "3/2", "b": 2, "c": "2"}}')
+    d1, d2 = tio.load_graph_text(doc), tio.load_graph_text(doc)
+    assert d1.weights[("a", "b")] is d1.weights[("b", "c")] is d1.labels["a"]
+    assert d1.labels["b"] == d1.labels["c"] and d1.labels["b"] is not d1.labels["c"]  # 2 and "2" are two tokens
+    assert d1.weights[("a", "b")] is not d2.weights[("a", "b")]

@@ -35,9 +35,9 @@ from ultratree.generators import (
 )
 from ultratree.graphs import edge_key, find_path
 from ultratree.metrics import FiniteMetricSpace, space_from
-from ultratree.oracles import min_path_sum_by_enumeration, minimax_label_by_enumeration
+from ultratree.oracles import min_path_sum_by_enumeration, minimax_label_by_enumeration, strong_triangle_by_enumeration
 
-from helpers import fig6_graph, fig10_tree, fig13_tree
+from helpers import check_matrix_by_fractions, fig6_graph, fig10_tree, fig13_tree
 
 
 def test_additive_metric_fig13():
@@ -377,3 +377,100 @@ def test_exact_entries_are_kept_and_others_converted():
     mixed = FiniteMetricSpace("ab", [[0, "1/2"], [0.5, 0]])
     assert mixed.rows == ((F(0), half), (half, F(0)))
     assert all(type(x) is F for row in mixed.rows for x in row)
+
+
+def _outcome(call):
+    # what a check does: None when it passes, else the error's type and text
+    try:
+        call()
+    except (BadMatrixError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _planted_matrices(rng):
+    # Seeded square matrices up to n = 60, each with defects planted where
+    # the order of the checks decides which one is reported.
+    yield [[F(0)]]
+    yield [[F(1)]]
+    yield [[F(-1)]]
+    for _ in range(240):
+        n = rng.randint(1, 60)
+        kind = rng.randrange(6)
+        if kind == 0:  # no 0 anywhere
+            rows = [[F(rng.randint(1, 3))] * n for _ in range(n)]
+        elif kind == 1:  # all zeros, one object per row or one per entry
+            rows = [[F(0)] * n if k % 2 else [F(0) for _ in range(n)] for k in range(n)]
+        else:
+            rows = [list(r) for r in random_ultrametric_space(rng, n).rows]
+        if kind == 2:  # distinct but equal objects, and equal values of other text
+            rows = [[F(2 * x.numerator, 2 * x.denominator) if rng.random() < 0.5 else F(str(x)) for x in r]
+                    for r in rows]
+        cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        if kind in (3, 4) and len(cells) >= 2:  # a negative pair before or after an asymmetric one
+            neg, asym = sorted(rng.sample(cells, 2), reverse=kind == 4)
+            rows[neg[0]][neg[1]] = rows[neg[1]][neg[0]] = F(-rng.randint(1, 5), rng.randint(1, 3))
+            i, j = asym if rng.random() < 0.5 else asym[::-1]
+            rows[i][j] += F(1, rng.randint(1, 7))
+        if kind == 5 and cells:  # a negative pair, perhaps asymmetric, perhaps with a bad diagonal
+            i, j = rng.choice(cells)
+            rows[i][j], rows[j][i] = F(-1), F(-2) if rng.random() < 0.5 else F(-1)
+            if rng.random() < 0.5:
+                d = rng.randrange(n)
+                rows[d][d] = F(rng.choice((1, -1)), 3)
+        yield rows
+
+
+def test_rank_check_reports_what_the_fraction_check_reports():
+    rng = random.Random(2026)
+    seen = set()
+    for rows in _planted_matrices(rng):
+        n = len(rows)
+        pts = [f"p{i:02d}" for i in range(n)]
+        named = lambda i, j: repr(pts[i]) if i == j else f"({pts[i]!r}, {pts[j]!r})"
+        numbered = lambda i, j: f"row {i}" if i == j else f"({i}, {j})"
+        want = _outcome(lambda: check_matrix_by_fractions(rows, named, True))
+        assert _outcome(lambda: FiniteMetricSpace(pts, rows)) == want
+        seen.add(want[1].split(" at ")[0] if want else None)
+        want = _outcome(lambda: check_matrix_by_fractions(rows, numbered, False))
+        assert _outcome(lambda: classify_metric(rows)) == want
+        if want is None and n <= 25:
+            assert classify_metric(rows) is _classify_by_fractions(rows)
+    assert seen == {"nonzero diagonal", "asymmetric", "negative distance", None}
+
+
+def _classify_by_fractions(rows):
+    # the classification from the definitions, on the values themselves
+    n = len(rows)
+    off = [rows[i][j] for i in range(n) for j in range(n) if i != j]
+    if any(x < 0 for x in off):
+        return MetricClass.NOT_SEMIMETRIC
+    strong = strong_triangle_by_enumeration(rows)
+    if any(x == 0 for x in off):
+        return MetricClass.PSEUDO_ULTRAMETRIC if strong else MetricClass.NOT_SEMIMETRIC
+    if strong:
+        return MetricClass.ULTRAMETRIC
+    triangle = all(rows[i][j] <= rows[i][k] + rows[k][j] for i in range(n) for j in range(n) for k in range(n))
+    return MetricClass.METRIC_ONLY if triangle else MetricClass.NOT_SEMIMETRIC
+
+
+def test_triangle_fallback_on_scaled_integers_equals_fractions():
+    rng = random.Random(2027)
+    seen = []
+    for _ in range(300):
+        n = rng.randint(3, 12)
+        if rng.random() < 0.5:  # points on a line: the triangle inequality holds with equality
+            xs = rng.sample([F(k, 12) for k in range(200)], n)
+            rows = [[abs(a - b) for b in xs] for a in xs]
+        else:  # mixed denominators, so the common one is large
+            rows = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = rows[j][i] = F(rng.randint(6, 30), rng.randint(1, 9))
+        if rng.random() < 0.6:  # one pair nudged by a hair, up or down
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = rows[j][i] = rows[i][j] + rng.choice((1, -1)) * F(1, rng.randint(100, 900))
+        got = classify_metric(rows)
+        assert got is _classify_by_fractions(rows)
+        seen.append(got)
+    assert seen.count(MetricClass.METRIC_ONLY) >= 30 and seen.count(MetricClass.NOT_SEMIMETRIC) >= 30

@@ -24,8 +24,8 @@ from ultratree.errors import (
     NotUltrametricError,
     TooFewPointsError,
 )
-from ultratree.generators import random_ultrametric_space
-from ultratree.metrics import FiniteMetricSpace, _linkage, classify_metric, minimax_label_metric
+from ultratree.generators import random_tree, random_ultrametric_space
+from ultratree.metrics import FiniteMetricSpace, _linkage, classify_metric, minimax_label_metric, space_from
 from ultratree.representing import ball_id
 from ultratree.oracles import (
     balls_by_enumeration,
@@ -321,3 +321,44 @@ def test_representing_tree_caterpillar_400_closed_form():
         for c in tree.rt.children(v):
             depth[c] = depth[v] + 1
     assert max(depth.values()) == 399
+
+
+def _scale_spaces(rng):
+    # Spaces of 100 to 150 points: deep ones with many distinct distances
+    # (max labels on a random tree), shallow ones with few, and copies with
+    # one pair raised above the diameter or moved to a distance present.
+    t = random_tree(rng, 150)
+    deep, _ = minimax_label_metric(t, {v: F(rng.randint(1, 90), rng.randint(1, 4)) for v in t.vertices})
+    spaces = [deep, random_ultrametric_space(rng, 120)]
+    for space in spaces[:]:
+        rows = [list(r[:100]) for r in space.rows[:100]]
+        values = sorted({x for r in rows for x in r if x})
+        for value in (values[-1] + 1, rng.choice(values)):
+            moved = [r[:] for r in rows]
+            i, j = rng.sample(range(100), 2)
+            moved[i][j] = moved[j][i] = value
+            spaces.append(FiniteMetricSpace(space.points[:100], moved))
+    return spaces
+
+
+def test_engine_at_scale_equals_the_oracles():
+    # Each space is built as io builds it, one object per distinct text, and
+    # as space_from builds it, one object per entry; both rank to one verdict.
+    verdicts = []
+    for space in _scale_spaces(random.Random(89)):
+        # the enumeration sees the same order on integers, ranked here
+        rank = {x: k for k, x in enumerate(sorted({x for r in space.rows for x in r}))}
+        strong = strong_triangle_by_enumeration([[rank[x] for x in r] for r in space.rows])
+        want = tio.labeled_tree_to_json(hierarchy_by_diametrical_blocks(space)) if strong else None
+        shared = tio.load_matrix_text(tio.matrix_to_csv(space))
+        separate = space_from(space.points, lambda x, y: F(str(space.distance(x, y))))
+        for built in (shared, separate):
+            assert built == space
+            assert (built.classify() is MetricClass.ULTRAMETRIC) == strong
+            if strong:
+                assert tio.labeled_tree_to_json(representing_tree(built)) == want
+            else:
+                with pytest.raises(NotUltrametricError):
+                    representing_tree(built)
+        verdicts.append(strong)
+    assert verdicts.count(True) >= 2 and verdicts.count(False) >= 2
