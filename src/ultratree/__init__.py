@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(
         ("Graph", "Path", "RootedTree", "Tree", "degree_sets", "edge_key",
-         "find_cycle", "find_path", "subtree_below", "tree_from_edges"),
+         "find_path", "subtree_below", "tree_from_edges"),
         "graphs",
     ),
     **dict.fromkeys(
@@ -48,7 +48,7 @@ _EXPORTS = {
         "analysis",
     ),
     **dict.fromkeys(("Rational", "format_rational", "parse_rational"), "rational"),
-    "all_simple_paths": "oracles",
+    **dict.fromkeys(("all_simple_paths", "find_cycle"), "oracles"),
 }
 
 __all__ = list(_EXPORTS)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .duality import EquidistantTree, root_distances
 from .errors import (
@@ -19,8 +19,10 @@ from .errors import (
     NotPlantedError,
     NotUltrametricError,
 )
-from .graphs import RootedTree, Tree, Vertex, degree_sets, edge_key, record
-from .metrics import FiniteMetricSpace, MetricClass, normalize_weights, restrict
+from .graphs import RootedTree, Tree, Vertex, degree_sets, edge_key, normalize_weights, record
+
+if TYPE_CHECKING:
+    from .metrics import FiniteMetricSpace
 
 ZERO = Fraction(0)
 
@@ -88,6 +90,8 @@ def star_equidistant_witness(t: Tree) -> Optional[dict]:
 
 def sphere_center_check(space: FiniteMetricSpace) -> Optional[tuple[Vertex, Fraction]]:
     """A point c with every other point at one common distance t > 0, if any."""
+    from .metrics import MetricClass
+
     if space.classify() is not MetricClass.ULTRAMETRIC:
         raise NotUltrametricError("sphere check needs an ultrametric space")
     for c in space.points:
@@ -130,6 +134,8 @@ class DiameterBound:
 
 
 def diameter_bound_check(et: EquidistantTree) -> DiameterBound:
+    from .metrics import restrict
+
     v0, v1, _ = degree_sets(et.rt)
     space = et.metric()
     diam_v0 = restrict(space, v0).diameter()

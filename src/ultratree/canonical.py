@@ -6,11 +6,9 @@ child codes, built from the leaves up; free flavors root the tree at its one
 or two centers and keep the smaller code.  Rational payloads are embedded in
 canonical lowest-terms text, so value equality and code equality coincide.
 
-General (non-tree) graph isomorphism and isometry search are one small
-pruned search for a bijection carrying a matrix onto another, and one check
-of a given map: a space has its distance matrix, a graph its relation matrix
-(labels on the diagonal, edge weights or an edge mark at adjacent pairs, a
-non-edge mark elsewhere).  They are the oracles fast paths are tested against.
+General (non-tree) graph isomorphism and isometry search run on the matrix
+search of _bijection.py, which is imported only by the calls that use it, so
+comparing trees does not load it.
 """
 
 from __future__ import annotations
@@ -26,16 +24,12 @@ from .errors import (
     SizeLimitError,
     VertexNotFoundError,
 )
-from .graphs import Edge, Graph, Tree, Vertex, edge_key
-from .metrics import (
-    FiniteMetricSpace,
-    normalize_labels,
-    normalize_weights,
-)
+from .graphs import Edge, Graph, Tree, Vertex, edge_key, normalize_labels, normalize_weights
 from .rational import format_rational
 
 if TYPE_CHECKING:
     from .duality import MonotoneTree
+    from .metrics import FiniteMetricSpace
 
 SCHEMA_VERSION = "1"
 GRAPH_SIZE_LIMIT = 8
@@ -148,82 +142,6 @@ def canonical_code(
     return prefix + min(_rooted_code(t, c, lab, wts) for c in tree_centers(t))
 
 
-def _relation_rows(g: Graph, labels: Optional[Mapping], weights: Optional[Mapping]) -> list[list[tuple]]:
-    # (label,) on the diagonal, (weight,) or (1,) at adjacent pairs and () at
-    # every other pair.  A non-edge differs from every edge by length alone,
-    # whatever the payload values, and normalized entries all sort together.
-    index = {v: i for i, v in enumerate(g.vertices)}
-    rows: list[list[tuple]] = [[()] * len(index) for _ in index]
-    if labels is not None:
-        for v, i in index.items():
-            rows[i][i] = (labels[v],)
-    for e in g.edges:
-        i, j = index[e[0]], index[e[1]]
-        rows[i][j] = rows[j][i] = (weights[e],) if weights is not None else (1,)
-    return rows
-
-
-def _search(a: tuple, b: tuple) -> Optional[dict[int, int]]:
-    """An index bijection carrying matrix a onto matrix b, or None.
-
-    a and b are (rows, names) pairs.  Pruning: the sorted multisets of all
-    entries must agree; a point's candidates share its row profile (diagonal
-    entry and sorted row); the point with fewest candidates is placed first.
-    """
-    (rows1, names1), (rows2, names2) = a, b
-    n = len(names1)
-    if n != len(names2):
-        return None
-    if sorted(x for row in rows1 for x in row) != sorted(x for row in rows2 for x in row):
-        return None
-
-    def profile(rows, i: int) -> tuple:
-        return rows[i][i], tuple(sorted(rows[i]))
-
-    profiles2: dict[tuple, list[int]] = {}
-    for j in range(n):
-        profiles2.setdefault(profile(rows2, j), []).append(j)
-    # same-named candidates first, so a matrix searched against itself (or a
-    # same-named copy) yields the identity bijection
-    candidates = [sorted(profiles2.get(profile(rows1, i), []), key=lambda j, i=i: (names2[j] != names1[i], j))
-                  for i in range(n)]
-    if not all(candidates):
-        return None
-
-    order = sorted(range(n), key=lambda i: (len(candidates[i]), names1[i]))
-    image: dict[int, int] = {}
-    used: set[int] = set()
-
-    def assign(k: int) -> bool:
-        if k == n:
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if j in used or any(rows1[i][i2] != rows2[j][j2] for i2, j2 in image.items()):
-                continue
-            image[i] = j
-            used.add(j)
-            if assign(k + 1):
-                return True
-            del image[i]
-            used.discard(j)
-        return False
-
-    return image if assign(0) else None
-
-
-def _carries(mapping: Mapping[Vertex, Vertex], a: tuple, b: tuple) -> bool:
-    # The check of a given map: a bijection from a's names onto b's that
-    # carries every entry of matrix a onto the entry of matrix b at the images.
-    (rows1, names1), (rows2, names2) = a, b
-    if sorted(mapping) != list(names1) or sorted(mapping.values()) != list(names2):
-        return False
-    at = {v: j for j, v in enumerate(names2)}
-    image = [at[mapping[v]] for v in names1]
-    n = len(image)
-    return all(rows1[i][k] == rows2[image[i]][image[k]] for i in range(n) for k in range(i, n))
-
-
 def are_isomorphic(
     g1: Graph,
     g2: Graph,
@@ -257,16 +175,15 @@ def are_isomorphic(
         raise SizeLimitError(
             f"graph isomorphism is limited to {GRAPH_SIZE_LIMIT} vertices"
         )
-    lab1 = normalize_labels(g1, labels1) if labels1 is not None else None
-    lab2 = normalize_labels(g2, labels2) if labels2 is not None else None
-    w1 = normalize_weights(g1, weights1, strict=False) if weights1 is not None else None
-    w2 = normalize_weights(g2, weights2, strict=False) if weights2 is not None else None
-    rows1, rows2 = _relation_rows(g1, lab1, w1), _relation_rows(g2, lab2, w2)
-    return _search((rows1, g1.vertices), (rows2, g2.vertices)) is not None
+    from ._bijection import _graph_search
+
+    return _graph_search(g1, g2, labels1, labels2, weights1, weights2)
 
 
 def is_isometry(s1: FiniteMetricSpace, s2: FiniteMetricSpace, mapping: Mapping[Vertex, Vertex]) -> bool:
     """Check a specific bijection preserves all distances."""
+    from ._bijection import _carries
+
     return _carries(mapping, (s1.rows, s1.points), (s2.rows, s2.points))
 
 
@@ -285,6 +202,8 @@ def is_isomorphism(
 
     Labels and weights count when labels1 and weights1 are given.
     """
+    from ._bijection import _carries, _relation_rows
+
     rows1 = _relation_rows(g1, labels1, weights1)
     rows2 = _relation_rows(g2, None if labels1 is None else labels2, None if weights1 is None else weights2)
     carried = _carries(mapping, (rows1, g1.vertices), (rows2, g2.vertices))
@@ -303,6 +222,8 @@ def isometry_search(
         raise SizeLimitError(
             f"isometry search is limited to {ISOMETRY_SIZE_LIMIT} points"
         )
+    from ._bijection import _search
+
     image = _search((s1.rows, s1.points), (s2.rows, s2.points))
     return None if image is None else {s1.points[i]: s2.points[j] for i, j in sorted(image.items())}
 

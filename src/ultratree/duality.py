@@ -10,17 +10,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .errors import NotEquidistantError, NotMonotoneError
-from .graphs import Edge, Graph, RootedTree, Tree, Vertex, degree_sets, edge_key, record
-from .metrics import (
-    FiniteMetricSpace,
-    additive_metric,
-    label_tree_metric,
-    normalize_labels,
-    normalize_weights,
-)
+from .graphs import (Edge, Graph, RootedTree, Tree, Vertex, degree_sets, edge_key, normalize_labels,
+                     normalize_weights, record)
+
+if TYPE_CHECKING:
+    from .metrics import FiniteMetricSpace
 
 ZERO = Fraction(0)
 
@@ -54,6 +51,8 @@ class EquidistantTree:
         object.__setattr__(self, "K", sums.pop())
 
     def metric(self) -> FiniteMetricSpace:
+        from .metrics import additive_metric
+
         return additive_metric(self.rt.tree, self.weights)
 
     def v0(self) -> frozenset[Vertex]:
@@ -77,6 +76,8 @@ class MonotoneTree:
         object.__setattr__(self, "labels", labels)
 
     def metric(self) -> FiniteMetricSpace:
+        from .metrics import label_tree_metric
+
         return label_tree_metric(self.rt.tree, self.labels)[0]
 
     def v0(self) -> frozenset[Vertex]:

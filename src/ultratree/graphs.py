@@ -11,10 +11,11 @@ sets), so equal inputs give identical outputs.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
-from .errors import VertexNotFoundError
+from .errors import NonPositiveWeightError, VertexNotFoundError
 
 Vertex = str
 Edge = tuple[str, str]
@@ -176,6 +177,31 @@ def tree_from_edges(edges: Iterable[Iterable[Vertex]], vertices: Iterable[Vertex
     return Tree(Graph(vs, es))
 
 
+def normalize_weights(g: Graph, w: Mapping, strict: bool = True) -> dict[Edge, Fraction]:
+    """Check a weight map is total on E(g) and (optionally) strictly positive."""
+    out: dict[Edge, Fraction] = {}
+    for raw_key, raw_val in w.items():
+        u, v = raw_key
+        out[edge_key(u, v)] = raw_val if isinstance(raw_val, Fraction) else Fraction(raw_val)
+    for e in g.edges:
+        if e not in out:
+            raise NonPositiveWeightError(f"missing weight for edge {e!r}")
+        if out[e] < 0 or (strict and out[e] == 0):
+            raise NonPositiveWeightError(f"weight {out[e]} on edge {e!r}")
+    return {e: out[e] for e in g.edges}
+
+
+def normalize_labels(g: Graph, l: Mapping) -> dict[Vertex, Fraction]:
+    """Check a label map is total on V(g) and nonnegative."""
+    out = {v: val if isinstance(val, Fraction) else Fraction(val) for v, val in l.items()}
+    for v in g.vertices:
+        if v not in out:
+            raise ValueError(f"missing label for vertex {v!r}")
+        if out[v] < 0:
+            raise ValueError(f"negative label {out[v]} on vertex {v!r}")
+    return {v: out[v] for v in g.vertices}
+
+
 @record
 class RootedTree:
     """Tree with a distinguished root; parent/child maps derive from it."""
@@ -240,47 +266,6 @@ def find_path(t: Tree, u: Vertex, v: Vertex) -> Path:
     while path[-1] != v:
         path.append(rt.parent(path[-1]))
     return tuple(path)
-
-
-def _canonical_cycle(cycle: list[Vertex]) -> tuple[Vertex, ...]:
-    # Rotate to the lexicographically smallest vertex, then run toward its
-    # smaller cycle neighbor.
-    k = len(cycle)
-    i = cycle.index(min(cycle))
-    nxt, prv = cycle[(i + 1) % k], cycle[(i - 1) % k]
-    if nxt <= prv:
-        return tuple(cycle[i:] + cycle[:i])
-    rotated = cycle[i::-1] + cycle[:i:-1]
-    return tuple(rotated)
-
-
-def find_cycle(g: Graph) -> Optional[tuple[Vertex, ...]]:
-    """Some cycle of g in canonical rotation, or None if g is acyclic."""
-    parent: dict[Vertex, Optional[Vertex]] = {}
-    color: dict[Vertex, int] = {}
-    for start in g.vertices:
-        if start in color:
-            continue
-        stack: list[tuple[Vertex, Optional[Vertex]]] = [(start, None)]
-        while stack:
-            x, p = stack.pop()
-            if x in color:
-                continue
-            color[x] = 1
-            parent[x] = p
-            for y in g.neighbors(x):
-                if y == p:
-                    continue
-                if y in color:
-                    # back edge x-y: walk x up to y
-                    chain = [x]
-                    while chain[-1] != y:
-                        chain.append(parent[chain[-1]])  # type: ignore[arg-type]
-                    if len(chain) >= 3:
-                        return _canonical_cycle(chain)
-                else:
-                    stack.append((y, x))
-    return None
 
 
 def degree_sets(rt: RootedTree) -> tuple[frozenset[Vertex], frozenset[Vertex], frozenset[Vertex]]:

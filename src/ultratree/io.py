@@ -14,7 +14,6 @@ entries are "p/q") or as the mirroring JSON
 
 from __future__ import annotations
 
-import csv
 import io as _io
 import json
 from fractions import Fraction
@@ -22,10 +21,10 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import ParseError
 from .graphs import Edge, Graph, RootedTree, Tree, Vertex, edge_key, record
-from .metrics import FiniteMetricSpace
 from .rational import format_rational, parse_rational
 
 if TYPE_CHECKING:
+    from .metrics import FiniteMetricSpace
     from .representing import LabeledRootedTree
 
 
@@ -189,6 +188,8 @@ def matrix_from_json(obj) -> FiniteMetricSpace:
 def _matrix(points, matrix) -> FiniteMetricSpace:
     # The tail of both matrix forms, so they refuse the same point ids and
     # entries and report every defect of the space as one ParseError.
+    from .metrics import FiniteMetricSpace
+
     if not isinstance(points, list) or not all(isinstance(p, str) and p for p in points):
         raise ParseError("'points' must be a list of nonempty strings")
     _check_ids(points)
@@ -203,6 +204,8 @@ def _matrix(points, matrix) -> FiniteMetricSpace:
 
 
 def matrix_to_csv(space: FiniteMetricSpace) -> str:
+    import csv
+
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + list(space.points))
@@ -212,6 +215,8 @@ def matrix_to_csv(space: FiniteMetricSpace) -> str:
 
 
 def matrix_from_csv(text: str) -> FiniteMetricSpace:
+    import csv
+
     try:
         rows = [r for r in csv.reader(_io.StringIO(text)) if r]
     except csv.Error as exc:
@@ -246,7 +251,7 @@ def _load_json(text: str):
     # json.loads, refusing an object that repeats a key rather than keep the last
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits or too deep
         raise ParseError(f"bad JSON: {exc}") from exc
 
 

@@ -21,14 +21,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import (
-    BadMatrixError,
-    DisconnectedGraphError,
-    EmptySetError,
-    NonPositiveWeightError,
-    VertexNotFoundError,
-)
-from .graphs import Edge, Graph, Tree, Vertex, edge_key, record
+from .errors import BadMatrixError, DisconnectedGraphError, EmptySetError, VertexNotFoundError
+from .graphs import Edge, Graph, Tree, Vertex, edge_key, normalize_labels, normalize_weights, record
 
 WeightMap = Mapping[Edge, Fraction]
 LabelMap = Mapping[Vertex, Fraction]
@@ -41,31 +35,6 @@ class MetricClass(enum.Enum):
     METRIC_ONLY = "MetricOnly"
     ULTRAMETRIC = "Ultrametric"
     PSEUDO_ULTRAMETRIC = "PseudoUltrametric"
-
-
-def normalize_weights(g: Graph, w: Mapping, strict: bool = True) -> dict[Edge, Fraction]:
-    """Check a weight map is total on E(g) and (optionally) strictly positive."""
-    out: dict[Edge, Fraction] = {}
-    for raw_key, raw_val in w.items():
-        u, v = raw_key
-        out[edge_key(u, v)] = raw_val if isinstance(raw_val, Fraction) else Fraction(raw_val)
-    for e in g.edges:
-        if e not in out:
-            raise NonPositiveWeightError(f"missing weight for edge {e!r}")
-        if out[e] < 0 or (strict and out[e] == 0):
-            raise NonPositiveWeightError(f"weight {out[e]} on edge {e!r}")
-    return {e: out[e] for e in g.edges}
-
-
-def normalize_labels(g: Graph, l: Mapping) -> dict[Vertex, Fraction]:
-    """Check a label map is total on V(g) and nonnegative."""
-    out = {v: val if isinstance(val, Fraction) else Fraction(val) for v, val in l.items()}
-    for v in g.vertices:
-        if v not in out:
-            raise ValueError(f"missing label for vertex {v!r}")
-        if out[v] < 0:
-            raise ValueError(f"negative label {out[v]} on vertex {v!r}")
-    return {v: out[v] for v in g.vertices}
 
 
 @record

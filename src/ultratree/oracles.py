@@ -11,6 +11,8 @@ The rest are the direct, quadratic forms of the one-pass routes: the
 Delta-reduction suppressing one out-degree-one vertex per rebuilt rooted
 tree, centers by checking every rooting, the smallest cycle edge by
 deleting each edge in turn, and the rooted canonical code by recursion.
+find_cycle, one depth-first search for some cycle, serves tests only and
+lives here so the library's graph module stays small.
 """
 
 from __future__ import annotations
@@ -73,6 +75,47 @@ def all_simple_paths(g: Graph, u: Vertex, v: Vertex) -> Iterator[Path]:
         yield (u,)
         return
     yield from walk()
+
+
+def _canonical_cycle(cycle: list[Vertex]) -> tuple[Vertex, ...]:
+    # Rotate to the lexicographically smallest vertex, then run toward its
+    # smaller cycle neighbor.
+    k = len(cycle)
+    i = cycle.index(min(cycle))
+    nxt, prv = cycle[(i + 1) % k], cycle[(i - 1) % k]
+    if nxt <= prv:
+        return tuple(cycle[i:] + cycle[:i])
+    rotated = cycle[i::-1] + cycle[:i:-1]
+    return tuple(rotated)
+
+
+def find_cycle(g: Graph) -> Optional[tuple[Vertex, ...]]:
+    """Some cycle of g in canonical rotation, or None if g is acyclic."""
+    parent: dict[Vertex, Optional[Vertex]] = {}
+    color: dict[Vertex, int] = {}
+    for start in g.vertices:
+        if start in color:
+            continue
+        stack: list[tuple[Vertex, Optional[Vertex]]] = [(start, None)]
+        while stack:
+            x, p = stack.pop()
+            if x in color:
+                continue
+            color[x] = 1
+            parent[x] = p
+            for y in g.neighbors(x):
+                if y == p:
+                    continue
+                if y in color:
+                    # back edge x-y: walk x up to y
+                    chain = [x]
+                    while chain[-1] != y:
+                        chain.append(parent[chain[-1]])  # type: ignore[arg-type]
+                    if len(chain) >= 3:
+                        return _canonical_cycle(chain)
+                else:
+                    stack.append((y, x))
+    return None
 
 
 def unique_path_by_enumeration(t: Tree, u: Vertex, v: Vertex) -> Path:

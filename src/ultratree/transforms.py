@@ -14,12 +14,13 @@ Tarjan 1974), and one for rooted trees with a pass-through vertex.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .duality import EquidistantTree, root_distances
 from .errors import AcyclicInputError, DisconnectedGraphError, PathTreeError
-from .graphs import Edge, Graph, RootedTree, Tree, Vertex, degree_sets, edge_key, record
-from .metrics import normalize_labels
+from .graphs import Edge, Graph, RootedTree, Tree, Vertex, degree_sets, edge_key, normalize_labels, record
+
+if TYPE_CHECKING:
+    from .duality import EquidistantTree
 
 
 @record
@@ -39,6 +40,8 @@ def reduce_nabla(et: EquidistantTree) -> NablaResult:
     its nearest kept ancestor, at their difference in root distance.  Fails
     on weighted paths, where nothing would remain.
     """
+    from .duality import EquidistantTree, root_distances
+
     _, v1, v2 = degree_sets(et.rt)
     if not v2:
         raise PathTreeError("every vertex has out-degree at most one")
@@ -179,6 +182,8 @@ def passthrough_counterexample_pair(et: EquidistantTree) -> tuple[EquidistantTre
     root is the only pass-through vertex its pendant edge is re-weighted
     instead, which shifts K but no leaf-to-leaf distance.
     """
+    from .duality import EquidistantTree
+
     _, ones, _ = degree_sets(et.rt)
     if not ones:
         raise PathTreeError("no out-degree-one vertex to exploit")

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,9 @@ def test_matrix_json_and_csv_round_trip():
 # name, document text, message).  Numbers must be exact, so JSON true/false
 # and floats (1e-400 arrives as 0.0) are not rationals; ids may not contain
 # '|' in either matrix form; an edge has one weight; a JSON object repeats no key.
+# JSON nested past the recursion limit, or holding an integer past int's digit
+# limit, does not parse.
+_TOO_DEEP = "bad JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 _REFUSED = (
     ("repr", "bools.json", '{"points": ["a", "b"], "matrix": [[false, true], [true, false]]}',
      "not a rational: False"),
@@ -75,6 +79,12 @@ _REFUSED = (
     ("reduce", "repeated_weight.json",
      '{"vertices": ["a", "b"], "edges": [["a", "b"]], "root": "a", "weights": {"a|b": "1", "a|b": "2"}}',
      "bad JSON: repeated key 'a|b'"),
+    ("reduce", "deep_vertices.json", '{"vertices": ' + "[" * 5000 + "]" * 5000 + "}", _TOO_DEEP),
+    ("repr", "deep_matrix.json", '{"points": ["a"], "matrix": ' + "[" * 3000 + "]" * 3000 + "}", _TOO_DEEP),
+    ("reduce", "long_weight.json",
+     '{"vertices": ["a", "b"], "edges": [["a", "b"]], "root": "a", "weights": {"a|b": ' + "7" * 5000 + "}}",
+     "bad JSON: Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
+     "use sys.set_int_max_str_digits() to increase the limit"),
 )
 
 
@@ -388,37 +398,105 @@ def _modules_loaded_by(*argv):
     return {m[len("ultratree."):] for m in package}, set(modules) - package
 
 
-def test_each_verb_loads_only_its_modules(tmp_path):
+def _verb_runs(tmp_path):
+    """CLI arguments for one small valid call of every verb."""
     g, labels = fig6_graph()
     space, _ = minimax_label_metric(g, labels)
     matrix = _write(tmp_path, "fig6.json", tio.dump_json(tio.matrix_to_json(space)))
     graph = _write(tmp_path, "fig6g.json", tio.dump_json(tio.graph_to_json(g, labels=labels)))
     rt, w = fig10_tree()
     tree = _write(tmp_path, "fig10.json", tio.dump_json(tio.graph_to_json(rt.tree, root="r", weights=w)))
-    runs = {
-        "repr": [matrix],
-        "iso": ["--flavor", "rweight", tree, tree],
-        "isometry": [matrix, matrix],
-        "dual": ["--direction", "w2l", tree],
-        "reduce": [tree],
-        "spanning": [graph],
-        "analyze": [tree],
-        "ballean": [matrix],
-        "counterexample": [graph],
-        "selftest": [],
+    return {
+        "repr": ["repr", matrix],
+        "iso": ["iso", "--flavor", "rweight", tree, tree],
+        "isometry": ["isometry", matrix, matrix],
+        "isometry --fast-ultrametric": ["isometry", "--fast-ultrametric", matrix, matrix],
+        "dual": ["dual", "--direction", "w2l", tree],
+        "reduce": ["reduce", tree],
+        "spanning": ["spanning", graph],
+        "analyze": ["analyze", tree],
+        "ballean": ["ballean", matrix],
+        "counterexample": ["counterexample", graph],
+        "selftest": ["selftest"],
     }
-    loaded = {verb: _modules_loaded_by(verb, *argv) for verb, argv in runs.items()}
+
+
+def test_each_verb_loads_only_its_modules(tmp_path):
+    runs = _verb_runs(tmp_path)
+    loaded = {verb: _modules_loaded_by(*argv) for verb, argv in runs.items()}
     package = {verb: modules for verb, (modules, _) in loaded.items()}
 
     assert _modules_loaded_by("--help")[0] <= {"cli", "errors"}
     assert not package["iso"] & {"analysis", "duality", "representing", "selftest", "transforms"}
     assert not package["repr"] & {"analysis", "canonical", "duality", "selftest", "transforms"}
     assert [verb for verb, modules in package.items() if "selftest" in modules] == ["selftest"]
+    # No verb on trees or graphs reads a matrix, so none loads the matrix layer, the
+    # bijection search or csv; spanning and counterexample need no duality either.
+    for verb in ("iso", "dual", "reduce", "analyze", "spanning", "counterexample"):
+        assert not package[verb] & {"metrics", "_bijection"}, verb
+        assert "csv" not in loaded[verb][1], verb
+    for verb in ("spanning", "counterexample"):
+        assert "duality" not in package[verb], verb
+    assert "_bijection" in package["isometry"]
     # Records come from graphs.record, so no verb pays for the code-generating
     # dataclasses module and the inspect module it imports.
     assert {verb: others & {"dataclasses", "inspect"} for verb, (_, others) in loaded.items()} == dict.fromkeys(
         runs, set()
     )
+
+
+# Source lines each verb compiles (the harness keeps no bytecode): cli.py, the
+# package's __init__.py and every submodule the call loads.  Tree and graph
+# verbs compile no matrix code; the others stay within what they compiled
+# before the matrix layer was split off.
+_SOURCE_LINE_CEILINGS = {
+    "iso": 1300, "dual": 1300, "spanning": 1300, "counterexample": 1300,
+    "repr": 1548, "ballean": 1548, "isometry": 1714, "isometry --fast-ultrametric": 1885,
+    "analyze": 1743, "reduce": 1784, "selftest": 2685,
+}
+
+
+def test_each_verb_compiles_at_most_its_ceiling_of_source_lines(tmp_path):
+    import ultratree
+
+    package_dir = Path(ultratree.__file__).parent
+    runs = _verb_runs(tmp_path)
+    lines = {}
+    for verb, argv in runs.items():
+        modules = _modules_loaded_by(*argv)[0] - {"corpus"}  # the selftest corpus is data, not code
+        sources = [package_dir / f"{name}.py" for name in sorted(modules | {"__init__", "cli"})]
+        lines[verb] = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in sources)
+    assert {verb: n for verb, n in lines.items() if n > _SOURCE_LINE_CEILINGS[verb]} == {}
+
+
+# The library names the CLI binds, by defining module.  The traced benchmark
+# replay names each span after the wrapped object's module, so moving one of
+# these would rename its layer.
+_CLI_CALL_MODULES = {
+    "label_tree_metric": "metrics",
+    **dict.fromkeys(("representing_tree", "ballean", "ballean_tree"), "representing"),
+    **dict.fromkeys(("are_isomorphic", "isometry_search", "ultrametric_isometric"), "canonical"),
+    **dict.fromkeys(("EquidistantTree", "MonotoneTree", "weight_to_labeling", "labeling_to_weight"), "duality"),
+    **dict.fromkeys(("reduce_nabla", "bottleneck_spanning_tree", "cyclic_weight_counterexample"), "transforms"),
+    "analyze": "analysis",
+}
+_IO_CALLS = ("load_matrix_text", "load_graph_text", "labeled_tree_to_json", "graph_to_json", "dump_json")
+
+
+def test_names_the_cli_binds_keep_their_defining_modules():
+    import importlib.util
+
+    from ultratree import cli
+
+    assert {name: getattr(cli, name).__module__ for name in _CLI_CALL_MODULES} == {
+        name: f"ultratree.{module}" for name, module in _CLI_CALL_MODULES.items()
+    }
+    assert {name: getattr(cli.tio, name).__module__ for name in _IO_CALLS} == dict.fromkeys(_IO_CALLS, "ultratree.io")
+    # the same names the benchmark wraps
+    spec = importlib.util.spec_from_file_location("spans", Path(__file__).parents[1] / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert sorted(spans.CLI_CALLS) == sorted(_CLI_CALL_MODULES) and spans.IO_CALLS == _IO_CALLS
 
 
 def test_public_api_resolves_lazily_to_the_defining_objects():
