@@ -12,26 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from importlib import import_module
 
 from .errors import ParseError, UltratreeError
-
-# Library names the verbs call, by defining module.  Each is imported on first
-# use and bound in this module's globals, where the handlers look it up at call
-# time, so a verb loads only its own modules and a name rebound on this module
-# (as the traced replay does) is the one that runs.
-_LIBRARY = {
-    "tio": "io",
-    "analyze": "analysis",
-    **dict.fromkeys(("IsoFlavor", "_LABELED", "_ROOTED", "_WEIGHTED", "are_isomorphic", "isometry_search",
-                     "ultrametric_isometric"), "canonical"),
-    **dict.fromkeys(("EquidistantTree", "MonotoneTree", "labeling_to_weight", "weight_to_labeling"), "duality"),
-    "label_tree_metric": "metrics",
-    "format_rational": "rational",
-    **dict.fromkeys(("ballean", "ballean_tree", "representing_tree"), "representing"),
-    "run_selftest": "selftest",
-    **dict.fromkeys(("cyclic_weight_counterexample", "reduce_nabla", "bottleneck_spanning_tree"), "transforms"),
-}
 
 # IsoFlavor values, in order, so that building the parser imports no library
 ISO_FLAVORS = ("free", "rooted", "vlabel", "eweight", "rlabel", "rweight")
@@ -42,16 +24,20 @@ EXIT_PARSE = 2
 
 
 def _load(*names: str) -> None:
-    """Bind each library name in this module's globals unless it is bound."""
-    scope = globals()
+    """Bind each library name in this module's globals unless it is bound.
+
+    Names come through the package (`tio` is its `io`) on first use.  The
+    handlers look them up at call time, so a verb loads only its own modules
+    and a name rebound on this module (as the traced replay does) is the one
+    that runs."""
+    scope, package = globals(), sys.modules[__package__]
     for name in names:
         if name not in scope:
-            module = import_module(f".{_LIBRARY[name]}", __package__)
-            scope[name] = module if name == "tio" else getattr(module, name)
+            scope[name] = getattr(package, "io" if name == "tio" else name)
 
 
 def __getattr__(name: str):
-    if name not in _LIBRARY:
+    if name != "tio" and name not in sys.modules[__package__].__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load(name)
     return globals()[name]
@@ -75,7 +61,12 @@ def _emit(text: str, output: str | None) -> None:
         except OSError as exc:
             raise ParseError(f"cannot write {output}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit is quiet
+            raise ParseError(f"cannot write stdout: {exc}") from exc
 
 
 def _error_json(exc: Exception) -> str:
@@ -105,7 +96,9 @@ def _cmd_repr(args) -> str:
 
 
 def _cmd_iso(args) -> str:
-    _load("IsoFlavor", "_LABELED", "_WEIGHTED", "_ROOTED", "are_isomorphic")
+    from .canonical import _LABELED, _ROOTED, _WEIGHTED
+
+    _load("IsoFlavor", "are_isomorphic")
     flavor = IsoFlavor(args.flavor)
     a, b = _graph_arg(args.left), _graph_arg(args.right)
     verdict = are_isomorphic(
@@ -213,7 +206,8 @@ def _cmd_counterexample(args) -> str:
 
 
 def _cmd_selftest(args) -> str:
-    _load("run_selftest")
+    from .selftest import run_selftest
+
     seed = int(os.environ.get("ULTRATREE_SEED", "0"))
     report, ok = run_selftest(seed)
     if not ok:
@@ -287,8 +281,8 @@ def main(argv=None) -> int:
         text, status = _error_json(exc), EXIT_PARSE if isinstance(exc, ParseError) else EXIT_DOMAIN
     try:
         _emit(text, args.output)
-    except ParseError as exc:  # the output file cannot take the error object either
-        sys.stdout.write(_error_json(exc))
+    except ParseError as exc:  # the output cannot take the error object either
+        (sys.stdout if args.output and args.output != "-" else sys.stderr).write(_error_json(exc))
         return EXIT_PARSE
     return status
 

@@ -102,12 +102,10 @@ def space_from(points: Iterable[Vertex], dist: Callable[[Vertex, Vertex], Fracti
 
 def _rank(mat: Sequence[Sequence]) -> tuple[list, tuple[tuple[int, ...], ...]]:
     # The distinct values in increasing order, and the matrix of their ranks.  Entries are
-    # told apart by identity, then by exact ratio, a pair of ints that hashes fast.
-    objs = {id(x): x for row in mat for x in row}
-    values = sorted({x.as_integer_ratio(): x for x in objs.values()}.values())  # one object per value
+    # told apart by exact ratio, a pair of ints that hashes fast.
+    values = sorted({x.as_integer_ratio(): x for row in mat for x in row}.values())  # one object per value
     rank = {x.as_integer_ratio(): r for r, x in enumerate(values)}
-    by_id = {i: rank[x.as_integer_ratio()] for i, x in objs.items()}
-    return values, tuple(tuple(map(by_id.__getitem__, map(id, row))) for row in mat)
+    return values, tuple(tuple([rank[x.as_integer_ratio()] for x in row]) for row in mat)
 
 
 def _check_matrix(values: Sequence, ranks: Sequence[tuple], where: Callable, nonnegative: bool) -> None:

@@ -6,15 +6,16 @@ vertices; one walk from the root finds each kept vertex's nearest kept
 ancestor.  The bottleneck spanning tree realizes the minimax label metric
 of a connected graph on a tree: Kruskal's algorithm on the edge key
 max(l(u), l(v)) (Hu 1961).  Two counterexample constructions produce weight
-pairs that are isometric but non-isomorphic, one for cyclic graphs, whose
-heavy edge is the smallest edge that is not a bridge (one low-link search,
-Tarjan 1974), and one for rooted trees with a pass-through vertex.
+pairs that are isometric but non-isomorphic: one for cyclic graphs, whose
+heavy edge is the last edge Kruskal's pass from the largest edge down finds
+already joined, and a closed-form re-split for rooted trees with a
+pass-through vertex.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import AcyclicInputError, DisconnectedGraphError, PathTreeError
 from .graphs import Edge, Graph, RootedTree, Tree, Vertex, degree_sets, edge_key, normalize_labels, record
@@ -89,6 +90,25 @@ def nabla_geometric_membership(et: EquidistantTree, x: Vertex) -> bool:
     )
 
 
+def _kruskal(g: Graph, edges: Iterable[Edge]) -> tuple[list[Edge], list[Edge]]:
+    # One union-find pass over the edges in the given order: the edges that
+    # join two components, and the edges whose ends are already joined.
+    leader = {v: v for v in g.vertices}
+
+    def find(v: Vertex) -> Vertex:
+        while leader[v] != v:
+            leader[v] = leader[leader[v]]
+            v = leader[v]
+        return v
+
+    joined: tuple[list[Edge], list[Edge]] = ([], [])
+    for u, v in edges:
+        a, b = find(u), find(v)
+        leader[a] = b  # a no-op when the ends are already joined
+        joined[a == b].append((u, v))
+    return joined
+
+
 def bottleneck_spanning_tree(g: Graph, l: Mapping) -> Tree:
     """A spanning tree whose max-label path metric equals the graph's
     minimax label metric.
@@ -101,56 +121,19 @@ def bottleneck_spanning_tree(g: Graph, l: Mapping) -> Tree:
     if not g.is_connected():
         raise DisconnectedGraphError("spanning tree needs a connected graph")
     labels = normalize_labels(g, l)
-    leader = {v: v for v in g.vertices}
-
-    def find(v: Vertex) -> Vertex:
-        while leader[v] != v:
-            leader[v] = leader[leader[v]]
-            v = leader[v]
-        return v
-
-    chosen = []
-    for u, v in sorted(g.edges, key=lambda e: (max(labels[e[0]], labels[e[1]]), e)):
-        a, b = find(u), find(v)
-        if a != b:
-            leader[a] = b
-            chosen.append((u, v))
+    chosen = _kruskal(g, sorted(g.edges, key=lambda e: (max(labels[e[0]], labels[e[1]]), e)))[0]
     return Tree(Graph(g.vertices, chosen))
 
 
 def _cycle_edge(g: Graph) -> Edge:
-    # Lexicographically smallest edge lying on a cycle, i.e. the smallest
-    # edge that is not a bridge.  One iterative depth-first search numbers
-    # the vertices in visiting order; low[v] is the smallest number reached
-    # from v's subtree by one back edge, and the tree edge into v is a bridge
-    # iff low[v] exceeds its parent's number.
-    number: dict[Vertex, int] = {}
-    low: dict[Vertex, int] = {}
-    bridges: set[Edge] = set()
-    for start in g.vertices:
-        if start in number:
-            continue
-        number[start] = low[start] = len(number)
-        stack = [(start, None, iter(g.neighbors(start)))]
-        while stack:
-            v, parent, rest = stack[-1]
-            for u in rest:
-                if u not in number:
-                    number[u] = low[u] = len(number)
-                    stack.append((u, v, iter(g.neighbors(u))))
-                    break
-                if u != parent:
-                    low[v] = min(low[v], number[u])
-            else:
-                stack.pop()
-                if parent is not None:
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > number[parent]:
-                        bridges.add(edge_key(parent, v))
-    for e in g.edges:
-        if e not in bridges:
-            return e
-    raise AcyclicInputError("graph has no cycle")
+    # Lexicographically smallest edge lying on a cycle.  Walked from the
+    # largest edge down, an edge's ends are already joined exactly when it is
+    # the smallest edge of some cycle, so the smallest edge on any cycle is
+    # the last such edge.
+    closing = _kruskal(g, reversed(g.edges))[1]
+    if not closing:
+        raise AcyclicInputError("graph has no cycle")
+    return closing[-1]
 
 
 def cyclic_weight_counterexample(g: Graph) -> tuple[dict[Edge, Fraction], dict[Edge, Fraction]]:
@@ -174,50 +157,34 @@ def cyclic_weight_counterexample(g: Graph) -> tuple[dict[Edge, Fraction], dict[E
 
 def passthrough_counterexample_pair(et: EquidistantTree) -> tuple[EquidistantTree, EquidistantTree]:
     """Two equidistant weights on one rooted tree with a pass-through vertex:
-    non-isomorphic as rooted weighted trees, with identical distance
-    matrices on the out-degree-zero vertices.
+    et itself and a re-weighting with the same distance matrix on the
+    out-degree-zero vertices, non-isomorphic as rooted weighted trees and as
+    their paired monotone labelings.
 
-    At a non-root pass-through vertex the two incident weights are re-split
-    two different ways with the same sum, using four fresh values; when the
-    root is the only pass-through vertex its pendant edge is re-weighted
-    instead, which shifts K but no leaf-to-leaf distance.
+    At the smallest non-root pass-through vertex v, with weights a above and
+    b below, the second weight puts x = min(a, b)/2 above and a + b - x below.
+    Every path between out-degree-zero vertices that meets v uses both edges,
+    so those distances and K stay.  As x < min(a, b) and a + b - x > max(a, b)
+    the weight multiset changes; as x != a, v's label 2(K - dist(v)) changes
+    and no other label moves.  When the root is the only pass-through vertex
+    its pendant edge's weight doubles instead: the root is no out-degree-zero
+    vertex, so no such distance changes, while the weight multiset does and
+    K grows by the old weight, which moves the root's label.
     """
     from .duality import EquidistantTree
 
-    _, ones, _ = degree_sets(et.rt)
+    rt, w2 = et.rt, dict(et.weights)
+    _, ones, _ = degree_sets(rt)
     if not ones:
         raise PathTreeError("no out-degree-one vertex to exploit")
-    existing = set(et.weights.values())
-
-    interior = sorted(v for v in ones if v != et.rt.root)
+    interior = ones - {rt.root}
     if interior:
-        v = interior[0]
-        parent = et.rt.parent(v)
-        (child,) = et.rt.children(v)
-        assert parent is not None
-        e_up, e_down = edge_key(parent, v), edge_key(v, child)
-        total = et.weights[e_up] + et.weights[e_down]
-        # Each existing weight can rule out at most four q values.
-        for q in range(7, 4 * len(existing) + 17, 2):
-            eps = total / q
-            values = (total / 2 - eps, total / 2 + eps, total / 2 - 2 * eps, total / 2 + 2 * eps)
-            if len(set(values)) == 4 and not (set(values) & existing) and min(values) > 0:
-                s1, s2, t1, t2 = values
-                w1 = dict(et.weights)
-                w2 = dict(et.weights)
-                w1[e_up], w1[e_down] = s1, s2
-                w2[e_up], w2[e_down] = t1, t2
-                return EquidistantTree(et.rt, w1), EquidistantTree(et.rt, w2)
-        raise RuntimeError("could not find fresh split values")
-
-    # Root is the only pass-through vertex: re-weight its pendant edge.
-    (child,) = et.rt.children(et.rt.root)
-    e = edge_key(et.rt.root, child)
-    base = et.weights[e]
-    for q in range(2, 100):
-        fresh = base * Fraction(q + 1, q)
-        if fresh not in existing:
-            w2 = dict(et.weights)
-            w2[e] = fresh
-            return EquidistantTree(et.rt, dict(et.weights)), EquidistantTree(et.rt, w2)
-    raise RuntimeError("could not find a fresh pendant weight")
+        v = min(interior)
+        (child,) = rt.children(v)
+        e_up, e_down = edge_key(rt.parent(v), v), edge_key(v, child)
+        a, b = w2[e_up], w2[e_down]
+        w2[e_up] = x = min(a, b) / 2
+        w2[e_down] = a + b - x
+    else:
+        w2[edge_key(rt.root, *rt.children(rt.root))] *= 2
+    return et, EquidistantTree(rt, w2)

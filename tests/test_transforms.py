@@ -14,6 +14,7 @@ from ultratree import (
     bottleneck_spanning_tree,
     passthrough_counterexample_pair,
     canonical_code,
+    check_equidistant,
     degree_sets,
     isometry_search,
     label_tree_metric,
@@ -242,33 +243,67 @@ def test_same_shape_biconditional_no_pass_through():
         assert iso == (isometry_search(s1, s2) is not None)
 
 
+def _more_pass_through_trees(rng):
+    """A planted star, where only the root passes through; an interior
+    pass-through vertex with equal weights above and below; a chain of
+    pass-through vertices from the root; then random trees of 200-500
+    vertices with a pass-through vertex."""
+    star = RootedTree(tree_from_edges([("r", "c"), ("c", "x"), ("c", "y"), ("c", "z")]), "r")
+    even = RootedTree(tree_from_edges([("r", "v"), ("v", "y"), ("r", "x")]), "r")
+    chain = RootedTree(tree_from_edges([("r", "p1"), ("p1", "p2"), ("p2", "p3"), ("p3", "x"), ("p3", "y")]), "r")
+    trees = [
+        EquidistantTree(star, {("c", "r"): F(2), ("c", "x"): F(3), ("c", "y"): F(3), ("c", "z"): F(3)}),
+        EquidistantTree(even, {("r", "v"): F(2), ("v", "y"): F(2), ("r", "x"): F(4)}),
+        EquidistantTree(chain, {("p1", "r"): F(1), ("p1", "p2"): F(1, 2), ("p2", "p3"): F(3),
+                                ("p3", "x"): F(5, 2), ("p3", "y"): F(5, 2)}),
+    ]
+    while len(trees) < 6:
+        et = random_equidistant_tree(rng, 200, 500)
+        if degree_sets(et.rt)[1]:
+            trees.append(et)
+    return trees
+
+
+def _checked_pass_through_pair(et):
+    # the first is et; the second is equidistant on the same rooted tree,
+    # with the same matrix on the out-degree-zero vertices
+    w1, w2 = passthrough_counterexample_pair(et)
+    assert w1 is et and w2.rt == et.rt
+    assert check_equidistant(et.rt, w2.weights) == w2.K
+    assert restrict(w1.metric(), w1.v0()) == restrict(w2.metric(), w2.v0())
+    return w1, w2
+
+
 def test_pass_through_shapes_break_the_biconditional():
     rng = random.Random(167)
-    done = 0
-    while done < 20:
+    trees = []
+    while len(trees) < 20:
         et = random_equidistant_tree(rng, 2, 9)
-        if not degree_sets(et.rt)[1]:
-            continue
-        done += 1
-        w1, w2 = passthrough_counterexample_pair(et)
-        assert restrict(w1.metric(), w1.v0()) == restrict(w2.metric(), w2.v0())
+        if degree_sets(et.rt)[1]:
+            trees.append(et)
+    root_only = 0
+    for et in trees + _more_pass_through_trees(rng):
+        w1, w2 = _checked_pass_through_pair(et)
         assert not are_isomorphic(
             et.rt.tree, et.rt.tree, IsoFlavor.ROOTED_WEIGHTED,
             weights1=w1.weights, weights2=w2.weights, root1=et.rt.root, root2=et.rt.root,
         )
+        root_only += degree_sets(et.rt)[1] == {et.rt.root}
+    assert root_only >= 1
 
 
 def test_pass_through_shapes_break_the_label_biconditional():
     # dual form: same metric on out-degree-zero vertices, labelings not isomorphic
     rng = random.Random(173)
-    done = 0
-    while done < 15:
+    trees = []
+    while len(trees) < 15:
         et = random_equidistant_tree(rng, 3, 9)
         v0, v1, _ = degree_sets(et.rt)
-        if not v1 or len(v0) < 2:
-            continue
-        done += 1
-        w1, w2 = passthrough_counterexample_pair(et)
+        if v1 and len(v0) >= 2:
+            trees.append(et)
+    for et in trees + _more_pass_through_trees(rng):
+        v0 = et.v0()
+        w1, w2 = _checked_pass_through_pair(et)
         m1, m2 = weight_to_labeling(w1), weight_to_labeling(w2)
         s1 = restrict(label_tree_metric(et.rt.tree, m1.labels)[0], v0)
         s2 = restrict(label_tree_metric(et.rt.tree, m2.labels)[0], v0)
@@ -385,6 +420,11 @@ def test_cycle_edge_equals_deletion_oracle():
         bridged += expected != g.edges[0]
         assert _cycle_edge(g) == expected
     assert bridged > 30 and acyclic > 20
+    # a 20k-vertex path plus one chord, past the oracle's reach: the cycle runs
+    # along the path between the chord's ends, so its smallest edge leaves the lower end
+    path = [f"p{i:05d}" for i in range(20000)]
+    g = Graph(path, [*zip(path, path[1:]), (path[15000], path[4321])])
+    assert _cycle_edge(g) == (path[4321], path[4322])
 
 
 def test_bottleneck_spanning_tree_realizes_minimax_at_scale():
