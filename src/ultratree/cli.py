@@ -9,9 +9,9 @@ inputs and ULTRATREE_SEED.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import ParseError, UltratreeError
 
@@ -44,12 +44,15 @@ def __getattr__(name: str):
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    # a file and stdin alike: strict UTF-8, with the universal newlines of text-mode open()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -75,23 +78,15 @@ def _error_json(exc: Exception) -> str:
     return tio.dump_json({"error": {"code": code, "message": str(exc)}})
 
 
-def _space_arg(path: str):
-    return tio.load_matrix_text(_read(path))
-
-
-def _graph_arg(path: str) -> tio.GraphDoc:
-    return tio.load_graph_text(_read(path))
-
-
 def _cmd_repr(args) -> str:
     _load("label_tree_metric", "representing_tree")
     if args.labeled_tree:
-        doc = _graph_arg(args.input)
+        doc = tio.load_graph_text(_read(args.input))
         if doc.labels is None:
             raise ParseError("labeled-tree input needs labels")
         space, _ = label_tree_metric(doc.tree(), doc.labels)
     else:
-        space = _space_arg(args.input)
+        space = tio.load_matrix_text(_read(args.input))
     return tio.dump_json(tio.labeled_tree_to_json(representing_tree(space)))
 
 
@@ -100,7 +95,7 @@ def _cmd_iso(args) -> str:
 
     _load("IsoFlavor", "are_isomorphic")
     flavor = IsoFlavor(args.flavor)
-    a, b = _graph_arg(args.left), _graph_arg(args.right)
+    a, b = (tio.load_graph_text(_read(path)) for path in (args.left, args.right))
     verdict = are_isomorphic(
         a.graph,
         b.graph,
@@ -117,7 +112,7 @@ def _cmd_iso(args) -> str:
 
 def _cmd_isometry(args) -> str:
     _load("ultrametric_isometric", "isometry_search")
-    s1, s2 = _space_arg(args.left), _space_arg(args.right)
+    s1, s2 = (tio.load_matrix_text(_read(path)) for path in (args.left, args.right))
     if args.fast_ultrametric:
         return tio.dump_json({"isometric": ultrametric_isometric(s1, s2), "bijection": None})
     found = isometry_search(s1, s2)
@@ -126,7 +121,7 @@ def _cmd_isometry(args) -> str:
 
 def _cmd_dual(args) -> str:
     _load("EquidistantTree", "MonotoneTree", "weight_to_labeling", "labeling_to_weight")
-    doc = _graph_arg(args.input)
+    doc = tio.load_graph_text(_read(args.input))
     rt = doc.rooted()
     if args.direction == "w2l":
         if doc.weights is None:
@@ -143,23 +138,18 @@ def _cmd_dual(args) -> str:
 
 def _cmd_reduce(args) -> str:
     _load("EquidistantTree", "reduce_nabla")
-    doc = _graph_arg(args.input)
+    doc = tio.load_graph_text(_read(args.input))
     if doc.weights is None:
         raise ParseError("reduce needs weights")
     result = reduce_nabla(EquidistantTree(doc.rooted(), doc.weights))
-    tree_doc = tio.graph_to_json(
-        result.reduced.rt.tree,
-        root=result.reduced.rt.root,
-        weights=result.reduced.weights,
-    )
-    return tio.dump_json(
-        {"tree": tree_doc, "removed": sorted(result.removed), "new_root": result.new_root}
-    )
+    rt = result.reduced.rt
+    tree_doc = tio.graph_to_json(rt.tree, root=rt.root, weights=result.reduced.weights)
+    return tio.dump_json({"tree": tree_doc, "removed": sorted(result.removed), "new_root": result.new_root})
 
 
 def _cmd_spanning(args) -> str:
     _load("bottleneck_spanning_tree")
-    doc = _graph_arg(args.input)
+    doc = tio.load_graph_text(_read(args.input))
     if doc.labels is None:
         raise ParseError("spanning needs labels")
     tree = bottleneck_spanning_tree(doc.graph, doc.labels)
@@ -168,37 +158,29 @@ def _cmd_spanning(args) -> str:
 
 def _cmd_analyze(args) -> str:
     _load("analyze", "format_rational")
-    doc = _graph_arg(args.input)
+    doc = tio.load_graph_text(_read(args.input))
     if doc.weights is None:
         raise ParseError("analyze needs weights")
     report = analyze(doc.tree(), doc.weights, root=doc.root)
-    return tio.dump_json(
-        {
-            "planted": report.planted,
-            "centers": list(report.centers),
-            "is_star": report.is_star,
-            "phylo_shape": report.phylo_shape,
-            "K": None if report.K is None else format_rational(report.K),
-            "branching_lhs": None if report.branching_lhs is None else format_rational(report.branching_lhs),
-            "branching_rhs": None if report.branching_rhs is None else format_rational(report.branching_rhs),
-        }
-    )
+    out = {name: getattr(report, name) for name in ("planted", "centers", "is_star", "phylo_shape")}
+    for name in ("K", "branching_lhs", "branching_rhs"):
+        value = getattr(report, name)
+        out[name] = None if value is None else format_rational(value)
+    return tio.dump_json(out)
 
 
 def _cmd_ballean(args) -> str:
     _load("ballean", "ballean_tree")
-    space = _space_arg(args.input)
+    space = tio.load_matrix_text(_read(args.input))
     if args.tree:
         return tio.dump_json(tio.labeled_tree_to_json(ballean_tree(space)))
     balls = ballean(space)
-    return tio.dump_json(
-        {"points": list(space.points), "balls": [sorted(b) for b in balls.balls]}
-    )
+    return tio.dump_json({"points": list(space.points), "balls": [sorted(b) for b in balls.balls]})
 
 
 def _cmd_counterexample(args) -> str:
     _load("cyclic_weight_counterexample")
-    doc = _graph_arg(args.input)
+    doc = tio.load_graph_text(_read(args.input))
     w1, w2 = cyclic_weight_counterexample(doc.graph)
     return tio.dump_json(
         {"graph": tio.graph_to_json(doc.graph), "w1": tio.weights_to_json(w1), "w2": tio.weights_to_json(w2)}
@@ -215,65 +197,78 @@ def _cmd_selftest(args) -> str:
     return report
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The CLI grammar, which build_parser and _plain_args both read.  Each verb maps
+# to (handler, help, {flag: help}, {choice option: choices}, positional names);
+# a verb's flags exclude one another and each choice option is required.
+VERBS = {
+    "repr": (_cmd_repr, "hierarchy tree of an ultrametric space",
+             {"--matrix": "input is a distance matrix (default)",
+              "--labeled-tree": "input is a labeled tree; use its max-label metric"}, {}, ("input",)),
+    "iso": (_cmd_iso, "tree/graph isomorphism for a flavor", {}, {"--flavor": ISO_FLAVORS}, ("left", "right")),
+    "isometry": (_cmd_isometry, "isometry of two finite metric spaces",
+                 {"--fast-ultrametric": "compare hierarchy-tree codes instead of searching"}, {}, ("left", "right")),
+    "dual": (_cmd_dual, "switch between equidistant weights and monotone labels", {},
+             {"--direction": ("w2l", "l2w")}, ("input",)),
+    "reduce": (_cmd_reduce, "suppress out-degree-one vertices of an equidistant tree", {}, {}, ("input",)),
+    "spanning": (_cmd_spanning, "spanning tree realizing the minimax label metric", {}, {}, ("input",)),
+    "analyze": (_cmd_analyze, "structure report for a weighted tree", {}, {}, ("input",)),
+    "ballean": (_cmd_ballean, "all balls of an ultrametric space",
+                {"--tree": "emit the hierarchy tree of the ball space"}, {}, ("input",)),
+    "counterexample": (_cmd_counterexample, "two isometric but non-isomorphic weightings of a cyclic graph",
+                       {}, {}, ("input",)),
+    "selftest": (_cmd_selftest, "run the bundled figure corpus", {}, {}, ()),
+}
+
+
+def build_parser():
+    """The argparse parser of VERBS: it prints help and diagnoses malformed calls."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="ultratree", description=__doc__)
     parser.add_argument("--output", "-o", default=None, help="write output to a file instead of stdout")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("repr", help="hierarchy tree of an ultrametric space")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--matrix", action="store_true", help="input is a distance matrix (default)")
-    group.add_argument("--labeled-tree", action="store_true", help="input is a labeled tree; use its max-label metric")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_repr)
-
-    p = sub.add_parser("iso", help="tree/graph isomorphism for a flavor")
-    p.add_argument("--flavor", required=True, choices=ISO_FLAVORS)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_iso)
-
-    p = sub.add_parser("isometry", help="isometry of two finite metric spaces")
-    p.add_argument("--fast-ultrametric", action="store_true", help="compare hierarchy-tree codes instead of searching")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_isometry)
-
-    p = sub.add_parser("dual", help="switch between equidistant weights and monotone labels")
-    p.add_argument("--direction", required=True, choices=["w2l", "l2w"])
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_dual)
-
-    p = sub.add_parser("reduce", help="suppress out-degree-one vertices of an equidistant tree")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("spanning", help="spanning tree realizing the minimax label metric")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_spanning)
-
-    p = sub.add_parser("analyze", help="structure report for a weighted tree")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("ballean", help="all balls of an ultrametric space")
-    p.add_argument("--tree", action="store_true", help="emit the hierarchy tree of the ball space")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_ballean)
-
-    p = sub.add_parser("counterexample", help="two isometric but non-isomorphic weightings of a cyclic graph")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_counterexample)
-
-    p = sub.add_parser("selftest", help="run the bundled figure corpus")
-    p.set_defaults(func=_cmd_selftest)
-
+    for verb, (func, verb_help, flags, choices, positionals) in VERBS.items():
+        p = sub.add_parser(verb, help=verb_help)
+        group = p.add_mutually_exclusive_group() if len(flags) > 1 else p
+        for flag, flag_help in flags.items():
+            group.add_argument(flag, action="store_true", help=flag_help)
+        for option, values in choices.items():
+            p.add_argument(option, required=True, choices=values)
+        for name in positionals:
+            p.add_argument(name)
+        p.set_defaults(func=func)
     return parser
 
 
+def _plain_args(argv: list) -> SimpleNamespace | None:
+    """The namespace build_parser gives for a plain spelling of a call, else None: an
+    optional leading -o/--output FILE, the verb, then in any order each of its flags
+    at most once, each choice option once with a listed value and exactly its
+    positionals, where "-" is one.  argparse takes any other argv."""
+    output = None
+    if len(argv) > 1 and argv[0] in ("-o", "--output") and (argv[1] == "-" or argv[1][:1] != "-"):
+        output, argv = argv[1], argv[2:]
+    if not argv or argv[0] not in VERBS:
+        return None
+    func, _, flags, choices, names = VERBS[argv[0]]
+    given, positionals, tokens = {}, [], iter(argv[1:])
+    for token in tokens:
+        if token == "-" or token[:1] != "-":
+            positionals.append(token)
+        elif token in flags and token not in given:
+            given[token] = True
+        elif token in choices and token not in given and (value := next(tokens, None)) in choices[token]:
+            given[token] = value
+        else:
+            return None
+    if len(positionals) != len(names) or not choices.keys() <= given.keys() or len(given.keys() & flags.keys()) > 1:
+        return None
+    options = {option[2:].replace("-", "_"): given.get(option, False) for option in (*flags, *choices)}
+    return SimpleNamespace(output=output, verb=argv[0], func=func, **options, **dict(zip(names, positionals)))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _plain_args(sys.argv[1:] if argv is None else list(argv)) or build_parser().parse_args(argv)
     _load("tio")
     try:
         text, status = args.func(args), EXIT_OK

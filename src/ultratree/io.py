@@ -125,6 +125,10 @@ def graph_from_json(obj) -> GraphDoc:
         graph = Graph(vertices, edges)
     except Exception as exc:
         raise ParseError(f"bad graph: {exc}") from exc
+    if len(graph.edges) < len(edges):  # Graph keeps one copy of an edge given twice
+        seen: set = set()
+        repeat = next(e for e in edges if frozenset(e) in seen or seen.add(frozenset(e)))
+        raise ParseError(f"repeated edge {'|'.join(repeat)!r}")
 
     root = obj.get("root")
     if root is not None and not graph.has_vertex(root):

@@ -10,8 +10,8 @@ byte given the same seed.
 from __future__ import annotations
 
 import json
+import os
 import random
-from importlib import resources
 from typing import Callable
 
 from . import io as tio
@@ -28,8 +28,9 @@ FIGURES = ("fig3", "fig5", "fig6", "fig10", "fig11", "fig13")
 
 
 def load_figure(name: str) -> dict:
-    text = resources.files("ultratree.corpus").joinpath(f"{name}.json").read_text("utf-8")
-    return json.loads(text)
+    # a file beside this module: importlib.resources would import tempfile and zipfile, and inspect on 3.12+
+    with open(os.path.join(os.path.dirname(__file__), "corpus", f"{name}.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _check_fig3(doc: dict) -> list[tuple[str, bool]]:

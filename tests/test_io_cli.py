@@ -56,7 +56,8 @@ def test_matrix_json_and_csv_round_trip():
 # Inputs that parse as JSON or CSV but are refused: each is (CLI verb, file
 # name, document text, message).  Numbers must be exact, so JSON true/false
 # and floats (1e-400 arrives as 0.0) are not rationals; ids may not contain
-# '|' in either matrix form; an edge has one weight; a JSON object repeats no key.
+# '|' in either matrix form; an edge is listed once and has one weight; a JSON
+# object repeats no key.
 # JSON nested past the recursion limit, or holding an integer past int's digit
 # limit, does not parse.
 _TOO_DEEP = "bad JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"
@@ -74,6 +75,8 @@ _REFUSED = (
     ("reduce", "two_weights.json",
      '{"vertices": ["a", "b"], "edges": [["a", "b"]], "root": "a", "weights": {"a|b": "1", "b|a": "2"}}',
      "second weight on edge 'b|a'"),
+    ("reduce", "repeated_edge.json", '{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "a"], ["b", "c"]]}',
+     "repeated edge 'b|a'"),
     ("repr", "two_points.json", '{"points": ["a","b"], "points": ["c","d"], "matrix": [["0","1"],["1","0"]]}',
      "bad JSON: repeated key 'points'"),
     ("reduce", "repeated_weight.json",
@@ -438,7 +441,14 @@ def test_each_verb_loads_only_its_modules(tmp_path):
     loaded = {verb: _modules_loaded_by(*argv) for verb, argv in runs.items()}
     package = {verb: modules for verb, (modules, _) in loaded.items()}
 
-    assert _modules_loaded_by("--help")[0] <= {"cli", "errors"}
+    help_package, help_others = _modules_loaded_by("--help")
+    assert help_package <= {"cli", "errors"}
+    # A plain call is read from cli.VERBS, so no verb call pays for argparse and the
+    # gettext and locale modules its messages pull in; --help still runs argparse.
+    assert {verb: others & {"argparse", "gettext", "locale"} for verb, (_, others) in loaded.items()} == dict.fromkeys(
+        runs, set()
+    )
+    assert "argparse" in help_others
     assert not package["iso"] & {"analysis", "duality", "representing", "selftest", "transforms"}
     assert not package["repr"] & {"analysis", "canonical", "duality", "selftest", "transforms"}
     assert [verb for verb, modules in package.items() if "selftest" in modules] == ["selftest"]
@@ -461,11 +471,12 @@ def test_each_verb_loads_only_its_modules(tmp_path):
 # package's __init__.py and every submodule the call loads.  Tree and graph
 # verbs compile no matrix code; the others stay within what they compiled
 # before the matrix layer was split off; `spanning`, `counterexample` and
-# `reduce` are held at what they compile with the closed-form counterexamples.
+# `reduce` are held at what they compile with the closed-form counterexamples
+# and the CLI's verb table.
 _SOURCE_LINE_CEILINGS = {
-    "iso": 1300, "dual": 1300, "spanning": 1223, "counterexample": 1223,
+    "iso": 1300, "dual": 1300, "spanning": 1222, "counterexample": 1222,
     "repr": 1548, "ballean": 1548, "isometry": 1714, "isometry --fast-ultrametric": 1885,
-    "analyze": 1743, "reduce": 1413, "selftest": 2685,
+    "analyze": 1743, "reduce": 1412, "selftest": 2685,
 }
 
 
@@ -476,8 +487,7 @@ def test_each_verb_compiles_at_most_its_ceiling_of_source_lines(tmp_path):
     runs = _verb_runs(tmp_path)
     lines = {}
     for verb, argv in runs.items():
-        modules = _modules_loaded_by(*argv)[0] - {"corpus"}  # the selftest corpus is data, not code
-        sources = [package_dir / f"{name}.py" for name in sorted(modules | {"__init__", "cli"})]
+        sources = [package_dir / f"{name}.py" for name in sorted(_modules_loaded_by(*argv)[0] | {"__init__", "cli"})]
         lines[verb] = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in sources)
     assert {verb: n for verb, n in lines.items() if n > _SOURCE_LINE_CEILINGS[verb]} == {}
 
@@ -496,9 +506,19 @@ _CLI_CALL_MODULES = {
 _IO_CALLS = ("load_matrix_text", "load_graph_text", "labeled_tree_to_json", "graph_to_json", "dump_json")
 
 
-def test_names_the_cli_binds_keep_their_defining_modules():
+def _perfbench_module(monkeypatch, name):
+    """perfbench/<name>.py, loaded by file path under a name of its own."""
     import importlib.util
 
+    path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look the module up while it runs
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_names_the_cli_binds_keep_their_defining_modules(monkeypatch):
     from ultratree import cli
 
     assert {name: getattr(cli, name).__module__ for name in _CLI_CALL_MODULES} == {
@@ -506,10 +526,99 @@ def test_names_the_cli_binds_keep_their_defining_modules():
     }
     assert {name: getattr(cli.tio, name).__module__ for name in _IO_CALLS} == dict.fromkeys(_IO_CALLS, "ultratree.io")
     # the same names the benchmark wraps
-    spec = importlib.util.spec_from_file_location("spans", Path(__file__).parents[1] / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _perfbench_module(monkeypatch, "spans")
     assert sorted(spans.CLI_CALLS) == sorted(_CLI_CALL_MODULES) and spans.IO_CALLS == _IO_CALLS
+
+
+def _argparse_result(parser, argv):
+    """vars() of what argparse makes of argv, or None where it prints help or an error."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _argv_corpus():
+    """Plain and other spellings of every verb: flags and choice options zero to two
+    times, listed and unlisted values, options before, between and after the
+    positionals, too few and too many positionals, and tokens only argparse reads."""
+    from ultratree.cli import VERBS
+
+    rng = random.Random(1409)
+    prefixes = [[], ["-o", "out.json"], ["--output", "-"], ["-o", "-"]]
+    others = [["-oout"], ["--output=out"], ["--out", "out"], ["-o", "-x"], ["-o", "a", "-o", "b"], ["-h"], ["repr"],
+              ["--"], ["--nope"], ["-x"], ["-1"], ["-a b"], ["--help"], ["--flavor=free"], ["--fla"], ["--fast"],
+              ["--lab"], ["--tree"], ["--matrix"], ["-o"], ["--direction"], ["--flavor"]]
+    corpus = [[], ["--help"], ["-o"], ["--output", "out"], ["nope", "in.json"]]
+    for verb, (_, _, flags, choices, names) in VERBS.items():
+        for _ in range(150):
+            units = [[flag] for flag in flags if rng.random() < 0.4]
+            if flags and rng.random() < 0.1:  # a repeat
+                units.append([rng.choice(list(flags))])
+            units += [[option, rng.choice((*values, *values, "bad", "-"))] for option, values in choices.items()
+                      for _ in range(rng.choice((0, 1, 1, 1, 1, 1, 2)))]
+            count = max(0, len(names) + rng.choice((-1, 0, 0, 0, 0, 0, 0, 1)))
+            units += [[rng.choice(("in.json", "-", "", "b.csv", verb))] for _ in range(count)]
+            units += [rng.choice(others) for _ in range(rng.random() < 0.15)]
+            rng.shuffle(units)
+            prefix = rng.choice(prefixes) if rng.random() < 0.85 else rng.choice(others)
+            corpus.append(prefix + [verb] + [token for unit in units for token in unit])
+    return corpus
+
+
+def test_plain_spellings_parse_as_argparse_does():
+    from ultratree.cli import VERBS, _plain_args, build_parser
+
+    parser = build_parser()
+    corpus = _argv_corpus()
+    plain = 0
+    for argv in corpus:
+        fast = _plain_args(list(argv))
+        if fast is not None:
+            plain += 1
+            assert vars(fast) == _argparse_result(parser, argv), argv
+    # the corpus is not all malformed: both paths see a good share of it
+    assert len(corpus) / 5 < plain < len(corpus) * 4 / 5
+    # every verb's plain spellings, with options before and after the positionals
+    for verb, (func, _, flags, choices, names) in VERBS.items():
+        options = [*flags][:1] + [token for option, values in choices.items() for token in (option, values[-1])]
+        positionals = ["-"] + [f"{name}.json" for name in names[1:]] if names else []
+        for argv in ([verb, *options, *positionals], ["-o", "out", verb, *positionals, *options],
+                     ["--output", "-", verb, *positionals[:1], *options, *positionals[1:]]):
+            fast = _plain_args(argv)
+            assert fast is not None and fast.func is func and vars(fast) == _argparse_result(parser, argv), argv
+
+
+def test_every_benchmark_op_takes_the_plain_path(monkeypatch):
+    from ultratree.cli import _plain_args, build_parser
+
+    gen = _perfbench_module(monkeypatch, "gen")
+    parser = build_parser()
+    for workload in gen.WORKLOADS:
+        for op in gen.build(workload, 1).ops:
+            fast = _plain_args(list(op.argv))
+            assert fast is not None and vars(fast) == _argparse_result(parser, op.argv), op.argv
+
+
+def test_input_is_strict_utf8_from_a_path_and_from_stdin(tmp_path, capsys, monkeypatch):
+    # The same bytes give the same result by path and on stdin, whatever encoding
+    # stdin's text layer has (Latin-1 here, which decodes any byte).
+    def by_path_and_on_stdin(data: bytes):
+        path = tmp_path / "in.bin"
+        path.write_bytes(data)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"))
+        return _run(capsys, "repr", str(path)), _run(capsys, "repr", "-")
+
+    error = "'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"
+    assert by_path_and_on_stdin(b",a,b\na,0,1\nb,1,0\xff\n") == (
+        (2, _error_bytes(f"cannot read {tmp_path / 'in.bin'}: {error}")),
+        (2, _error_bytes(f"cannot read -: {error}")),
+    )
+    # UTF-8 point ids, and CRLF line ends read as LF ones
+    lf = _run(capsys, "repr", _write(tmp_path, "lf.csv", ",é,b\né,0,1\nb,1,0\n"))
+    assert lf[0] == 0 and ["b", "é"] in json.loads(lf[1])["payloads"].values()
+    assert by_path_and_on_stdin(",é,b\r\né,0,1\r\nb,1,0\r\n".encode("utf-8")) == (lf, lf)
 
 
 def test_public_api_resolves_lazily_to_the_defining_objects():
