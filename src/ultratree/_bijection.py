@@ -17,28 +17,20 @@ from .graphs import Graph, Vertex, normalize_labels, normalize_weights
 
 def _relation_rows(g: Graph, labels: Optional[Mapping], weights: Optional[Mapping]) -> list[list[tuple]]:
     # (label,) on the diagonal, (weight,) or (1,) at adjacent pairs and () at
-    # every other pair.  A non-edge differs from every edge by length alone,
-    # whatever the payload values, and normalized entries all sort together.
+    # every other pair; payloads are normalized as canonical_code does it.  A
+    # non-edge differs from every edge by length alone, whatever the payload
+    # values, and normalized entries all sort together.
+    lab = normalize_labels(g, labels) if labels is not None else None
+    wts = normalize_weights(g, weights, strict=False) if weights is not None else None
     index = {v: i for i, v in enumerate(g.vertices)}
     rows: list[list[tuple]] = [[()] * len(index) for _ in index]
-    if labels is not None:
+    if lab is not None:
         for v, i in index.items():
-            rows[i][i] = (labels[v],)
+            rows[i][i] = (lab[v],)
     for e in g.edges:
         i, j = index[e[0]], index[e[1]]
-        rows[i][j] = rows[j][i] = (weights[e],) if weights is not None else (1,)
+        rows[i][j] = rows[j][i] = (wts[e],) if wts is not None else (1,)
     return rows
-
-
-def _graph_search(g1: Graph, g2: Graph, labels1, labels2, weights1, weights2) -> bool:
-    # Graph isomorphism with the given payloads (None where the flavor has none),
-    # by the search on relation matrices.
-    lab1 = normalize_labels(g1, labels1) if labels1 is not None else None
-    lab2 = normalize_labels(g2, labels2) if labels2 is not None else None
-    w1 = normalize_weights(g1, weights1, strict=False) if weights1 is not None else None
-    w2 = normalize_weights(g2, weights2, strict=False) if weights2 is not None else None
-    rows1, rows2 = _relation_rows(g1, lab1, w1), _relation_rows(g2, lab2, w2)
-    return _search((rows1, g1.vertices), (rows2, g2.vertices)) is not None
 
 
 def _search(a: tuple, b: tuple) -> Optional[dict[int, int]]:

@@ -175,9 +175,10 @@ def are_isomorphic(
         raise SizeLimitError(
             f"graph isomorphism is limited to {GRAPH_SIZE_LIMIT} vertices"
         )
-    from ._bijection import _graph_search
+    from ._bijection import _relation_rows, _search
 
-    return _graph_search(g1, g2, labels1, labels2, weights1, weights2)
+    rows1, rows2 = _relation_rows(g1, labels1, weights1), _relation_rows(g2, labels2, weights2)
+    return _search((rows1, g1.vertices), (rows2, g2.vertices)) is not None
 
 
 def is_isometry(s1: FiniteMetricSpace, s2: FiniteMetricSpace, mapping: Mapping[Vertex, Vertex]) -> bool:
@@ -200,12 +201,16 @@ def is_isomorphism(
 ) -> bool:
     """Check a specific bijection is an isomorphism, with optional payloads.
 
-    Labels and weights count when labels1 and weights1 are given.
+    Labels and weights count when labels1 and weights1 are given; they are
+    checked as are_isomorphic checks them, and so are the roots.
     """
     from ._bijection import _carries, _relation_rows
 
     rows1 = _relation_rows(g1, labels1, weights1)
     rows2 = _relation_rows(g2, None if labels1 is None else labels2, None if weights1 is None else weights2)
+    for g, root in ((g1, root1), (g2, root2)):
+        if root is not None and not g.has_vertex(root):
+            raise VertexNotFoundError(f"root {root!r} not a vertex")
     carried = _carries(mapping, (rows1, g1.vertices), (rows2, g2.vertices))
     return carried and (root1 is None or mapping[root1] == root2)
 
@@ -230,11 +235,12 @@ def isometry_search(
 
 def ultrametric_isometric(s1: FiniteMetricSpace, s2: FiniteMetricSpace) -> bool:
     """Fast isometry test: equal canonical codes of the hierarchy trees."""
-    from .representing import _hierarchy
+    from .representing import representing_tree
 
-    r1, r2 = _hierarchy(s1), _hierarchy(s2)
-    if r1 is None or r2 is None:
-        raise NotUltrametricError("both spaces must be ultrametric")
+    try:
+        r1, r2 = representing_tree(s1), representing_tree(s2)
+    except NotUltrametricError:
+        raise NotUltrametricError("both spaces must be ultrametric") from None
     c1 = canonical_code(r1.rt.tree, IsoFlavor.ROOTED_LABELED, labels=r1.labels, root=r1.rt.root)
     c2 = canonical_code(r2.rt.tree, IsoFlavor.ROOTED_LABELED, labels=r2.labels, root=r2.rt.root)
     return c1 == c2

@@ -55,27 +55,27 @@ class FiniteMetricSpace:
         n = len(pts)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise BadMatrixError(f"matrix must be {n}x{n}")
-        mat = [[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows]
-        ranked = _rank(mat)
-        _check_matrix(*ranked, lambda i, j: repr(pts[i]) if i == j else f"({pts[i]!r}, {pts[j]!r})", True)
-        self._store(pts, mat, ranked)
+        values, ranks = _rank([[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows])
+        _check_matrix(values, ranks, lambda i, j: repr(pts[i]) if i == j else f"({pts[i]!r}, {pts[j]!r})", True)
+        self._store(pts, values, ranks)
 
-    # For matrices already exact and checked, with their (values, ranks): no conversion, no check.
+    # For a checked matrix given as its distinct values and their ranks: no conversion, no check.
     _trusted = classmethod(lambda cls, *args: object.__new__(cls)._store(*args))
 
-    def _store(self, pts: Sequence[Vertex], mat: Sequence[Sequence[Fraction]], ranked) -> "FiniteMetricSpace":
+    def _store(self, pts: Sequence[Vertex], values: Sequence[Fraction], ranks) -> "FiniteMetricSpace":
+        # The points sorted, and rows built from the ranks: one Fraction per distinct distance.
         order = sorted(range(len(pts)), key=pts.__getitem__)
-        sort = lambda m: tuple(tuple(map(m[i].__getitem__, order)) for i in order)
+        ranks = tuple(tuple(map(ranks[i].__getitem__, order)) for i in order)
         object.__setattr__(self, "points", tuple(map(pts.__getitem__, order)))
-        object.__setattr__(self, "rows", sort(mat))
-        object.__setattr__(self, "_ranks", (ranked[0], sort(ranked[1])))
+        object.__setattr__(self, "rows", tuple(tuple(map(values.__getitem__, row)) for row in ranks))
+        object.__setattr__(self, "_ranks", (values, ranks))
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
         return self
 
     def index(self, x: Vertex) -> int:
         try:
             return self._index[x]  # type: ignore[attr-defined]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable id names no point
             raise VertexNotFoundError(f"unknown point {x!r}")
 
     def distance(self, x: Vertex, y: Vertex) -> Fraction:
@@ -92,7 +92,7 @@ class FiniteMetricSpace:
         new_pts = [mapping[p] for p in self.points]
         if len(set(new_pts)) != len(new_pts):
             raise ValueError("renaming is not injective")
-        return FiniteMetricSpace._trusted(new_pts, self.rows, self._ranks)  # type: ignore[attr-defined]
+        return FiniteMetricSpace._trusted(new_pts, *self._ranks)  # type: ignore[attr-defined]
 
 
 def space_from(points: Iterable[Vertex], dist: Callable[[Vertex, Vertex], Fraction]) -> FiniteMetricSpace:
@@ -230,8 +230,7 @@ def _path_metric(g: Graph, start: Mapping[Vertex, int], step: Callable, value: C
         best[src] = 0
         rows.append(list(map(best.__getitem__, g.vertices)))
     keys, ranks = _rank(rows)
-    values = list(map(value, keys))
-    return FiniteMetricSpace._trusted(g.vertices, [list(map(values.__getitem__, r)) for r in ranks], (values, ranks))
+    return FiniteMetricSpace._trusted(g.vertices, list(map(value, keys)), ranks)
 
 
 def additive_metric(t: Tree, w: WeightMap) -> FiniteMetricSpace:
@@ -278,8 +277,8 @@ def restrict(space: FiniteMetricSpace, subset: Iterable[Vertex]) -> FiniteMetric
     if not keep:
         raise EmptySetError("cannot restrict to the empty set")
     idx = [space.index(p) for p in keep]
-    pick = lambda m: [list(map(m[i].__getitem__, idx)) for i in idx]
-    return FiniteMetricSpace._trusted(keep, pick(space.rows), (space._ranks[0], pick(space._ranks[1])))
+    values, ranks = space._ranks  # type: ignore[attr-defined]
+    return FiniteMetricSpace._trusted(keep, values, [list(map(ranks[i].__getitem__, idx)) for i in idx])
 
 
 def hausdorff_distance(space: FiniteMetricSpace, a: Iterable[Vertex], b: Iterable[Vertex]) -> Fraction:

@@ -119,18 +119,10 @@ def representing_tree(space: FiniteMetricSpace) -> LabeledRootedTree:
     oracles.py).  Vertex ids encode the payload sets, so the vertex set
     doubles as the ballean.
     """
-    tree = _hierarchy(space)
-    if tree is None:
-        raise NotUltrametricError("space is not ultrametric")
-    return tree
-
-
-def _hierarchy(space: FiniteMetricSpace) -> Optional[LabeledRootedTree]:
-    # representing_tree, or None when the space is not ultrametric.
     values, ranks = space._ranks  # type: ignore[attr-defined]
     merges = _linkage(ranks)
     if merges is None or any(values[r] == 0 for r, _ in merges):
-        return None
+        raise NotUltrametricError("space is not ultrametric")
     payloads = [frozenset({p}) for p in space.points]
     ids = [ball_id(b) for b in payloads]
     labels = dict.fromkeys(ids, Fraction(0))
@@ -145,10 +137,12 @@ def _hierarchy(space: FiniteMetricSpace) -> Optional[LabeledRootedTree]:
 
 
 def ballean(space: FiniteMetricSpace) -> Ballean:
-    """All balls of the space, read off the hierarchy tree's payloads."""
+    """All balls of the space, read off the hierarchy tree's payloads.
+
+    The tree's vertex ids are their ball_ids, so its sorted vertices give ball_id order.
+    """
     tree = representing_tree(space)
-    balls = sorted((tree.payload(v) for v in tree.rt.vertices), key=ball_id)
-    return Ballean(tuple(balls), space)
+    return Ballean(tuple(map(tree.payload, tree.rt.vertices)), space)
 
 
 def ballean_tree(space: FiniteMetricSpace) -> LabeledRootedTree:

@@ -29,6 +29,7 @@ from ultratree.errors import (
     NotUltrametricError,
     SingleVertexTreeError,
     SizeLimitError,
+    VertexNotFoundError,
 )
 from ultratree.generators import (
     random_tree,
@@ -248,6 +249,42 @@ def test_is_isomorphism_equals_definition_for_every_map():
                 assert verdict == _isomorphism_by_definition(g1, g2, f, *args), (g1, g2, f, args)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_is_isomorphism_checks_payloads_and_roots_as_are_isomorphic():
+    # the identity map on a path (canonical codes) and on a triangle (the search)
+    path = tree_from_edges([("a", "b"), ("b", "c")])
+    triangle = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    labels = {"a": F(1), "b": F(2), "c": F(1)}
+    negative = {**labels, "a": F(-1)}
+    outcomes = []
+    for g in (path, triangle):
+        weights = {e: F(i + 1) for i, e in enumerate(g.edges)}
+        cases = [
+            (IsoFlavor.EDGE_WEIGHTED, dict(weights1={(v, u): x for (u, v), x in weights.items()}, weights2=weights)),
+            (IsoFlavor.VERTEX_LABELED, dict(labels1={"a": F(1), "b": F(2)}, labels2=labels)),
+            (IsoFlavor.VERTEX_LABELED, dict(labels1=negative, labels2=negative)),
+        ]
+        if g is path:  # rooted flavors are defined for trees only
+            cases += [(IsoFlavor.ROOTED, dict(root1="q", root2="b")), (IsoFlavor.ROOTED, dict(root1="b", root2="x"))]
+        for flavor, kwargs in cases:
+            expected = _outcome(are_isomorphic, g, g, flavor, **kwargs)
+            assert _outcome(is_isomorphism, g, g, {v: v for v in g.vertices}, **kwargs) == expected, (g, kwargs)
+            outcomes.append(expected)
+    assert outcomes[:5] == [
+        True,
+        (ValueError, "missing label for vertex 'c'"),
+        (ValueError, "negative label -1 on vertex 'a'"),
+        (VertexNotFoundError, "root 'q' not a vertex"),
+        (VertexNotFoundError, "root 'x' not a vertex"),
+    ]
 
 
 def test_cyclic_counterexample_weightings_not_isomorphic():

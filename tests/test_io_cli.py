@@ -436,9 +436,15 @@ def _verb_runs(tmp_path):
     }
 
 
-def test_each_verb_loads_only_its_modules(tmp_path):
-    runs = _verb_runs(tmp_path)
-    loaded = {verb: _modules_loaded_by(*argv) for verb, argv in runs.items()}
+@pytest.fixture(scope="module")
+def verb_modules(tmp_path_factory):
+    """What each verb's small call imports, probed once for the tests below."""
+    runs = _verb_runs(tmp_path_factory.mktemp("verbs"))
+    return {verb: _modules_loaded_by(*argv) for verb, argv in runs.items()}
+
+
+def test_each_verb_loads_only_its_modules(verb_modules):
+    loaded = verb_modules
     package = {verb: modules for verb, (modules, _) in loaded.items()}
 
     help_package, help_others = _modules_loaded_by("--help")
@@ -446,7 +452,7 @@ def test_each_verb_loads_only_its_modules(tmp_path):
     # A plain call is read from cli.VERBS, so no verb call pays for argparse and the
     # gettext and locale modules its messages pull in; --help still runs argparse.
     assert {verb: others & {"argparse", "gettext", "locale"} for verb, (_, others) in loaded.items()} == dict.fromkeys(
-        runs, set()
+        loaded, set()
     )
     assert "argparse" in help_others
     assert not package["iso"] & {"analysis", "duality", "representing", "selftest", "transforms"}
@@ -463,7 +469,7 @@ def test_each_verb_loads_only_its_modules(tmp_path):
     # Records come from graphs.record, so no verb pays for the code-generating
     # dataclasses module and the inspect module it imports.
     assert {verb: others & {"dataclasses", "inspect"} for verb, (_, others) in loaded.items()} == dict.fromkeys(
-        runs, set()
+        loaded, set()
     )
 
 
@@ -472,22 +478,22 @@ def test_each_verb_loads_only_its_modules(tmp_path):
 # verbs compile no matrix code; the others stay within what they compiled
 # before the matrix layer was split off; `spanning`, `counterexample` and
 # `reduce` are held at what they compile with the closed-form counterexamples
-# and the CLI's verb table.
+# and the CLI's verb table; the matrix verbs and `selftest` at what they compile
+# with one builder each for spaces, hierarchy trees and relation matrices.
 _SOURCE_LINE_CEILINGS = {
     "iso": 1300, "dual": 1300, "spanning": 1222, "counterexample": 1222,
-    "repr": 1548, "ballean": 1548, "isometry": 1714, "isometry --fast-ultrametric": 1885,
-    "analyze": 1743, "reduce": 1412, "selftest": 2685,
+    "repr": 1491, "ballean": 1491, "isometry": 1684, "isometry --fast-ultrametric": 1755,
+    "analyze": 1743, "reduce": 1412, "selftest": 2535,
 }
 
 
-def test_each_verb_compiles_at_most_its_ceiling_of_source_lines(tmp_path):
+def test_each_verb_compiles_at_most_its_ceiling_of_source_lines(verb_modules):
     import ultratree
 
     package_dir = Path(ultratree.__file__).parent
-    runs = _verb_runs(tmp_path)
     lines = {}
-    for verb, argv in runs.items():
-        sources = [package_dir / f"{name}.py" for name in sorted(_modules_loaded_by(*argv)[0] | {"__init__", "cli"})]
+    for verb, (modules, _) in verb_modules.items():
+        sources = [package_dir / f"{name}.py" for name in sorted(modules | {"__init__", "cli"})]
         lines[verb] = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in sources)
     assert {verb: n for verb, n in lines.items() if n > _SOURCE_LINE_CEILINGS[verb]} == {}
 

@@ -24,6 +24,7 @@ from ultratree.errors import (
     DisconnectedGraphError,
     EmptySetError,
     NonPositiveWeightError,
+    VertexNotFoundError,
 )
 from ultratree.generators import (
     random_connected_graph,
@@ -233,6 +234,16 @@ def test_hausdorff_between_balls_equals_tree_path_max():
                 want = max(tree.labels[v] for v in find_path(tree.rt.tree, b1, b2))
                 got = hausdorff_distance(space, tree.payload(b1), tree.payload(b2))
                 assert got == want
+
+
+def test_unknown_or_unhashable_point_is_not_found():
+    t, w = fig13_tree()
+    s = additive_metric(t, w)
+    for bad in ("z", ["a"], {"a": 1}):
+        for lookup in (s.index, lambda x: s.distance(x, "x1"), lambda x: s.distance("x1", x)):
+            with pytest.raises(VertexNotFoundError) as exc:
+                lookup(bad)
+            assert str(exc.value) == f"unknown point {bad!r}"
 
 
 def test_restrict_cases():

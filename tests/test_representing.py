@@ -148,6 +148,19 @@ def test_ballean_matches_enumeration():
         assert set(ballean(space).balls) == balls_by_enumeration(space)
 
 
+def test_ballean_lists_the_payloads_in_ball_id_order():
+    # ballean reads the balls off the tree's sorted vertex ids; names that JSON
+    # escapes and unpadded numbers sort differently as text and as ids
+    rng = random.Random(59)
+    suffixes = ("", '"', "\u00e9")
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 60):
+        for names in (None, [f"{i}{suffixes[i % 3]}" for i in range(n)]):
+            space = random_ultrametric_space(rng, n, names)
+            tree = representing_tree(space)
+            payloads = sorted((tree.payload(v) for v in tree.rt.vertices), key=ball_id)
+            assert ballean(space).balls == tuple(payloads)
+
+
 def test_ball_vertex_bijection():
     rng = random.Random(53)
     for _ in range(20):
