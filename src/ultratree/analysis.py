@@ -147,7 +147,7 @@ def diameter_bound_check(et: EquidistantTree) -> DiameterBound:
 
 def phylo_shape(t: Tree) -> bool:
     """True iff every internal vertex has degree at least three."""
-    return all(t.degree(v) >= 3 for v in t.internal_vertices())
+    return all(t.degree(v) != 2 for v in t.vertices)  # internal vertices have degree two or more
 
 
 @record

@@ -14,7 +14,6 @@ comparing trees does not load it.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .errors import (
@@ -24,7 +23,7 @@ from .errors import (
     SizeLimitError,
     VertexNotFoundError,
 )
-from .graphs import Edge, Graph, Tree, Vertex, edge_key, normalize_labels, normalize_weights
+from .graphs import Edge, Graph, Tree, Vertex, normalize_labels, normalize_weights
 from .rational import format_rational
 
 if TYPE_CHECKING:
@@ -62,20 +61,20 @@ def tree_centers(t: Tree) -> tuple[Vertex, ...]:
     """The one or two middle vertices of a longest path, by leaf peeling."""
     if len(t.vertices) <= 2:
         return t.vertices
-    deg = {v: t.degree(v) for v in t.vertices}
-    layer = sorted(v for v, d in deg.items() if d == 1)
+    deg = {v: len(ns) for v, ns in t._adj.items()}  # type: ignore[attr-defined]
+    layer = [v for v, d in deg.items() if d == 1]
     remaining = len(deg)
     while remaining > 2:
         remaining -= len(layer)
         nxt = []
         for v in layer:
-            for u in t.neighbors(v):
+            for u in t._adj[v]:  # type: ignore[attr-defined]
                 if deg[u] > 1:
                     deg[u] -= 1
                     if deg[u] == 1:
                         nxt.append(u)
-        layer = sorted(nxt)
-    return tuple(layer)
+        layer = nxt
+    return tuple(sorted(layer))
 
 
 def _check_payloads(flavor: IsoFlavor, labels, weights, root) -> None:
@@ -93,19 +92,24 @@ def _check_payloads(flavor: IsoFlavor, labels, weights, root) -> None:
         raise ValueError(f"flavor {flavor.value} takes no weights")
 
 
+def _texts(vals: dict) -> dict:
+    memo: dict = {}  # keyed by object, as hashing a Fraction costs more than formatting it
+    return {k: memo[i] if (i := id(x)) in memo else memo.setdefault(i, format_rational(x)) for k, x in vals.items()}
+
+
 def _rooted_code(
     t: Tree,
     root: Vertex,
-    labels: Optional[dict[Vertex, Fraction]],
-    weights: Optional[dict[Edge, Fraction]],
+    labels: Optional[dict[Vertex, str]],
+    weights: Optional[dict[Edge, str]],
 ) -> str:
     # Bottom-up over one BFS order, with no recursion: each finished code
     # moves into its parent's list of child codes, and that list is dropped
-    # once the parent's code is built.
+    # once the parent's code is built.  Labels and weights come as their text.
     order, up, above = [root], [-1], [None]  # vertex, parent's position, parent
     for i, v in enumerate(order):
         p = above[i]
-        for c in t.neighbors(v):
+        for c in t._adj[v]:  # type: ignore[attr-defined]
             if c != p:
                 order.append(c)
                 up.append(i)
@@ -114,11 +118,11 @@ def _rooted_code(
     for i in range(len(order) - 1, -1, -1):
         v = order[i]
         parts, kids[i] = kids[i], None
-        head = format_rational(labels[v]) + ";" if labels is not None else ""
-        code = "(" + head + "".join(sorted(parts)) + ")"
+        parts.sort()
+        code = "(" + (labels[v] + ";" if labels is not None else "") + "".join(parts) + ")"
         if i:
             if weights is not None:
-                code = "[" + format_rational(weights[edge_key(above[i], v)]) + "]" + code
+                code = "[" + weights[(above[i], v) if above[i] < v else (v, above[i])] + "]" + code
             kids[up[i]].append(code)
     return code
 
@@ -132,8 +136,8 @@ def canonical_code(
 ) -> str:
     """Canonical code of a tree under the given isomorphism flavor."""
     _check_payloads(flavor, labels, weights, root)
-    lab = normalize_labels(t, labels) if labels is not None else None
-    wts = normalize_weights(t, weights, strict=False) if weights is not None else None
+    lab = _texts(normalize_labels(t, labels)) if labels is not None else None
+    wts = _texts(normalize_weights(t, weights, strict=False)) if weights is not None else None
     prefix = SCHEMA_VERSION + _TAG[flavor] + ":"
     if flavor in _ROOTED:
         if not t.has_vertex(root):

@@ -8,6 +8,7 @@ constant.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional
@@ -19,16 +20,26 @@ from .graphs import (Edge, Graph, RootedTree, Tree, Vertex, degree_sets, edge_ke
 if TYPE_CHECKING:
     from .metrics import FiniteMetricSpace
 
-ZERO = Fraction(0)
-
 
 def root_distances(rt: RootedTree, weights: Mapping[Edge, Fraction]) -> dict[Vertex, Fraction]:
     """Weighted distance from the root to every vertex."""
-    out = {rt.root: ZERO}
+    return _fractions(*_scaled_distances(rt, weights))
+
+
+def _scaled_distances(rt: RootedTree, weights: Mapping[Edge, Fraction]) -> tuple[dict[Vertex, int], int]:
+    # Root distances as integers times den, the lcm of the weights' denominators.
+    den = math.lcm(*(x.denominator for x in weights.values()))
+    scaled = {e: x.numerator * (den // x.denominator) for e, x in weights.items()}
+    out = {rt.root: 0}
     for v in rt.bfs_order():
         for c in rt.children(v):
-            out[c] = out[v] + weights[edge_key(v, c)]
-    return out
+            out[c] = out[v] + scaled[(v, c) if v < c else (c, v)]
+    return out, den
+
+
+def _fractions(scaled: dict, den: int) -> dict:
+    memo: dict = {}  # each value over den, one Fraction per distinct integer
+    return {k: memo[x] if x in memo else memo.setdefault(x, Fraction(x, den)) for k, x in scaled.items()}
 
 
 @record
@@ -43,12 +54,11 @@ class EquidistantTree:
     def __init__(self, rt: RootedTree, weights: Mapping[Edge, Fraction]):
         object.__setattr__(self, "rt", rt)
         weights = normalize_weights(rt.tree, weights, strict=True)
-        dist = root_distances(rt, weights)
+        dist, den = _scaled_distances(rt, weights)
         sums = {dist[v] for v in self.v0()}
         if len(sums) != 1:
             raise NotEquidistantError("root-to-leaf weight sums differ")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "K", sums.pop())
+        vars(self).update(weights=weights, K=Fraction(*sums, den), _scaled=(dist, den, *sums))
 
     def metric(self) -> FiniteMetricSpace:
         from .metrics import additive_metric
@@ -114,9 +124,8 @@ def labeling_to_weight(mt: MonotoneTree) -> EquidistantTree:
 def weight_to_labeling(et: EquidistantTree) -> MonotoneTree:
     """The unique monotone labeling paired with an equidistant weight:
     l(u) = 2 (K - root-to-u weight sum), so l(root) = 2K."""
-    dist = root_distances(et.rt, et.weights)
-    labels = {v: 2 * (et.K - dist[v]) for v in et.rt.vertices}
-    return MonotoneTree(et.rt, labels)
+    dist, den, k = et._scaled  # type: ignore[attr-defined]  # root distances and K, times den
+    return MonotoneTree(et.rt, _fractions({v: 2 * (k - d) for v, d in dist.items()}, den))
 
 
 def _branching_shape(rng: random.Random, size: int) -> list[Optional[int]]:
@@ -149,13 +158,6 @@ def _branching_shape(rng: random.Random, size: int) -> list[Optional[int]]:
     return parents
 
 
-def _free_shape(rng: random.Random, size: int) -> list[Optional[int]]:
-    parents: list[Optional[int]] = [None]
-    for i in range(1, size):
-        parents.append(rng.randrange(i))
-    return parents
-
-
 def generate_monotone(
     seed: int | random.Random,
     min_size: int = 1,
@@ -174,7 +176,7 @@ def generate_monotone(
     size = rng.randint(min_size, max_size)
     if branching_only and size == 2:
         size = 3
-    parents = _branching_shape(rng, size) if branching_only else _free_shape(rng, size)
+    parents = _branching_shape(rng, size) if branching_only else [None, *(rng.randrange(i) for i in range(1, size))]
     names = [f"v{i:02d}" for i in range(size)]
     edges = [(names[parents[i]], names[i]) for i in range(1, size)]
     rt = RootedTree(Tree(Graph(names, edges)), names[0])
@@ -183,7 +185,7 @@ def generate_monotone(
     for v in reversed(rt.bfs_order()):
         kids = rt.children(v)
         if not kids:
-            labels[v] = ZERO
+            labels[v] = Fraction(0)
         else:
             step = Fraction(rng.randint(1, 8), rng.choice((1, 1, 2, 4)))
             labels[v] = max(labels[c] for c in kids) + step

@@ -10,7 +10,6 @@ sets), so equal inputs give identical outputs.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional
@@ -75,25 +74,30 @@ class Graph:
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Iterable[Vertex]] = ()):
         vs = tuple(sorted(vertices))
-        if len(set(vs)) != len(vs):
+        adj: dict[Vertex, list[Vertex]] = {v: [] for v in vs}
+        if len(adj) != len(vs):
             raise ValueError("duplicate vertex ids")
         if not vs:
             raise ValueError("empty vertex set")
-        vset = set(vs)
-        es = set()
+        keys = []
         for e in edges:
             u, v = e
-            if u not in vset or v not in vset:
+            try:
+                known = u in adj and v in adj
+            except TypeError:  # an unhashable id names no vertex
+                known = False
+            if not known:
                 raise VertexNotFoundError(f"edge endpoint not a vertex: {e!r}")
-            es.add(edge_key(u, v))
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", tuple(sorted(es)))
-        object.__setattr__(self, "_edge_set", es)
-        adj: dict[Vertex, list[Vertex]] = {v: [] for v in vs}
-        for u, v in self.edges:
+            if u == v:
+                raise ValueError(f"self-loop at {u!r}")
+            keys.append((u, v) if u < v else (v, u))
+        es = dict.fromkeys(sorted(keys))  # one pass of sorted() when the edges come in order, as documents list them
+        edges = tuple(es)
+        # Each (u, x) with u < x sorts before each (x, v), so every list comes out sorted.
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(self, "_adj", {v: tuple(sorted(ns)) for v, ns in adj.items()})
+        vars(self).update(vertices=vs, edges=edges, _edge_set=es, _adj={v: tuple(ns) for v, ns in adj.items()})
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         try:
@@ -111,33 +115,33 @@ class Graph:
             return False
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return u != v and edge_key(u, v) in self._edge_set  # type: ignore[attr-defined]
+        return self.has_vertex(u) and v in self._adj[u]  # type: ignore[attr-defined]
+
+    def _reach(self, start: Vertex) -> list[Vertex]:
+        # every vertex joined to start, in breadth-first order
+        adj, order, seen = self._adj, [start], {start}  # type: ignore[attr-defined]
+        for x in order:
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    order.append(y)
+        return order
 
     def components(self) -> list[tuple[Vertex, ...]]:
         """Connected components, each sorted, ordered by smallest member."""
-        seen: set[Vertex] = set()
-        out = []
+        out, seen = [], set()
         for start in self.vertices:
-            if start in seen:
-                continue
-            comp = []
-            queue = deque([start])
-            seen.add(start)
-            while queue:
-                x = queue.popleft()
-                comp.append(x)
-                for y in self.neighbors(x):
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-            out.append(tuple(sorted(comp)))
+            if start not in seen:
+                comp = self._reach(start)
+                seen.update(comp)
+                out.append(tuple(sorted(comp)))
         return out
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        return len(self._reach(self.vertices[0])) == len(self.vertices)
 
     def is_tree(self) -> bool:
-        return self.is_connected() and len(self.edges) == len(self.vertices) - 1
+        return len(self.edges) == len(self.vertices) - 1 and self.is_connected()
 
     def complement(self) -> "Graph":
         vs = self.vertices
@@ -164,42 +168,38 @@ class Tree(Graph):
         """Vertices of degree less than two (a lone vertex is a leaf)."""
         return frozenset(v for v in self.vertices if self.degree(v) < 2)
 
-    def internal_vertices(self) -> frozenset[Vertex]:
-        return frozenset(self.vertices) - self.leaves()
-
 
 def tree_from_edges(edges: Iterable[Iterable[Vertex]], vertices: Iterable[Vertex] = ()) -> Tree:
     es = [tuple(e) for e in edges]
-    vs = set(vertices)
-    for u, v in es:
-        vs.add(u)
-        vs.add(v)
-    return Tree(Graph(vs, es))
+    return Tree(Graph(set(vertices).union(*es), es))
 
 
 def normalize_weights(g: Graph, w: Mapping, strict: bool = True) -> dict[Edge, Fraction]:
     """Check a weight map is total on E(g) and (optionally) strictly positive."""
-    out: dict[Edge, Fraction] = {}
-    for raw_key, raw_val in w.items():
-        u, v = raw_key
-        out[edge_key(u, v)] = raw_val if isinstance(raw_val, Fraction) else Fraction(raw_val)
+    keyed: dict[Edge, Fraction] = {}
+    for (u, v), x in w.items():
+        keyed[(u, v) if u < v else edge_key(u, v)] = x if isinstance(x, Fraction) else Fraction(x)
+    out = {}
     for e in g.edges:
-        if e not in out:
+        if (x := keyed.get(e)) is None:
             raise NonPositiveWeightError(f"missing weight for edge {e!r}")
-        if out[e] < 0 or (strict and out[e] == 0):
-            raise NonPositiveWeightError(f"weight {out[e]} on edge {e!r}")
-    return {e: out[e] for e in g.edges}
+        if x.numerator < strict:  # negative, or zero when strict
+            raise NonPositiveWeightError(f"weight {x} on edge {e!r}")
+        out[e] = x
+    return out
 
 
 def normalize_labels(g: Graph, l: Mapping) -> dict[Vertex, Fraction]:
     """Check a label map is total on V(g) and nonnegative."""
-    out = {v: val if isinstance(val, Fraction) else Fraction(val) for v, val in l.items()}
+    keyed = {v: x if isinstance(x, Fraction) else Fraction(x) for v, x in l.items()}
+    out = {}
     for v in g.vertices:
-        if v not in out:
+        if (x := keyed.get(v)) is None:
             raise ValueError(f"missing label for vertex {v!r}")
-        if out[v] < 0:
-            raise ValueError(f"negative label {out[v]} on vertex {v!r}")
-    return {v: out[v] for v in g.vertices}
+        if x.numerator < 0:
+            raise ValueError(f"negative label {x} on vertex {v!r}")
+        out[v] = x
+    return out
 
 
 @record
@@ -214,19 +214,13 @@ class RootedTree:
             raise VertexNotFoundError(f"root {self.root!r} not a vertex")
         parent: dict[Vertex, Optional[Vertex]] = {self.root: None}
         children: dict[Vertex, tuple[Vertex, ...]] = {}
-        order = []
-        queue = deque([self.root])
-        while queue:
-            x = queue.popleft()
-            order.append(x)
-            kids = tuple(y for y in self.tree.neighbors(x) if y != parent[x])
-            children[x] = kids
+        order = [self.root]
+        for x in order:  # breadth first: the list grows as it is read
+            kids = children[x] = tuple(y for y in self.tree._adj[x] if y != parent[x])  # type: ignore[attr-defined]
             for y in kids:
                 parent[y] = x
-                queue.append(y)
-        object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "_children", children)
-        object.__setattr__(self, "_bfs", tuple(order))
+            order += kids
+        vars(self).update(_parent=parent, _children=children, _bfs=tuple(order))
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:

@@ -119,7 +119,7 @@ def graph_from_json(obj) -> GraphDoc:
         raise ParseError("'vertices' and 'edges' must be JSON lists")
     _check_ids(vertices)
     for e in edges:
-        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
+        if not isinstance(e, list) or len(e) != 2 or not isinstance(e[0], str) or not isinstance(e[1], str):
             raise ParseError(f"edge must be a list of two vertex ids: {e!r}")
     try:
         graph = Graph(vertices, edges)
@@ -139,17 +139,15 @@ def graph_from_json(obj) -> GraphDoc:
 
     weights, parse = None, _parser()
     if obj.get("weights") is not None:
-        weights = {}
+        weights, edge_set = {}, graph._edge_set  # type: ignore[attr-defined]
         for key, val in obj["weights"].items():
             parts = key.split("|")
             if len(parts) != 2:
                 raise ParseError(f"edge key must be 'u|v': {key!r}")
-            try:
-                e = edge_key(*parts)
-            except ValueError as exc:
-                raise ParseError(str(exc)) from exc
-            if not graph.has_edge(*e):
-                raise ParseError(f"weight on unknown edge {key!r}")
+            u, v = parts
+            e = (u, v) if u < v else (v, u)
+            if e not in edge_set:
+                raise ParseError(f"self-loop at {u!r}" if u == v else f"weight on unknown edge {key!r}")
             if e in weights:
                 raise ParseError(f"second weight on edge {key!r}")
             weights[e] = parse(val)

@@ -33,7 +33,6 @@ from .graphs import (
     edge_key,
 )
 from .metrics import FiniteMetricSpace, normalize_weights, restrict
-from .rational import format_rational
 from .representing import LabeledRootedTree, ball_id, diametrical_graph, multipartite_parts
 from .transforms import NablaResult
 
@@ -258,10 +257,10 @@ def cycle_edge_by_deletion(g: Graph) -> Edge:
 def rooted_code_by_recursion(
     t: Tree,
     root: Vertex,
-    labels: Optional[dict[Vertex, Fraction]],
-    weights: Optional[dict[Edge, Fraction]],
+    labels: Optional[dict[Vertex, str]],
+    weights: Optional[dict[Edge, str]],
 ) -> str:
-    """canonical._rooted_code by recursive child-code sorting."""
+    """canonical._rooted_code by recursive child-code sorting, on label and weight text."""
     def enc(v: Vertex, parent: Optional[Vertex]) -> str:
         parts = []
         for c in t.neighbors(v):
@@ -269,9 +268,9 @@ def rooted_code_by_recursion(
                 continue
             piece = enc(c, v)
             if weights is not None:
-                piece = "[" + format_rational(weights[edge_key(v, c)]) + "]" + piece
+                piece = "[" + weights[edge_key(v, c)] + "]" + piece
             parts.append(piece)
-        head = format_rational(labels[v]) + ";" if labels is not None else ""
+        head = labels[v] + ";" if labels is not None else ""
         return "(" + head + "".join(sorted(parts)) + ")"
 
     return enc(root, None)

@@ -16,17 +16,19 @@ Rational = Fraction
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
-    """Parse "p/q" / integer text (or an already-exact number) exactly."""
+    """Parse "p/q" or integer text, an optional sign and ASCII digits (or an exact number), exactly."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, (bool, float)):  # JSON true/false, or a number already rounded to binary
-        raise ParseError(f"not a rational: {text!r}")
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):  # JSON true/false are no numbers
         return Fraction(text)
-    try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not a rational: {text!r}") from exc
+    num, slash, den = str(text).strip().partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    try:  # ASCII digits only: Fraction(str) also reads "1.5", "1e3", "1_000" and "١٢", and a float's text
+        if digits.isascii() and digits.isdecimal() and (not slash or den.isascii() and den.isdecimal()):
+            return Fraction(int(num), int(den or 1))
+    except (ValueError, ZeroDivisionError):  # more digits than int() reads, or a zero denominator
+        pass
+    raise ParseError(f"not a rational: {text!r}")
 
 
 def format_rational(value: Fraction) -> str:

@@ -189,6 +189,33 @@ def test_root_distances_helper():
     assert dist["r"] == 0 and dist["a"] == 1 and dist["t"] == 5
 
 
+def test_integer_root_distances_equal_fraction_sums():
+    from ultratree import edge_key
+    from ultratree.generators import random_tree
+
+    rng = random.Random(907)
+    dens = (1, 2, 3, 7, 11, 13, 999983, 1000003, 2**31 - 1)
+    for n in (150, 300, 600):
+        rt = RootedTree(random_tree(rng, n), "v00")
+        # random weights, then each edge into an out-degree-zero vertex closes its path at K
+        w = {edge_key(v, c): F(rng.randint(1, 40), rng.choice(dens)) for v in rt.vertices for c in rt.children(v)}
+        plain = {rt.root: F(0)}
+        for v in rt.bfs_order():
+            for c in rt.children(v):
+                plain[c] = plain[v] + w[edge_key(v, c)]
+        v0 = [v for v in rt.vertices if not rt.children(v)]
+        K = max(plain[rt.parent(v)] for v in v0) + F(rng.randint(1, 9), rng.choice(dens))
+        for v in v0:
+            w[edge_key(rt.parent(v), v)] = K - plain[rt.parent(v)]
+            plain[v] = K
+        et = EquidistantTree(rt, w)
+        assert et.K == K and len({x.denominator for x in w.values()}) > 5
+        assert root_distances(rt, et.weights) == plain
+        mt = weight_to_labeling(et)
+        assert mt.labels == {v: 2 * (K - plain[v]) for v in rt.vertices}
+        assert labeling_to_weight(mt) == et
+
+
 _FIG10_LABELS = {"r": F(14), "a": F(12), "b": F(8), "c": F(0), "d": F(0)}
 _BAD_WEIGHTS = [
     ({("r", "a"): F(1), ("a", "b"): F(2), ("b", "c"): F(4)},

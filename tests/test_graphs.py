@@ -27,7 +27,9 @@ from ultratree import (
     tree_from_edges,
     weight_to_labeling,
 )
-from ultratree.errors import VertexNotFoundError
+from ultratree import io as tio
+from ultratree.errors import NonPositiveWeightError, ParseError, VertexNotFoundError
+from ultratree.graphs import normalize_labels, normalize_weights
 from ultratree.io import GraphDoc, load_graph_text
 from ultratree.generators import random_tree
 from ultratree.oracles import unique_path_by_enumeration
@@ -49,8 +51,13 @@ def test_graph_rejects_bad_input():
 def test_unknown_or_unhashable_vertex_is_not_found():
     t = tree_from_edges([("a", "b"), ("b", "c")])
     rt = RootedTree(t, "a")
-    for bad in ("z", ["a"], {"a": 1}):
+    for bad in ("z", ["a"], {"a": 1}, 1):
         assert not t.has_vertex(bad)
+        assert not t.has_edge(bad, "a") and not t.has_edge("b", bad) and not t.has_edge(bad, bad)
+        for edge in (("a", bad), (bad, "b")):
+            with pytest.raises(VertexNotFoundError) as caught:
+                Graph("abc", [edge])
+            assert str(caught.value) == f"edge endpoint not a vertex: {edge!r}"
         for lookup in (t.neighbors, t.degree, rt.parent, rt.children):
             with pytest.raises(VertexNotFoundError):
                 lookup(bad)
@@ -271,3 +278,81 @@ def test_records_are_frozen_values():
     plain = Graph(g.vertices, g.edges)
     assert g != plain and plain != g and not g == plain and g == Tree(plain)
     assert repr(g) == f"Tree(vertices={g.vertices!r}, edges={g.edges!r})"
+
+
+def _parsed(call, **payload):
+    # parse the path a-b-c with the given payload, then hand the parsed document to call
+    doc = tio.graph_from_json({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]], **payload})
+    return call(doc)
+
+
+_PATH_W, _PATH_L = {"a|b": "1", "b|c": "2"}, {"a": "1", "b": "2", "c": "0"}
+_REFUSALS = [
+    ("duplicate vertex", lambda: tio.graph_from_json({"vertices": ["a", "a"], "edges": []}),
+     ParseError, "bad graph: duplicate vertex ids"),
+    ("duplicate vertex", lambda: Graph(["a", "b", "a"], [("a", "b")]), ValueError, "duplicate vertex ids"),
+    ("empty vertex list", lambda: tio.graph_from_json({"vertices": [], "edges": []}),
+     ParseError, "bad graph: empty vertex set"),
+    ("empty vertex list", lambda: Graph([]), ValueError, "empty vertex set"),
+    ("edge listed twice", lambda: tio.graph_from_json({"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}),
+     ParseError, "repeated edge 'b|a'"),
+    ("self-loop edge", lambda: tio.graph_from_json({"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "a"]]}),
+     ParseError, "bad graph: self-loop at 'a'"),
+    ("self-loop edge", lambda: Tree(Graph("ab", [("a", "b"), ("b", "b")])), ValueError, "self-loop at 'b'"),
+    ("unknown endpoint", lambda: tio.graph_from_json({"vertices": ["a", "b"], "edges": [["a", "c"]]}),
+     ParseError, "bad graph: edge endpoint not a vertex: ['a', 'c']"),
+    ("unknown endpoint", lambda: Tree(Graph("ab", [("c", "a"), ("a", "a")])),
+     VertexNotFoundError, "edge endpoint not a vertex: ('c', 'a')"),
+    # the endpoint check comes before the self-loop check, edge by edge
+    ("self-loop, then unknown endpoint", lambda: Graph("ab", [("a", "a"), ("a", "c")]), ValueError, "self-loop at 'a'"),
+    ("self-loop at an unknown endpoint", lambda: Graph("ab", [("z", "z")]),
+     VertexNotFoundError, "edge endpoint not a vertex: ('z', 'z')"),
+    ("cycle", lambda: Tree(Graph("abc", [("a", "b"), ("b", "c"), ("c", "a")])),
+     ValueError, "not a tree: must be connected with |E| = |V| - 1"),
+    ("disconnected, with |E| = |V| - 1", lambda: Tree(Graph("abcd", [("a", "b"), ("b", "c"), ("c", "a")])),
+     ValueError, "not a tree: must be connected with |E| = |V| - 1"),
+    ("forest", lambda: tio.graph_from_json({"vertices": ["a", "b", "c"], "edges": [["a", "b"]]}).tree(),
+     ParseError, "expected a tree (connected and acyclic)"),
+    ("weight key 'a|a'", lambda: _parsed(None, weights={"a|a": "1"}), ParseError, "self-loop at 'a'"),
+    ("weight key 'a|a'", lambda: normalize_weights(Graph("ab", [("a", "b")]), {("a", "b"): 1, ("a", "a"): 1}),
+     ValueError, "self-loop at 'a'"),
+    ("weight on unknown edge", lambda: _parsed(None, weights={"a|b": "1", "c|a": "1"}),
+     ParseError, "weight on unknown edge 'c|a'"),
+    ("second weight on one edge", lambda: _parsed(None, weights={"a|b": "1", "b|a": "1"}),
+     ParseError, "second weight on edge 'b|a'"),
+    ("missing weight", lambda: _parsed(lambda d: normalize_weights(d.graph, d.weights), weights={"b|c": "1"}),
+     NonPositiveWeightError, "missing weight for edge ('a', 'b')"),
+    ("missing weight, non-strict",
+     lambda: _parsed(lambda d: normalize_weights(d.graph, d.weights, strict=False), weights={"a|b": "0"}),
+     NonPositiveWeightError, "missing weight for edge ('b', 'c')"),
+    ("zero weight",
+     lambda: _parsed(lambda d: normalize_weights(d.graph, d.weights), weights=dict(_PATH_W, **{"b|c": "0"})),
+     NonPositiveWeightError, "weight 0 on edge ('b', 'c')"),
+    # graph order decides which defect is reported first
+    ("negative weight, non-strict",
+     lambda: _parsed(lambda d: normalize_weights(d.graph, d.weights, strict=False),
+                     weights={"b|c": "-1/2", "a|b": "-3"}),
+     NonPositiveWeightError, "weight -3 on edge ('a', 'b')"),
+    ("negative weight", lambda: normalize_weights(Graph("ab", [("a", "b")]), {("b", "a"): F(-1)}),
+     NonPositiveWeightError, "weight -1 on edge ('a', 'b')"),
+    ("negative weight, then missing",
+     lambda: normalize_weights(Graph("abc", [("a", "b"), ("b", "c")]), {("a", "b"): -1}),
+     NonPositiveWeightError, "weight -1 on edge ('a', 'b')"),
+    # every key is read before any edge is checked
+    ("bad key after a missing weight", lambda: normalize_weights(Graph("ab", [("a", "b")]), {("c", "c"): 1}),
+     ValueError, "self-loop at 'c'"),
+    ("missing label", lambda: _parsed(lambda d: normalize_labels(d.graph, d.labels), labels={"c": "0", "a": "1"}),
+     ValueError, "missing label for vertex 'b'"),
+    ("negative label", lambda: _parsed(lambda d: normalize_labels(d.graph, d.labels), labels=dict(_PATH_L, c="-1/3")),
+     ValueError, "negative label -1/3 on vertex 'c'"),
+    ("negative label, then missing", lambda: normalize_labels(Graph("ab"), {"a": F(-2)}),
+     ValueError, "negative label -2 on vertex 'a'"),
+]
+
+
+@pytest.mark.parametrize("case, call, error, text", _REFUSALS, ids=[r[0] for r in _REFUSALS])
+def test_each_refusal_keeps_its_type_and_text(case, call, error, text):
+    with pytest.raises(Exception) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, text)
+

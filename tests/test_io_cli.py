@@ -149,8 +149,8 @@ def test_each_tree_is_checked_once(monkeypatch):
     from ultratree import Graph, IsoFlavor, are_isomorphic
 
     searches = []
-    components = Graph.components
-    monkeypatch.setattr(Graph, "components", lambda g: searches.append(g) or components(g))
+    is_connected = Graph.is_connected
+    monkeypatch.setattr(Graph, "is_connected", lambda g: searches.append(g) or is_connected(g))
     path = tio.graph_from_json({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]})
     path.tree()
     assert len(searches) == 1
@@ -475,15 +475,13 @@ def test_each_verb_loads_only_its_modules(verb_modules):
 
 # Source lines each verb compiles (the harness keeps no bytecode): cli.py, the
 # package's __init__.py and every submodule the call loads.  Tree and graph
-# verbs compile no matrix code; the others stay within what they compiled
-# before the matrix layer was split off; `spanning`, `counterexample` and
-# `reduce` are held at what they compile with the closed-form counterexamples
-# and the CLI's verb table; the matrix verbs and `selftest` at what they compile
-# with one builder each for spaces, hierarchy trees and relation matrices.
+# verbs compile no matrix code.  Every verb is held at what it compiles once
+# each tree is keyed, checked and walked once and its payload text and root
+# distances are made once; `selftest`, which loads every module, did not grow.
 _SOURCE_LINE_CEILINGS = {
-    "iso": 1300, "dual": 1300, "spanning": 1222, "counterexample": 1222,
-    "repr": 1491, "ballean": 1491, "isometry": 1684, "isometry --fast-ultrametric": 1755,
-    "analyze": 1743, "reduce": 1412, "selftest": 2535,
+    "iso": 1294, "dual": 1219, "spanning": 1216, "counterexample": 1216,
+    "repr": 1485, "ballean": 1485, "isometry": 1682, "isometry --fast-ultrametric": 1753,
+    "analyze": 1402, "reduce": 1408, "selftest": 2535,
 }
 
 
@@ -782,3 +780,29 @@ def test_equal_texts_share_one_value_within_a_document_only():
     assert d1.weights[("a", "b")] is d1.weights[("b", "c")] is d1.labels["a"]
     assert d1.labels["b"] == d1.labels["c"] and d1.labels["b"] is not d1.labels["c"]  # 2 and "2" are two tokens
     assert d1.weights[("a", "b")] is not d2.weights[("a", "b")]
+
+
+# The number grammar: an optional sign, ASCII digits, and an optional "/" with
+# ASCII digits, surrounding whitespace stripped.  Fraction(str) reads more, and
+# what it reads depends on the Python release, so these are refused everywhere.
+_TOKENS = [
+    ("7", F(7)), ("-3/4", F(-3, 4)), ("+6/4", F(3, 2)), (" 12\n", F(12)), ("007/010", F(7, 10)), ("-0", F(0)),
+    ("1_000", None), ("3 / 4", None), ("3/ 4", None), ("١٢", None), ("1.5", None), ("1e3", None), ("3/-4", None),
+    ("- 3", None), ("1/0", None), ("", None), ("/4", None), ("3/", None), ("0x10", None), ("inf", None),
+    ("nan", None), ("1/2/3", None), ("½", None), ("٣/٤", None), ("9" * 5000, None),
+]
+
+
+@pytest.mark.parametrize("token, value", _TOKENS)
+def test_number_grammar_is_ascii_p_over_q_on_every_release(token, value):
+    from ultratree.rational import parse_rational
+
+    if value is not None:
+        assert parse_rational(token) == value
+        return
+    with pytest.raises(ParseError) as caught:
+        parse_rational(token)
+    assert str(caught.value) == f"not a rational: {token!r}"
+    doc = {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"a|b": token}}
+    with pytest.raises(ParseError, match="^not a rational: "):
+        tio.graph_from_json(doc)
