@@ -77,19 +77,21 @@ def tree_centers(t: Tree) -> tuple[Vertex, ...]:
     return tuple(sorted(layer))
 
 
+def _payloads(flavor: IsoFlavor, labels, weights, root) -> tuple:
+    # (labels, weights, root), with None for each payload the flavor does not compare
+    return (labels if flavor in _LABELED else None, weights if flavor in _WEIGHTED else None,
+            root if flavor in _ROOTED else None)
+
+
 def _check_payloads(flavor: IsoFlavor, labels, weights, root) -> None:
-    if flavor in _ROOTED and root is None:
-        raise MissingPayloadError(f"flavor {flavor.value} needs a root")
-    if flavor in _LABELED and labels is None:
-        raise MissingPayloadError(f"flavor {flavor.value} needs vertex labels")
-    if flavor in _WEIGHTED and weights is None:
-        raise MissingPayloadError(f"flavor {flavor.value} needs edge weights")
-    if flavor not in _ROOTED and root is not None:
-        raise ValueError(f"flavor {flavor.value} takes no root")
-    if flavor not in _LABELED and labels is not None:
-        raise ValueError(f"flavor {flavor.value} takes no labels")
-    if flavor not in _WEIGHTED and weights is not None:
-        raise ValueError(f"flavor {flavor.value} takes no weights")
+    given = (("root", root, _ROOTED, "a root"), ("labels", labels, _LABELED, "vertex labels"),
+             ("weights", weights, _WEIGHTED, "edge weights"))
+    for _, x, kind, needed in given:
+        if flavor in kind and x is None:
+            raise MissingPayloadError(f"flavor {flavor.value} needs {needed}")
+    for name, x, kind, _ in given:
+        if flavor not in kind and x is not None:
+            raise ValueError(f"flavor {flavor.value} takes no {name}")
 
 
 def _texts(vals: dict) -> dict:

@@ -91,23 +91,13 @@ def _cmd_repr(args) -> str:
 
 
 def _cmd_iso(args) -> str:
-    from .canonical import _LABELED, _ROOTED, _WEIGHTED
+    from .canonical import _payloads
 
     _load("IsoFlavor", "are_isomorphic")
     flavor = IsoFlavor(args.flavor)
     a, b = (tio.load_graph_text(_read(path)) for path in (args.left, args.right))
-    verdict = are_isomorphic(
-        a.graph,
-        b.graph,
-        flavor,
-        labels1=a.labels if flavor in _LABELED else None,
-        labels2=b.labels if flavor in _LABELED else None,
-        weights1=a.weights if flavor in _WEIGHTED else None,
-        weights2=b.weights if flavor in _WEIGHTED else None,
-        root1=a.root if flavor in _ROOTED else None,
-        root2=b.root if flavor in _ROOTED else None,
-    )
-    return tio.dump_json({"isomorphic": verdict})
+    (l1, w1, r1), (l2, w2, r2) = (_payloads(flavor, doc.labels, doc.weights, doc.root) for doc in (a, b))
+    return tio.dump_json({"isomorphic": are_isomorphic(a.graph, b.graph, flavor, l1, l2, w1, w2, r1, r2)})
 
 
 def _cmd_isometry(args) -> str:

@@ -115,7 +115,8 @@ class Graph:
             return False
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return self.has_vertex(u) and v in self._adj[u]  # type: ignore[attr-defined]
+        known = self.has_vertex(u) and self.has_vertex(v)  # so both ids hash and compare
+        return known and (min(u, v), max(u, v)) in self._edge_set  # type: ignore[attr-defined]
 
     def _reach(self, start: Vertex) -> list[Vertex]:
         # every vertex joined to start, in breadth-first order
@@ -145,12 +146,11 @@ class Graph:
 
     def complement(self) -> "Graph":
         vs = self.vertices
-        present = self._edge_set  # type: ignore[attr-defined]
         es = [
             (u, v)
             for i, u in enumerate(vs)
             for v in vs[i + 1 :]
-            if (u, v) not in present
+            if not self.has_edge(u, v)
         ]
         return Graph(vs, es)
 

@@ -27,6 +27,8 @@ if TYPE_CHECKING:
     from .metrics import FiniteMetricSpace
     from .representing import LabeledRootedTree
 
+_MAX_DEPTH = 100  # deepest nesting read: the schemas need 3, and no release's own parser stops before ~900
+
 
 @record
 class GraphDoc:
@@ -250,21 +252,26 @@ def load_graph_text(text: str) -> GraphDoc:
 
 
 def _load_json(text: str):
-    # json.loads, refusing an object that repeats a key rather than keep the last
+    # json.loads, refusing an object that repeats a key rather than keep the last, and nesting past _MAX_DEPTH
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
-    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits or too deep
+        level = [[obj := json.loads(text, object_pairs_hook=_unique_keys)]]
+        for _ in range(_MAX_DEPTH + 1):  # the containers one level further in
+            level = [y for x in level for y in (x.values() if type(x) is dict else x) if type(y) in (dict, list)]
+        if level:  # past _MAX_DEPTH: refused as a release's parser refuses past its own limit
+            raise RecursionError
+    except ValueError as exc:  # bad syntax or too many digits
         raise ParseError(f"bad JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"bad JSON: nested deeper than {_MAX_DEPTH} levels") from None
+    return obj
 
 
 def _unique_keys(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ParseError(f"bad JSON: repeated key {key!r}")
-            seen.add(key)
+        seen: set = set()
+        repeat = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ParseError(f"bad JSON: repeated key {repeat!r}")
     return obj
 
 

@@ -6,10 +6,10 @@ and the max vertex label along it (on trees, and its minimax extension to
 graphs); over several joining paths the minimum counts, all folded on
 integers.  Plus classification of matrices and the Hausdorff distance.  A
 space ranks its distinct distances once when it is made, and every check after
-that, the ultrametric decision and the hierarchy tree of representing.py run
-on those integer ranks.  The last two come from one Prim search (_linkage):
-every ball is an interval of its visiting order, so the order and the rank
-each point joins at give both.
+that runs on those integer ranks.  The ultrametric decision is one Prim search
+(_linkage); its visiting order, in which every ball is an interval, and the
+rank each point joins at are all representing.py needs to build the hierarchy
+tree.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ def _classify(values: Sequence[Fraction], ranks: Sequence[Sequence[int]]) -> Met
     return MetricClass.METRIC_ONLY if triangle else MetricClass.NOT_SEMIMETRIC
 
 
-def _linkage(mat: Sequence[Sequence]) -> Optional[list[tuple[object, tuple[int, ...]]]]:
-    """Checked single-linkage merges of a nonempty symmetric zero-diagonal matrix.
+def _linkage(mat: Sequence[Sequence]) -> Optional[tuple[list[int], list]]:
+    """Checked single-linkage order of a nonempty symmetric zero-diagonal matrix.
 
     Entries need only compare: a space passes the integer ranks it made once.
     A dense O(n^2) Prim search visits the points in an order p_0, ..., p_{n-1},
@@ -167,12 +167,10 @@ def _linkage(mat: Sequence[Sequence]) -> Optional[list[tuple[object, tuple[int, 
     up a cluster before it leaves it.  So the subdominant ultrametric of p_i
     and p_k (i < k) is max(j_{i+1}, ..., j_k), and the strong triangle
     inequality holds exactly when every pair carries that maximum; each pair
-    is checked once.  The tree of interval maxima, equal entries merged into
-    one vertex, is the hierarchy, built with one stack of open merges.
+    is checked once.
 
-    Returns (entry, children) per merge, children before parents and the
-    root last, where a child is a point index below n or n + k for merge k;
-    None at the first failed pair.
+    Returns (order, joins), the rows p_0, ..., p_{n-1} and the entries
+    j_1, ..., j_{n-1}; None at the first failed pair.
     """
     n = len(mat)
     order, joins = [0], []  # visiting order, and the entry each later point joins at
@@ -189,20 +187,7 @@ def _linkage(mat: Sequence[Sequence]) -> Optional[list[tuple[object, tuple[int, 
     for i, x in enumerate(order):
         if list(map(mat[x].__getitem__, order[i + 1 :])) != list(itertools.accumulate(joins[i:], max)):
             return None
-
-    merges = []
-    spine: list[tuple[object, list[int]]] = []  # open merges, entries falling toward the top
-    for x, r in itertools.zip_longest(order, joins):  # the last point closes every merge
-        while spine and (r is None or spine[-1][0] < r):
-            top, kids = spine.pop()
-            kids.append(x)
-            merges.append((top, tuple(kids)))
-            x = n + len(merges) - 1
-        if spine and spine[-1][0] == r:
-            spine[-1][1].append(x)
-        else:
-            spine.append((r, [x]))
-    return merges
+    return order, joins
 
 
 def _path_metric(g: Graph, start: Mapping[Vertex, int], step: Callable, value: Callable) -> FiniteMetricSpace:

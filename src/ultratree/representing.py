@@ -4,9 +4,11 @@ A finite ultrametric space decomposes recursively: pairs realizing the
 diameter form a complete multipartite graph whose blocks are the children.
 The resulting labeled rooted tree has the space's balls as vertex payloads,
 one extra zero leaf per internal vertex gives the tree of the ball space.
-The tree is built in O(n^2) from the visiting order of one Prim search, in
-which every ball is an interval; this gives the same tree as the recursion
-into diametrical blocks, which stays in oracles.py as the test reference.
+metrics._linkage decides in O(n^2) whether the space is ultrametric and
+returns the visiting order of its Prim search, in which every ball is an
+interval, with the rank each point joins at; representing_tree alone turns
+them into vertices.  This gives the same tree as the recursion into
+diametrical blocks, which stays in oracles.py as the test reference.
 diametrical_graph and multipartite_parts are that recursion's steps.
 """
 
@@ -18,7 +20,7 @@ from typing import Iterable, Optional
 
 from .errors import NotCompleteMultipartiteError, NotUltrametricError, TooFewPointsError
 from .graphs import Graph, RootedTree, Tree, Vertex, record
-from .metrics import FiniteMetricSpace, _linkage, hausdorff_distance, space_from
+from .metrics import ZERO, FiniteMetricSpace, _linkage, hausdorff_distance, space_from
 
 
 def ball_id(points: Iterable[Vertex]) -> str:
@@ -95,11 +97,10 @@ def multipartite_parts(dg: Graph) -> list[tuple[Vertex, ...]]:
         raise NotCompleteMultipartiteError(
             "graph has a single block; a complete multipartite graph needs k >= 2"
         )
-    edge_set = set(dg.edges)
     for block in blocks:
         for i, u in enumerate(block):
             for v in block[i + 1 :]:
-                if (u, v) in edge_set:
+                if dg.has_edge(u, v):
                     raise NotCompleteMultipartiteError(
                         f"vertices {u!r}, {v!r} are adjacent inside one block"
                     )
@@ -114,26 +115,35 @@ def representing_tree(space: FiniteMetricSpace) -> LabeledRootedTree:
     leaves.  It is read off the visiting order of one Prim search: the
     distance of two points is the largest join rank between them in that
     order, and runs of equal largest joins make one vertex whose children
-    are the intervals between them.  This is the same tree as the paper's
-    recursion into diametrical blocks (kept as a test reference in
-    oracles.py).  Vertex ids encode the payload sets, so the vertex set
-    doubles as the ballean.
+    are the intervals between them.  A stack of open balls walks the order
+    once and makes each vertex when its ball closes.  This is the same tree
+    as the paper's recursion into diametrical blocks (kept as a test
+    reference in oracles.py).  Vertex ids encode the payload sets, so the
+    vertex set doubles as the ballean.
     """
     values, ranks = space._ranks  # type: ignore[attr-defined]
-    merges = _linkage(ranks)
-    if merges is None or any(values[r] == 0 for r, _ in merges):
+    found = _linkage(ranks)
+    if found is None or 0 in found[1]:  # rank 0 is the zero of the diagonal, so such a join repeats a point
         raise NotUltrametricError("space is not ultrametric")
-    payloads = [frozenset({p}) for p in space.points]
-    ids = [ball_id(b) for b in payloads]
-    labels = dict.fromkeys(ids, Fraction(0))
-    edges = []
-    for r, kids in merges:
-        payloads.append(frozenset().union(*(payloads[k] for k in kids)))
-        ids.append(ball_id(payloads[-1]))
-        labels[ids[-1]] = values[r]
-        edges += [(ids[-1], ids[k]) for k in kids]
-    rt = RootedTree(Tree(Graph(ids, edges)), ids[-1])
-    return LabeledRootedTree(rt, labels, dict(zip(ids, payloads)))
+    order, joins = found
+    names = [space.points[i] for i in order]  # every ball is an interval of this list
+    labels, payloads, edges = {}, {}, []
+    spine: list = []  # open balls as (join rank, first position, children), ranks falling toward the top
+    for i, (name, r) in enumerate(zip(names, [*joins, None])):  # the last point closes every ball
+        v, start = ball_id([name]), i
+        labels[v], payloads[v] = ZERO, frozenset([name])
+        while spine and (r is None or spine[-1][0] < r):
+            top, start, kids = spine.pop()
+            kids.append(v)
+            ball = frozenset(names[start : i + 1])
+            v = ball_id(ball)
+            labels[v], payloads[v] = values[top], ball
+            edges += [(v, kid) for kid in kids]
+        if spine and spine[-1][0] == r:
+            spine[-1][2].append(v)
+        else:
+            spine.append((r, start, [v]))
+    return LabeledRootedTree(RootedTree(Tree(Graph(payloads, edges)), v), labels, payloads)
 
 
 def ballean(space: FiniteMetricSpace) -> Ballean:

@@ -31,7 +31,7 @@ from ultratree import io as tio
 from ultratree.errors import NonPositiveWeightError, ParseError, VertexNotFoundError
 from ultratree.graphs import normalize_labels, normalize_weights
 from ultratree.io import GraphDoc, load_graph_text
-from ultratree.generators import random_tree
+from ultratree.generators import random_connected_graph, random_tree
 from ultratree.oracles import unique_path_by_enumeration
 
 from helpers import fig1_tree, fig5_tree, fig6_graph, fig10_tree, fig13_tree
@@ -67,6 +67,25 @@ def test_unknown_or_unhashable_vertex_is_not_found():
             find_path(t, bad, "a")
         with pytest.raises(VertexNotFoundError):
             find_path(t, "a", bad)
+
+
+def test_has_edge_agrees_with_the_neighbor_lists():
+    # a 5000-leaf star, whose center a scan of the neighbors would cross once per query,
+    # and random graphs; ids that name no vertex, or do not hash, have no edge
+    rng = random.Random(47)
+    leaves = [f"l{i:04d}" for i in range(5000)]
+    star = Graph(["c", *leaves], [("c", x) for x in leaves])
+    assert all(star.has_edge("c", x) and star.has_edge(x, "c") for x in leaves)
+    assert not any(star.has_edge(x, y) for x, y in zip(leaves, reversed(leaves)))
+    graphs = [random_connected_graph(rng, rng.randint(1, 30), rng.randint(0, 40)) for _ in range(40)]
+    for g in [star, *graphs]:
+        vs = g.vertices
+        pairs = [(u, v) for u in vs for v in vs] if g is not star else [
+            (rng.choice(vs), rng.choice(vs)) for _ in range(2000)]
+        for u, v in pairs:
+            assert g.has_edge(u, v) is (v in set(g.neighbors(u))), (u, v)
+        for bad in ("z", ["c"], {"c": 1}, 1, None):
+            assert not g.has_edge(bad, g.vertices[0]) and not g.has_edge(g.vertices[0], bad)
 
 
 def test_tree_rejects_cycles_and_forests():

@@ -15,7 +15,7 @@ from ultratree.errors import ParseError
 from ultratree.generators import random_ultrametric_space
 from ultratree import io as tio
 
-from helpers import fig6_graph, fig10_tree, fig13_tree
+from helpers import fig6_graph, fig10_tree, fig13_tree, rename_labels, rename_tree, rename_weights
 
 
 def test_graph_json_round_trip():
@@ -58,9 +58,17 @@ def test_matrix_json_and_csv_round_trip():
 # and floats (1e-400 arrives as 0.0) are not rationals; ids may not contain
 # '|' in either matrix form; an edge is listed once and has one weight; a JSON
 # object repeats no key.
-# JSON nested past the recursion limit, or holding an integer past int's digit
-# limit, does not parse.
-_TOO_DEEP = "bad JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+# JSON nested more than 100 levels deep, on every release whatever depth its own
+# parser reaches, or holding an integer past int's digit limit, does not parse.
+_TOO_DEEP = "bad JSON: nested deeper than 100 levels"
+
+
+def _noted(depth: int) -> str:
+    # a valid labeled graph whose extra key "note" makes the document nest depth levels
+    graph = '{"vertices": ["a", "b"], "edges": [["a", "b"]], "labels": {"a": "1", "b": "0"}'
+    return graph + ', "note": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}"
+
+
 _REFUSED = (
     ("repr", "bools.json", '{"points": ["a", "b"], "matrix": [[false, true], [true, false]]}',
      "not a rational: False"),
@@ -84,6 +92,9 @@ _REFUSED = (
      "bad JSON: repeated key 'a|b'"),
     ("reduce", "deep_vertices.json", '{"vertices": ' + "[" * 5000 + "]" * 5000 + "}", _TOO_DEEP),
     ("repr", "deep_matrix.json", '{"points": ["a"], "matrix": ' + "[" * 3000 + "]" * 3000 + "}", _TOO_DEEP),
+    ("spanning", "deep_note.json", _noted(3000), _TOO_DEEP),
+    ("spanning", "note_past_bound.json", _noted(101), _TOO_DEEP),
+    ("reduce", "vertices_past_bound.json", '{"vertices": ' + "[" * 100 + "]" * 100 + "}", _TOO_DEEP),
     ("reduce", "long_weight.json",
      '{"vertices": ["a", "b"], "edges": [["a", "b"]], "root": "a", "weights": {"a|b": ' + "7" * 5000 + "}}",
      "bad JSON: Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
@@ -133,10 +144,22 @@ def test_parse_errors():
         with pytest.raises(ParseError, match="payload of 'a' must be a list of strings"):
             tio.graph_from_json(doc)
     for verb, _, text, message in _REFUSED:
-        load = tio.load_graph_text if verb == "reduce" else tio.load_matrix_text
+        load = tio.load_matrix_text if verb in ("repr", "ballean") else tio.load_graph_text
         with pytest.raises(ParseError) as caught:
             load(text)
         assert str(caught.value) == message
+
+
+def test_nesting_up_to_the_bound_is_read(tmp_path, capsys):
+    # A key no schema reads may hold any value, as long as the document nests at most
+    # 100 levels; the schemas themselves need 3.
+    plain = '{"vertices": ["a", "b"], "edges": [["a", "b"]], "labels": {"a": "1", "b": "0"}}'
+    code, want = _run(capsys, "spanning", _write(tmp_path, "plain.json", plain))
+    assert code == 0
+    assert _run(capsys, "spanning", _write(tmp_path, "note.json", _noted(100))) == (0, want)
+    assert tio.load_graph_text(_noted(100)) == tio.load_graph_text(plain)
+    with pytest.raises(ParseError, match="^vertex ids must be nonempty strings"):
+        tio.load_graph_text('{"vertices": ' + "[" * 99 + "]" * 99 + "}")
 
 
 def test_format_rational_keeps_the_text_of_any_exact_value():
@@ -234,6 +257,46 @@ def test_cli_iso_and_isometry(tmp_path, capsys):
 
     code, out = _run(capsys, "isometry", "--fast-ultrametric", m1, m2)
     assert code == 0 and json.loads(out)["isometric"] is True
+
+
+# The payloads each iso flavor compares, stated apart from the library's own rule.
+_FLAVOR_PAYLOADS = {"free": (), "rooted": ("root",), "vlabel": ("labels",), "eweight": ("weights",),
+                    "rlabel": ("root", "labels"), "rweight": ("root", "weights")}
+
+
+def test_iso_compares_exactly_the_payloads_of_its_flavor(tmp_path, capsys):
+    # Both documents carry a root, labels and weights.  The right one is a renamed copy
+    # of the left, or of the left with one payload changed: the root moved from a leaf
+    # to a branching vertex, or one label or one weight set to a value found nowhere else.
+    from ultratree import IsoFlavor, are_isomorphic
+    from ultratree.generators import random_tree
+
+    rng = random.Random(233)
+    for k in range(4):
+        t = random_tree(rng, rng.randint(6, 14))
+        leaf = min(v for v in t.vertices if t.degree(v) == 1)
+        labels = {v: F(rng.randint(0, 3)) for v in t.vertices}
+        weights = {e: F(rng.randint(1, 3)) for e in t.edges}
+        left = {"root": leaf, "labels": labels, "weights": weights}
+        changes = {
+            "nothing": left,
+            "root": dict(left, root=max(v for v in t.vertices if t.degree(v) >= 2)),
+            "labels": dict(left, labels={**labels, leaf: F(7)}),
+            "weights": dict(left, weights={**weights, t.edges[0]: F(9)}),
+        }
+        m = dict(zip(t.vertices, rng.sample([f"r{i}" for i in range(len(t.vertices))], len(t.vertices))))
+        t2 = rename_tree(t, m)
+        path1 = _write(tmp_path, f"left{k}.json", tio.dump_json(tio.graph_to_json(t, **left)))
+        for changed, doc in changes.items():
+            right = {"root": m[doc["root"]], "labels": rename_labels(doc["labels"], m),
+                     "weights": rename_weights(doc["weights"], m)}
+            path2 = _write(tmp_path, f"right{k}{changed}.json", tio.dump_json(tio.graph_to_json(t2, **right)))
+            for flavor, compared in _FLAVOR_PAYLOADS.items():
+                code, out = _run(capsys, "iso", "--flavor", flavor, path1, path2)
+                payloads = {f"{name}{i}": side[name] for name in compared for i, side in ((1, left), (2, right))}
+                want = are_isomorphic(t, t2, IsoFlavor(flavor), **payloads)
+                assert (code, json.loads(out)) == (0, {"isomorphic": want}), (k, changed, flavor)
+                assert want is (changed not in compared), (k, changed, flavor)
 
 
 def test_cli_dual_reduce_analyze_spanning_counterexample(tmp_path, capsys):
@@ -476,12 +539,12 @@ def test_each_verb_loads_only_its_modules(verb_modules):
 # Source lines each verb compiles (the harness keeps no bytecode): cli.py, the
 # package's __init__.py and every submodule the call loads.  Tree and graph
 # verbs compile no matrix code.  Every verb is held at what it compiles once
-# each tree is keyed, checked and walked once and its payload text and root
-# distances are made once; `selftest`, which loads every module, did not grow.
+# representing alone builds the hierarchy, canonical alone knows which payloads
+# each flavor compares and io bounds JSON nesting itself; no ceiling has risen.
 _SOURCE_LINE_CEILINGS = {
-    "iso": 1294, "dual": 1219, "spanning": 1216, "counterexample": 1216,
-    "repr": 1485, "ballean": 1485, "isometry": 1682, "isometry --fast-ultrametric": 1753,
-    "analyze": 1402, "reduce": 1408, "selftest": 2535,
+    "iso": 1293, "dual": 1215, "spanning": 1213, "counterexample": 1213,
+    "repr": 1477, "ballean": 1477, "isometry": 1666, "isometry --fast-ultrametric": 1747,
+    "analyze": 1398, "reduce": 1405, "selftest": 2529,
 }
 
 
