@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 # public name -> submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(
-        ("Graph", "Path", "RootedTree", "Tree", "degree_sets", "edge_key",
-         "find_path", "subtree_below", "tree_from_edges"),
+        ("Graph", "Path", "RootedTree", "Tree", "degree_sets", "edge_key"),
         "graphs",
     ),
     **dict.fromkeys(
@@ -48,7 +47,7 @@ _EXPORTS = {
         "analysis",
     ),
     **dict.fromkeys(("Rational", "format_rational", "parse_rational"), "rational"),
-    **dict.fromkeys(("all_simple_paths", "find_cycle"), "oracles"),
+    **dict.fromkeys(("all_simple_paths", "find_cycle", "find_path", "subtree_below", "tree_from_edges"), "oracles"),
 }
 
 __all__ = list(_EXPORTS)

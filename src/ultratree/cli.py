@@ -9,6 +9,7 @@ inputs and ULTRATREE_SEED.
 
 from __future__ import annotations
 
+import atexit
 import os
 import sys
 from types import SimpleNamespace
@@ -272,5 +273,24 @@ def main(argv=None) -> int:
     return status
 
 
+def run() -> None:
+    """Run main() for `python -m ultratree.cli` and the `ultratree` script, then end the
+    process without the interpreter's teardown, which frees every object (about 10 ms):
+    the atexit callbacks run, both streams are flushed and os._exit ends it.  An exception
+    out of main(), a failed flush, and a profiler, tracer or monitoring tool (cProfile is
+    one on 3.12+) take the usual exit."""
+    status = main()
+    monitoring = getattr(sys, "monitoring", None)  # 3.12+, whose tool ids are 0-5
+    if sys.getprofile() or sys.gettrace() or monitoring and any(map(monitoring.get_tool, range(6))):
+        sys.exit(status)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # the usual exit reports it, as it always has
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

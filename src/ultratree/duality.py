@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .errors import NotEquidistantError, NotMonotoneError
-from .graphs import (Edge, Graph, RootedTree, Tree, Vertex, degree_sets, edge_key, normalize_labels,
-                     normalize_weights, record)
+from .graphs import (Edge, Graph, RootedTree, Tree, Vertex, degree_sets, normalize_labels, normalize_weights,
+                     record)
 
 if TYPE_CHECKING:
     from .metrics import FiniteMetricSpace
@@ -26,10 +26,15 @@ def root_distances(rt: RootedTree, weights: Mapping[Edge, Fraction]) -> dict[Ver
     return _fractions(*_scaled_distances(rt, weights))
 
 
+def _scaled(values: Mapping) -> tuple[dict, int]:
+    # Each value as an integer times den, the lcm of the values' denominators.
+    den = math.lcm(*(x.denominator for x in values.values()))
+    return {k: x.numerator * (den // x.denominator) for k, x in values.items()}, den
+
+
 def _scaled_distances(rt: RootedTree, weights: Mapping[Edge, Fraction]) -> tuple[dict[Vertex, int], int]:
     # Root distances as integers times den, the lcm of the weights' denominators.
-    den = math.lcm(*(x.denominator for x in weights.values()))
-    scaled = {e: x.numerator * (den // x.denominator) for e, x in weights.items()}
+    scaled, den = _scaled(weights)
     out = {rt.root: 0}
     for v in rt.bfs_order():
         for c in rt.children(v):
@@ -80,10 +85,11 @@ class MonotoneTree:
 
     def __post_init__(self):
         rt, labels = self.rt, normalize_labels(self.rt.tree, self.labels)
-        zeros = {v for v in rt.vertices if labels[v] == 0}
-        if zeros != self.v0() or any(labels[c] >= labels[v] for v in rt.vertices for c in rt.children(v)):
+        scaled, den = _scaled(labels)  # compared as integers
+        zeros = {v for v, x in scaled.items() if x == 0}
+        if zeros != self.v0() or any(scaled[c] >= scaled[v] for v in rt.vertices for c in rt.children(v)):
             raise NotMonotoneError("labeling is not monotone for this root")
-        object.__setattr__(self, "labels", labels)
+        vars(self).update(labels=labels, _scaled=(scaled, den))
 
     def metric(self) -> FiniteMetricSpace:
         from .metrics import label_tree_metric
@@ -113,12 +119,10 @@ def check_monotone(rt: RootedTree, l: Mapping) -> bool:
 
 def labeling_to_weight(mt: MonotoneTree) -> EquidistantTree:
     """The unique equidistant weight paired with a monotone labeling."""
-    weights = {
-        edge_key(v, c): (mt.labels[v] - mt.labels[c]) / 2
-        for v in mt.rt.vertices
-        for c in mt.rt.children(v)
-    }
-    return EquidistantTree(mt.rt, weights)
+    scaled, den = mt._scaled  # type: ignore[attr-defined]  # the labels times den
+    # each weight (l(v) - l(c)) / 2 as an integer times 2 den
+    doubled = {(v, c) if v < c else (c, v): scaled[v] - scaled[c] for v in mt.rt.vertices for c in mt.rt.children(v)}
+    return EquidistantTree(mt.rt, _fractions(doubled, 2 * den))
 
 
 def weight_to_labeling(et: EquidistantTree) -> MonotoneTree:

@@ -169,11 +169,6 @@ class Tree(Graph):
         return frozenset(v for v in self.vertices if self.degree(v) < 2)
 
 
-def tree_from_edges(edges: Iterable[Iterable[Vertex]], vertices: Iterable[Vertex] = ()) -> Tree:
-    es = [tuple(e) for e in edges]
-    return Tree(Graph(set(vertices).union(*es), es))
-
-
 def normalize_weights(g: Graph, w: Mapping, strict: bool = True) -> dict[Edge, Fraction]:
     """Check a weight map is total on E(g) and (optionally) strictly positive."""
     keyed: dict[Edge, Fraction] = {}
@@ -249,19 +244,6 @@ class RootedTree:
         return self.out_degree(self.root) == 1
 
 
-def find_path(t: Tree, u: Vertex, v: Vertex) -> Path:
-    """The unique u-v path in a tree, as a vertex sequence."""
-    if not t.has_vertex(u):
-        raise VertexNotFoundError(f"no vertex {u!r}")
-    if not t.has_vertex(v):
-        raise VertexNotFoundError(f"no vertex {v!r}")
-    rt = RootedTree(t, v)
-    path = [u]
-    while path[-1] != v:
-        path.append(rt.parent(path[-1]))
-    return tuple(path)
-
-
 def degree_sets(rt: RootedTree) -> tuple[frozenset[Vertex], frozenset[Vertex], frozenset[Vertex]]:
     """Partition V(T) by out-degree into (= 0, = 1, >= 2) classes."""
     v0, v1, v2 = set(), set(), set()
@@ -269,11 +251,3 @@ def degree_sets(rt: RootedTree) -> tuple[frozenset[Vertex], frozenset[Vertex], f
         d = rt.out_degree(v)
         (v0 if d == 0 else v1 if d == 1 else v2).add(v)
     return frozenset(v0), frozenset(v1), frozenset(v2)
-
-
-def subtree_below(rt: RootedTree, v: Vertex) -> RootedTree:
-    """The rooted subtree lying below v (v together with its successors)."""
-    below = [v]
-    for x in below:
-        below += rt.children(x)
-    return RootedTree(Tree(Graph(below, [(rt.parent(x), x) for x in below[1:]])), v)

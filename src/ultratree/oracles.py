@@ -11,14 +11,15 @@ The rest are the direct, quadratic forms of the one-pass routes: the
 Delta-reduction suppressing one out-degree-one vertex per rebuilt rooted
 tree, centers by checking every rooting, the smallest cycle edge by
 deleting each edge in turn, and the rooted canonical code by recursion.
-find_cycle, one depth-first search for some cycle, serves tests only and
-lives here so the library's graph module stays small.
+find_cycle, one depth-first search for some cycle, and the tree helpers
+tree_from_edges, find_path and subtree_below serve tests only and live here
+so that the graph module every CLI verb compiles stays small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .duality import EquidistantTree, check_equidistant
 from .errors import AcyclicInputError, PathTreeError, SizeLimitError, VertexNotFoundError
@@ -115,6 +116,32 @@ def find_cycle(g: Graph) -> Optional[tuple[Vertex, ...]]:
                 else:
                     stack.append((y, x))
     return None
+
+
+def tree_from_edges(edges: Iterable[Iterable[Vertex]], vertices: Iterable[Vertex] = ()) -> Tree:
+    es = [tuple(e) for e in edges]
+    return Tree(Graph(set(vertices).union(*es), es))
+
+
+def find_path(t: Tree, u: Vertex, v: Vertex) -> Path:
+    """The unique u-v path in a tree, as a vertex sequence."""
+    if not t.has_vertex(u):
+        raise VertexNotFoundError(f"no vertex {u!r}")
+    if not t.has_vertex(v):
+        raise VertexNotFoundError(f"no vertex {v!r}")
+    rt = RootedTree(t, v)
+    path = [u]
+    while path[-1] != v:
+        path.append(rt.parent(path[-1]))
+    return tuple(path)
+
+
+def subtree_below(rt: RootedTree, v: Vertex) -> RootedTree:
+    """The rooted subtree lying below v (v together with its successors)."""
+    below = [v]
+    for x in below:
+        below += rt.children(x)
+    return RootedTree(Tree(Graph(below, [(rt.parent(x), x) for x in below[1:]])), v)
 
 
 def unique_path_by_enumeration(t: Tree, u: Vertex, v: Vertex) -> Path:

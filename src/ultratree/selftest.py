@@ -18,10 +18,10 @@ from . import io as tio
 from .analysis import centers, diameter_bound_check, planted_leaf_ultrametric_check
 from .canonical import IsoFlavor, canonical_code
 from .duality import EquidistantTree, MonotoneTree, generate_monotone, labeling_to_weight, weight_to_labeling
-from .graphs import RootedTree, find_path
-from .metrics import label_tree_metric, minimax_label_metric, restrict
+from .graphs import RootedTree
+from .metrics import additive_metric, label_tree_metric, minimax_label_metric, restrict
 from .rational import parse_rational
-from .representing import ballean, representing_tree
+from .representing import ballean, diametrical_graph, multipartite_parts, representing_tree
 from .transforms import nabla_geometric_membership, reduce_nabla, bottleneck_spanning_tree
 
 FIGURES = ("fig3", "fig5", "fig6", "fig10", "fig11", "fig13")
@@ -84,8 +84,6 @@ def _check_fig6(doc: dict) -> list[tuple[str, bool]]:
     realized, _ = label_tree_metric(spanning, {v: inp.labels[v] for v in spanning.vertices})
     out.append(("spanning-tree-realizes-minimax", realized == space))
 
-    from .representing import diametrical_graph, multipartite_parts
-
     blocks = [list(b) for b in multipartite_parts(diametrical_graph(space))]
     out.append(("diametrical-blocks", blocks == exp["blocks"]))
 
@@ -143,13 +141,14 @@ def _check_fig13(doc: dict) -> list[tuple[str, bool]]:
     inp = tio.graph_from_json(doc["input"])
     exp = doc["expected"]
     t = inp.tree()
-    from .metrics import additive_metric
-
     space = additive_metric(t, inp.weights)
     leaf_space = restrict(space, exp["leaf_points"])
     out = [("leaf-restriction-class", leaf_space.classify().value == exp["leaf_class"])]
     out.append(("no-centers", sorted(centers(t, inp.weights)) == exp["centers"]))
-    out.append(("path", list(find_path(t, "x1", "x4")) == exp["path_x1_x4"]))
+    toward_x4, path = RootedTree(t, "x4"), ["x1"]  # the x1-x4 path climbs from x1 to the root x4
+    while path[-1] != "x4":
+        path.append(toward_x4.parent(path[-1]))
+    out.append(("path", path == exp["path_x1_x4"]))
     out.append(
         (
             "distances",

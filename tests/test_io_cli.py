@@ -1,9 +1,12 @@
 import contextlib
+import gc
 import io
 import json
+import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -63,10 +66,12 @@ def test_matrix_json_and_csv_round_trip():
 _TOO_DEEP = "bad JSON: nested deeper than 100 levels"
 
 
-def _noted(depth: int) -> str:
-    # a valid labeled graph whose extra key "note" makes the document nest depth levels
+def _noted(depth: int, mixed: bool = False) -> str:
+    # a valid labeled graph whose extra key "note" makes the document nest depth levels,
+    # in lists only or, when mixed, in lists and objects by turns around an innermost list
     graph = '{"vertices": ["a", "b"], "edges": [["a", "b"]], "labels": {"a": "1", "b": "0"}'
-    return graph + ', "note": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}"
+    pairs = [('{"k": ', "}") if mixed and (depth - i) % 2 else ("[", "]") for i in range(depth - 1)]
+    return graph + ', "note": ' + "".join(o for o, _ in pairs) + "".join(c for _, c in reversed(pairs)) + "}"
 
 
 _REFUSED = (
@@ -94,6 +99,7 @@ _REFUSED = (
     ("repr", "deep_matrix.json", '{"points": ["a"], "matrix": ' + "[" * 3000 + "]" * 3000 + "}", _TOO_DEEP),
     ("spanning", "deep_note.json", _noted(3000), _TOO_DEEP),
     ("spanning", "note_past_bound.json", _noted(101), _TOO_DEEP),
+    ("spanning", "mixed_note_past_bound.json", _noted(101, mixed=True), _TOO_DEEP),
     ("reduce", "vertices_past_bound.json", '{"vertices": ' + "[" * 100 + "]" * 100 + "}", _TOO_DEEP),
     ("reduce", "long_weight.json",
      '{"vertices": ["a", "b"], "edges": [["a", "b"]], "root": "a", "weights": {"a|b": ' + "7" * 5000 + "}}",
@@ -156,8 +162,9 @@ def test_nesting_up_to_the_bound_is_read(tmp_path, capsys):
     plain = '{"vertices": ["a", "b"], "edges": [["a", "b"]], "labels": {"a": "1", "b": "0"}}'
     code, want = _run(capsys, "spanning", _write(tmp_path, "plain.json", plain))
     assert code == 0
-    assert _run(capsys, "spanning", _write(tmp_path, "note.json", _noted(100))) == (0, want)
-    assert tio.load_graph_text(_noted(100)) == tio.load_graph_text(plain)
+    for name, text in (("note.json", _noted(100)), ("mixed_note.json", _noted(100, mixed=True))):
+        assert _run(capsys, "spanning", _write(tmp_path, name, text)) == (0, want)
+        assert tio.load_graph_text(text) == tio.load_graph_text(plain)
     with pytest.raises(ParseError, match="^vertex ids must be nonempty strings"):
         tio.load_graph_text('{"vertices": ' + "[" * 99 + "]" * 99 + "}")
 
@@ -432,6 +439,99 @@ def test_cli_unwritable_stdout_gives_one_error_object_on_stderr(tmp_path):
     assert error["code"] == "parse-error" and error["message"].startswith("cannot write stdout: ")
 
 
+# `python -m ultratree.cli` ends the process without the interpreter's teardown; the
+# usual exit is the one a script of `sys.exit(main())` takes.
+_FAST_EXIT = ["-m", "ultratree.cli"]
+_USUAL_EXIT = ["-c", "import sys; from ultratree.cli import main; sys.exit(main())"]
+# with stdout block-buffered, as Python keeps a pipe unless told otherwise
+_BUFFERED = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+
+
+def _ends(runner, argv, out: Path, stdout=subprocess.PIPE):
+    """(exit code, stdout, stderr, text of out or None) of one CLI process; "OUT" in argv stands for out."""
+    argv = [str(out) if arg == "OUT" else arg for arg in argv]
+    proc = subprocess.run([sys.executable, *runner, *argv], stdout=stdout, stderr=subprocess.PIPE, env=_BUFFERED)
+    return proc.returncode, proc.stdout, proc.stderr, out.read_text(encoding="utf-8") if out.exists() else None
+
+
+def test_every_way_a_cli_process_ends_matches_the_usual_exit(tmp_path):
+    edge = _write(tmp_path, "edge.json", json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+    path = _write(tmp_path, "path.json", json.dumps(
+        {"vertices": ["a", "b"], "edges": [["a", "b"]], "root": "a", "weights": {"a|b": "1"}}))
+    iso = ["iso", "--flavor", "free", edge, edge]
+    calls = {
+        0: [iso, ["-o", "OUT", *iso], ["--help"], ["selftest"]],
+        1: [["reduce", path]],
+        2: [["repr", _write(tmp_path, "broken.json", "{broken")], ["-o", str(tmp_path / "no" / "out.json"), *iso],
+            ["iso", "--flavor", "bogus", edge, edge]],
+    }
+    for code, argvs in calls.items():
+        for i, argv in enumerate(argvs):
+            fast = _ends(_FAST_EXIT, argv, tmp_path / f"fast{code}.{i}")
+            assert fast[0] == code and fast == _ends(_USUAL_EXIT, argv, tmp_path / f"usual{code}.{i}"), argv
+    # a stdout pipe whose reader is gone before the write: one error object on stderr
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        fast, usual = (_ends(runner, iso, tmp_path / "unused", stdout=write) for runner in (_FAST_EXIT, _USUAL_EXIT))
+    finally:
+        os.close(write)
+    assert fast == usual and fast[0] == 2
+    assert json.loads(fast[2])["error"]["message"].startswith("cannot write stdout: [Errno 32]")
+
+
+# The CLI run as `python -m` runs it, after registering an atexit callback and, when
+# asked, a tracer or profiler; the stand-in for os._exit reports the fast exit on stderr.
+_OBSERVED_RUN = """
+import atexit, os, runpy, sys
+exit_now = os._exit
+os._exit = lambda code: (sys.stderr.write(f"os._exit {code}\\n"), exit_now(code))
+atexit.register(print, "atexit ran")
+if sys.argv[1] == "trace":
+    sys.settrace(lambda *_: None)
+elif sys.argv[1] == "profile":
+    sys.setprofile(lambda *_: None)
+sys.argv[:2] = ["ultratree"]
+runpy.run_module("ultratree.cli", run_name="__main__")
+"""
+
+
+def test_atexit_callbacks_run_and_observed_processes_exit_as_usual(tmp_path):
+    edge = _write(tmp_path, "edge.json", json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+    answer = tio.dump_json({"isomorphic": True})
+    runs = {}
+    for observer in ("none", "trace", "profile"):
+        argv = [sys.executable, "-c", _OBSERVED_RUN, observer, "iso", "--flavor", "free", edge, edge]
+        runs[observer] = subprocess.run(argv, capture_output=True, text=True, env=_BUFFERED)
+    assert {observer: (proc.returncode, proc.stdout, proc.stderr) for observer, proc in runs.items()} == {
+        "none": (0, answer + "atexit ran\n", "os._exit 0\n"),
+        "trace": (0, answer + "atexit ran\n", ""),
+        "profile": (0, answer + "atexit ran\n", ""),
+    }
+    # cProfile's report follows the output: a profiler is a monitoring tool on 3.12+
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "ultratree.cli", "iso", "--flavor", "free", edge, edge],
+                          capture_output=True, text=True, env=_BUFFERED)
+    assert proc.returncode == 0 and proc.stdout.startswith(answer) and "function calls" in proc.stdout
+
+
+def test_no_verb_leaves_a_file_open(tmp_path, capsys):
+    # The fast exit closes nothing, so every file a verb opens is closed before main() returns.
+    runs = [*_verb_runs(tmp_path).values(), ["-o", str(tmp_path / "out.json"), "selftest"],
+            ["repr", _write(tmp_path, "broken.json", "{broken")], ["-o", str(tmp_path), "selftest"]]
+    leaks, hook = [], sys.unraisablehook
+    sys.unraisablehook = leaks.append  # a ResourceWarning raised by a finalizer lands here
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            for argv in runs:
+                main(argv)
+                gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    capsys.readouterr()
+    assert [str(leak.exc_value) for leak in leaks] == []
+
+
 def test_cli_selftest_passes_and_is_deterministic(capsys):
     code, first = _run(capsys, "selftest")
     assert code == 0
@@ -443,8 +543,6 @@ def test_cli_selftest_passes_and_is_deterministic(capsys):
 def test_cli_selftest_subprocess_bytes_identical():
     cmd = [sys.executable, "-m", "ultratree.cli", "selftest"]
     env = {"ULTRATREE_SEED": "7"}
-    import os
-
     full_env = dict(os.environ, **env)
     a = subprocess.run(cmd, capture_output=True, env=full_env)
     b = subprocess.run(cmd, capture_output=True, env=full_env)
@@ -454,9 +552,13 @@ def test_cli_selftest_subprocess_bytes_identical():
 
 # Runs the CLI the way `python -m` does, as a module that is not
 # sys.modules["ultratree.cli"], then prints its exit code and the names of
-# all imported modules.
+# all imported modules.  A stand-in for os._exit raises SystemExit instead,
+# so the probe outlives the CLI's fast exit.
 _LOADED_BY = """
-import runpy, sys
+import os, runpy, sys
+def _exit(code):
+    raise SystemExit(code)
+os._exit = _exit
 sys.argv[0] = "ultratree"
 try:
     runpy.run_module("ultratree.cli", run_name="__main__")
@@ -539,12 +641,12 @@ def test_each_verb_loads_only_its_modules(verb_modules):
 # Source lines each verb compiles (the harness keeps no bytecode): cli.py, the
 # package's __init__.py and every submodule the call loads.  Tree and graph
 # verbs compile no matrix code.  Every verb is held at what it compiles once
-# representing alone builds the hierarchy, canonical alone knows which payloads
-# each flavor compares and io bounds JSON nesting itself; no ceiling has risen.
+# cli.run ends the process and the tree helpers no verb calls live in oracles;
+# no ceiling has risen.
 _SOURCE_LINE_CEILINGS = {
-    "iso": 1293, "dual": 1215, "spanning": 1213, "counterexample": 1213,
-    "repr": 1477, "ballean": 1477, "isometry": 1666, "isometry --fast-ultrametric": 1747,
-    "analyze": 1398, "reduce": 1405, "selftest": 2529,
+    "iso": 1286, "dual": 1212, "spanning": 1206, "counterexample": 1206,
+    "repr": 1470, "ballean": 1470, "isometry": 1659, "isometry --fast-ultrametric": 1740,
+    "analyze": 1395, "reduce": 1402, "selftest": 2525,
 }
 
 

@@ -34,9 +34,10 @@ from ultratree.generators import (
     random_ultrametric_space,
     random_weights,
 )
-from ultratree.graphs import edge_key, find_path
+from ultratree.graphs import edge_key
 from ultratree.metrics import FiniteMetricSpace, space_from
-from ultratree.oracles import min_path_sum_by_enumeration, minimax_label_by_enumeration, strong_triangle_by_enumeration
+from ultratree.oracles import (find_path, min_path_sum_by_enumeration, minimax_label_by_enumeration,
+                               strong_triangle_by_enumeration)
 
 from helpers import check_matrix_by_fractions, fig6_graph, fig10_tree, fig13_tree
 
