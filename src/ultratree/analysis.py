@@ -3,6 +3,7 @@
 Centers (roots making a weighted tree equidistant), the star
 characterization via all-roots-equidistant weights, sphere-with-center
 recognition, and the inequalities governing planted equidistant trees.
+Centers reroot on integer weights from duality._scaled.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, Optional
 
-from .duality import EquidistantTree, root_distances
+from .duality import EquidistantTree, _scaled
 from .errors import (
     NoBranchingVertexError,
     NotEquidistantError,
@@ -24,8 +25,6 @@ from .graphs import RootedTree, Tree, Vertex, degree_sets, edge_key, normalize_w
 if TYPE_CHECKING:
     from .metrics import FiniteMetricSpace
 
-ZERO = Fraction(0)
-
 
 def centers(t: Tree, w: Mapping) -> frozenset[Vertex]:
     """All vertices whose rooting makes the weighted tree equidistant.
@@ -33,15 +32,16 @@ def centers(t: Tree, w: Mapping) -> frozenset[Vertex]:
     Rooted at r, the out-degree-zero vertices are the tree leaves other than
     r (a lone vertex is its own, at K = 0), so r is a center iff its nearest
     and farthest such leaf lie at one distance.  One rerooting pass finds
-    both for every r: bottom-up from an arbitrary root, then top-down.
+    both for every r: bottom-up from an arbitrary root, then top-down, on
+    the weights as integers over their common denominator.
     """
-    weights = normalize_weights(t, w, strict=True)
+    weights, _ = _scaled(normalize_weights(t, w, strict=True))
     if len(t.vertices) == 1:
         return frozenset(t.vertices)
     rt = RootedTree(t, t.vertices[0])
     order = rt.bfs_order()
 
-    def beyond(v: Vertex, u: Vertex, span: tuple[Fraction, Fraction]) -> tuple[Vertex, Fraction, Fraction]:
+    def beyond(v: Vertex, u: Vertex, span: tuple[int, int]) -> tuple[Vertex, int, int]:
         # u with the nearest and farthest leaf on u's side of edge v-u, from v
         d = weights[edge_key(v, u)]
         return u, d + span[0], d + span[1]
@@ -49,7 +49,7 @@ def centers(t: Tree, w: Mapping) -> frozenset[Vertex]:
     below = {}  # nearest and farthest leaf under v, from v; v itself if childless
     for v in reversed(order):
         sides = [beyond(v, c, below[c]) for c in rt.children(v)]
-        below[v] = (min(s[1] for s in sides), max(s[2] for s in sides)) if sides else (ZERO, ZERO)
+        below[v] = (min(s[1] for s in sides), max(s[2] for s in sides)) if sides else (0, 0)
     above = {}  # nearest and farthest leaf on the parent's side of v, from the parent
     found = set()
     for v in order:
@@ -62,7 +62,7 @@ def centers(t: Tree, w: Mapping) -> frozenset[Vertex]:
             found.add(v)
         for c in rt.children(v):
             if len(sides) == 1:  # c is v's only neighbor: v is the leaf
-                above[c] = (ZERO, ZERO)
+                above[c] = (0, 0)
             else:  # the leaves beyond v's other neighbors
                 lo = near[1] if near[0][0] == c else near[0]
                 hi = far[1] if far[0][0] == c else far[0]
@@ -114,7 +114,7 @@ def planted_leaf_ultrametric_check(et: EquidistantTree) -> tuple[bool, Fraction,
         raise NotPlantedError("root must have out-degree one")
     if not v2:
         raise NoBranchingVertexError("no vertex with out-degree at least two")
-    dist = root_distances(et.rt, et.weights)
+    dist = et.root_distances()
     lhs = 2 * min(dist[v] for v in v2)
     rhs = min(dist[v] for v in v0)
     return lhs >= rhs, lhs, rhs
@@ -139,7 +139,7 @@ def diameter_bound_check(et: EquidistantTree) -> DiameterBound:
     v0, v1, _ = degree_sets(et.rt)
     space = et.metric()
     diam_v0 = restrict(space, v0).diameter()
-    diam_v1 = restrict(space, v1).diameter() if v1 else ZERO
+    diam_v1 = restrict(space, v1).diameter() if v1 else Fraction(0)
     if diam_v0 > 2 * et.K:
         raise AssertionError("out-degree-zero diameter exceeded twice K")
     return DiameterBound(diam_v0, et.K, diam_v0 < 2 * et.K, diam_v1)
@@ -163,8 +163,7 @@ class StructureReport:
 
 def analyze(t: Tree, w: Mapping, root: Optional[Vertex] = None) -> StructureReport:
     """One-stop report over a weighted tree, optionally rooted."""
-    weights = normalize_weights(t, w, strict=True)
-    cs = centers(t, weights)
+    cs = centers(t, w)  # refuses bad weights before the root is looked at
     planted: Optional[bool] = None
     K: Optional[Fraction] = None
     lhs: Optional[Fraction] = None
@@ -173,7 +172,7 @@ def analyze(t: Tree, w: Mapping, root: Optional[Vertex] = None) -> StructureRepo
         rt = RootedTree(t, root)
         planted = rt.is_planted()
         try:
-            et = EquidistantTree(rt, weights)
+            et = EquidistantTree(rt, w)
         except NotEquidistantError:
             pass
         else:

@@ -4,6 +4,8 @@ The two carry the same data: w({u,v}) = (l(u) - l(v)) / 2 on each parent-child
 edge pairs them bijectively, with K = l(root) / 2.  The factor 1/2 is fixed;
 the max-label path identity on out-degree-zero vertices holds for no other
 constant.
+An EquidistantTree sums its root distances once, as integers over the weights'
+common denominator (_scaled, which analysis.centers shares), and keeps them.
 """
 
 from __future__ import annotations
@@ -21,25 +23,10 @@ if TYPE_CHECKING:
     from .metrics import FiniteMetricSpace
 
 
-def root_distances(rt: RootedTree, weights: Mapping[Edge, Fraction]) -> dict[Vertex, Fraction]:
-    """Weighted distance from the root to every vertex."""
-    return _fractions(*_scaled_distances(rt, weights))
-
-
 def _scaled(values: Mapping) -> tuple[dict, int]:
     # Each value as an integer times den, the lcm of the values' denominators.
     den = math.lcm(*(x.denominator for x in values.values()))
     return {k: x.numerator * (den // x.denominator) for k, x in values.items()}, den
-
-
-def _scaled_distances(rt: RootedTree, weights: Mapping[Edge, Fraction]) -> tuple[dict[Vertex, int], int]:
-    # Root distances as integers times den, the lcm of the weights' denominators.
-    scaled, den = _scaled(weights)
-    out = {rt.root: 0}
-    for v in rt.bfs_order():
-        for c in rt.children(v):
-            out[c] = out[v] + scaled[(v, c) if v < c else (c, v)]
-    return out, den
 
 
 def _fractions(scaled: dict, den: int) -> dict:
@@ -59,11 +46,19 @@ class EquidistantTree:
     def __init__(self, rt: RootedTree, weights: Mapping[Edge, Fraction]):
         object.__setattr__(self, "rt", rt)
         weights = normalize_weights(rt.tree, weights, strict=True)
-        dist, den = _scaled_distances(rt, weights)
+        scaled, den = _scaled(weights)
+        dist = {rt.root: 0}  # root distances times den
+        for v in rt.bfs_order():
+            for c in rt.children(v):
+                dist[c] = dist[v] + scaled[(v, c) if v < c else (c, v)]
         sums = {dist[v] for v in self.v0()}
         if len(sums) != 1:
             raise NotEquidistantError("root-to-leaf weight sums differ")
         vars(self).update(weights=weights, K=Fraction(*sums, den), _scaled=(dist, den, *sums))
+
+    def root_distances(self) -> dict[Vertex, Fraction]:
+        """Weighted distance from the root to every vertex."""
+        return _fractions(*self._scaled[:2])  # type: ignore[attr-defined]
 
     def metric(self) -> FiniteMetricSpace:
         from .metrics import additive_metric

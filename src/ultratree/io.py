@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io as _io
 import json
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
@@ -105,12 +106,7 @@ def graph_to_json(
 
 
 def labeled_tree_to_json(t: LabeledRootedTree) -> dict:
-    return graph_to_json(
-        t.rt.tree,
-        root=t.rt.root,
-        labels=t.labels,
-        payloads=t.payloads,
-    )
+    return graph_to_json(t.rt.tree, t.rt.root, labels=t.labels, payloads=t.payloads)
 
 
 def graph_from_json(obj) -> GraphDoc:
@@ -259,8 +255,9 @@ def _load_json(text: str):
             level = [y for x in level for y in (x.values() if type(x) is dict else x) if type(y) in (dict, list)]
         if level:  # past _MAX_DEPTH: refused as a release's parser refuses past its own limit
             raise RecursionError
-    except ValueError as exc:  # bad syntax or too many digits
-        raise ParseError(f"bad JSON: {exc}") from exc
+    except ValueError as exc:  # bad syntax or too many digits, the limit worded on 3.10 as 3.11+ word it
+        text = str(exc) if sys.version_info >= (3, 11) else str(exc).replace(") for integer", " digits) for integer")
+        raise ParseError(f"bad JSON: {text}") from exc
     except RecursionError:
         raise ParseError(f"bad JSON: nested deeper than {_MAX_DEPTH} levels") from None
     return obj

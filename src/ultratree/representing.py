@@ -43,7 +43,7 @@ class LabeledRootedTree:
 
     def leaf_for_point(self, x: Vertex) -> Vertex:
         for v in self.rt.vertices:
-            if self.rt.out_degree(v) == 0 and self.payload(v) == frozenset({x}):
+            if self.rt.out_degree(v) == 0 and tuple(self.payload(v)) == (x,):  # by equality: x may be unhashable
                 return v
         raise ValueError(f"no leaf for point {x!r}")
 

@@ -24,8 +24,6 @@ from .rational import parse_rational
 from .representing import ballean, diametrical_graph, multipartite_parts, representing_tree
 from .transforms import nabla_geometric_membership, reduce_nabla, bottleneck_spanning_tree
 
-FIGURES = ("fig3", "fig5", "fig6", "fig10", "fig11", "fig13")
-
 
 def load_figure(name: str) -> dict:
     # a file beside this module: importlib.resources would import tempfile and zipfile, and inspect on 3.12+
@@ -160,6 +158,7 @@ def _check_fig13(doc: dict) -> list[tuple[str, bool]]:
     return out
 
 
+# each corpus figure, in report order, with the checker of its claims
 _CHECKERS: dict[str, Callable[[dict], list[tuple[str, bool]]]] = {
     "fig3": _check_fig3,
     "fig5": _check_fig5,
@@ -203,9 +202,8 @@ def run_selftest(seed: int = 0) -> tuple[str, bool]:
     """Run every corpus claim; returns (report text, all passed)."""
     lines = []
     all_ok = True
-    for figure in FIGURES:
-        doc = load_figure(figure)
-        for claim, ok in _CHECKERS[figure](doc):
+    for figure, check in _CHECKERS.items():
+        for claim, ok in check(load_figure(figure)):
             all_ok &= ok
             lines.append(f"{figure} {claim} {'PASS' if ok else 'FAIL'}")
     for figure, claim, ok in _generator_claims(seed):

@@ -41,7 +41,7 @@ def reduce_nabla(et: EquidistantTree) -> NablaResult:
     its nearest kept ancestor, at their difference in root distance.  Fails
     on weighted paths, where nothing would remain.
     """
-    from .duality import EquidistantTree, root_distances
+    from .duality import EquidistantTree
 
     _, v1, v2 = degree_sets(et.rt)
     if not v2:
@@ -54,7 +54,7 @@ def reduce_nabla(et: EquidistantTree) -> NablaResult:
         k += 1
     root = order[k]
 
-    dist = root_distances(rt, et.weights)
+    dist = et.root_distances()
     weights: dict[Edge, Fraction] = {}
     top = {root: root}  # the nearest kept vertex at or above each vertex
     for v in order[k:]:

@@ -108,6 +108,27 @@ def brute_iso(a, b, labels1=None, labels2=None, weights1=None, weights2=None,
     return False
 
 
+# Denominators with few common factors, so weights over them have a large common denominator.
+MIXED_DENS = (1, 2, 3, 7, 11, 13, 999983, 1000003, 2**31 - 1)
+
+
+def mixed_equidistant_weights(rng, rt: RootedTree):
+    """Random weights over MIXED_DENS on a rooted tree of two or more vertices,
+    with each edge into an out-degree-zero vertex closing its path at one K.
+    Returns the weights, every root distance summed on Fractions, and K."""
+    w = {edge_key(v, c): F(rng.randint(1, 40), rng.choice(MIXED_DENS)) for v in rt.vertices for c in rt.children(v)}
+    plain = {rt.root: F(0)}
+    for v in rt.bfs_order():
+        for c in rt.children(v):
+            plain[c] = plain[v] + w[edge_key(v, c)]
+    v0 = [v for v in rt.vertices if not rt.children(v)]
+    K = max(plain[rt.parent(v)] for v in v0) + F(rng.randint(1, 9), rng.choice(MIXED_DENS))
+    for v in v0:
+        w[edge_key(rt.parent(v), v)] = K - plain[rt.parent(v)]
+        plain[v] = K
+    return w, plain, K
+
+
 def rename_tree(t: Tree, mapping):
     return Tree(Graph([mapping[v] for v in t.vertices],
                       [(mapping[u], mapping[v]) for u, v in t.edges]))

@@ -13,6 +13,7 @@ from ultratree import (
     analyze,
     centers,
     check_equidistant,
+    degree_sets,
     diameter_bound_check,
     is_star,
     phylo_shape,
@@ -32,7 +33,7 @@ from ultratree.graphs import edge_key
 from ultratree.metrics import FiniteMetricSpace
 from ultratree.oracles import centers_by_rooting
 
-from helpers import fig1_tree, fig3_tree, fig10_tree, fig13_tree
+from helpers import MIXED_DENS, fig1_tree, fig3_tree, fig10_tree, fig13_tree, mixed_equidistant_weights
 
 
 def _planted_equidistant(rng, stem_weight=None):
@@ -213,6 +214,23 @@ def test_planted_biconditional_fuzz():
         space = et.metric()
         leaf_class = restrict(space, et.rt.tree.leaves()).classify()
         assert holds == (leaf_class is MetricClass.ULTRAMETRIC)
+    holding = 0
+    for n in (4, 10, 40, 120, 300):  # weights over large coprime denominators, planted at a tree leaf
+        for stem in (F(0), F(10**6, 7)):  # a heavy stem lifts 2 min d(v2) past K
+            t = random_tree(rng, n)
+            rt = RootedTree(t, min(t.leaves()))
+            w, plain, K = mixed_equidistant_weights(rng, rt)
+            w[edge_key(rt.root, *rt.children(rt.root))] += stem
+            v0, _, v2 = degree_sets(rt)
+            if not v2:
+                continue
+            want = (2 * (min(plain[v] for v in v2) + stem), K + stem)
+            holds, lhs, rhs = planted_leaf_ultrametric_check(EquidistantTree(rt, w))
+            assert (lhs, rhs) == want and holds == (lhs >= rhs)
+            leaf_class = restrict(additive_metric(t, w), t.leaves()).classify()
+            assert holds == (leaf_class is MetricClass.ULTRAMETRIC)
+            holding += holds
+    assert 0 < holding < 10
 
 
 def test_diameter_bound_fig10_and_fig3():
@@ -285,6 +303,10 @@ def test_centers_equal_rooting_oracle():
         else:  # few distinct weights, so equal leaf distances are common
             t = random_tree(rng, n)
             cases.append((t, {e: F(rng.randint(1, kind)) for e in t.edges}))
+    for n in (2, 3, 40, 120, 300):  # weights over large coprime denominators
+        t = random_tree(rng, n)
+        w, _, _ = mixed_equidistant_weights(rng, RootedTree(t, rng.choice(t.vertices)))
+        cases += [(t, w), (t, {e: F(rng.randint(1, 40), rng.choice(MIXED_DENS)) for e in t.edges})]
     with_centers = 0
     for t, w in cases:
         found = centers(t, w)

@@ -23,11 +23,10 @@ from ultratree import (
     weight_to_labeling,
 )
 from ultratree.analysis import planted_leaf_ultrametric_check
-from ultratree.duality import root_distances
 from ultratree.errors import NotEquidistantError, NotMonotoneError, NonPositiveWeightError
 from ultratree.generators import random_equidistant_tree
 
-from helpers import fig10_tree, fig11_trees, fig13_tree, rename_labels, rename_tree
+from helpers import fig10_tree, fig11_trees, fig13_tree, mixed_equidistant_weights, rename_labels, rename_tree
 
 
 def test_check_equidistant_fig10():
@@ -185,32 +184,20 @@ def test_generate_monotone_contract():
 
 def test_root_distances_helper():
     rt, w, _ = fig11_trees()
-    dist = root_distances(rt, EquidistantTree(rt, w).weights)
+    dist = EquidistantTree(rt, w).root_distances()
     assert dist["r"] == 0 and dist["a"] == 1 and dist["t"] == 5
 
 
 def test_integer_root_distances_equal_fraction_sums():
-    from ultratree import edge_key
     from ultratree.generators import random_tree
 
     rng = random.Random(907)
-    dens = (1, 2, 3, 7, 11, 13, 999983, 1000003, 2**31 - 1)
     for n in (150, 300, 600):
         rt = RootedTree(random_tree(rng, n), "v00")
-        # random weights, then each edge into an out-degree-zero vertex closes its path at K
-        w = {edge_key(v, c): F(rng.randint(1, 40), rng.choice(dens)) for v in rt.vertices for c in rt.children(v)}
-        plain = {rt.root: F(0)}
-        for v in rt.bfs_order():
-            for c in rt.children(v):
-                plain[c] = plain[v] + w[edge_key(v, c)]
-        v0 = [v for v in rt.vertices if not rt.children(v)]
-        K = max(plain[rt.parent(v)] for v in v0) + F(rng.randint(1, 9), rng.choice(dens))
-        for v in v0:
-            w[edge_key(rt.parent(v), v)] = K - plain[rt.parent(v)]
-            plain[v] = K
+        w, plain, K = mixed_equidistant_weights(rng, rt)
         et = EquidistantTree(rt, w)
         assert et.K == K and len({x.denominator for x in w.values()}) > 5
-        assert root_distances(rt, et.weights) == plain
+        assert et.root_distances() == plain
         mt = weight_to_labeling(et)
         assert mt.labels == {v: 2 * (K - plain[v]) for v in rt.vertices}
         assert labeling_to_weight(mt) == et
@@ -296,7 +283,7 @@ def test_each_payload_is_normalized_once_per_object(tmp_path, monkeypatch, capsy
     assert normalizations("dual", "--direction", "l2w", str(labeled))[1] == (1, 1)
     assert normalizations("reduce", str(weighted))[1] == (2, 0)
     weights, labels = normalizations("analyze", str(weighted))[1]
-    assert (weights, labels) == (3, 0)
+    assert (weights, labels) == (2, 0)  # centers and the EquidistantTree, one each
 
 
 def test_planted_check_builds_no_metric(monkeypatch):

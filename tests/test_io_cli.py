@@ -644,9 +644,9 @@ def test_each_verb_loads_only_its_modules(verb_modules):
 # cli.run ends the process and the tree helpers no verb calls live in oracles;
 # no ceiling has risen.
 _SOURCE_LINE_CEILINGS = {
-    "iso": 1286, "dual": 1212, "spanning": 1206, "counterexample": 1206,
-    "repr": 1470, "ballean": 1470, "isometry": 1659, "isometry --fast-ultrametric": 1740,
-    "analyze": 1395, "reduce": 1402, "selftest": 2525,
+    "iso": 1283, "dual": 1204, "spanning": 1203, "counterexample": 1203,
+    "repr": 1467, "ballean": 1467, "isometry": 1656, "isometry --fast-ultrametric": 1737,
+    "analyze": 1386, "reduce": 1394, "selftest": 2514,
 }
 
 

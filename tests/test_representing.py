@@ -91,6 +91,11 @@ def test_representing_tree_single_point():
     assert len(tree.rt.vertices) == 1
     assert tree.labels[tree.rt.root] == 0
     assert tree.payload(tree.rt.root) == {"a"}
+    assert tree.leaf_for_point("a") == tree.rt.root
+    for bad in ("z", ["a"]):  # an unknown or unhashable id names no point
+        with pytest.raises(ValueError) as caught:
+            tree.leaf_for_point(bad)
+        assert str(caught.value) == f"no leaf for point {bad!r}"
 
 
 def test_representing_tree_rejects_non_ultrametric():

@@ -38,7 +38,7 @@ from ultratree.generators import (
     random_tree,
 )
 
-from helpers import fig5_tree, fig6_graph
+from helpers import fig5_tree, fig6_graph, mixed_equidistant_weights
 
 
 def random_monotone_labels_on(rng, rt):
@@ -360,10 +360,11 @@ def test_vertex_count_bounded_by_ball_count():
         assert (len(et.rt.vertices) == len(balls)) == (not v1)
 
 
-def _chained_equidistant(rng, max_size):
+def _chained_equidistant(rng, max_size, weigh=random_equidistant_on):
     """A random equidistant tree of at most max_size vertices: a branching
     shape whose edges carry chains of pass-through vertices, often hung
-    below a chain of out-degree-one vertices from the root."""
+    below a chain of out-degree-one vertices from the root.  weigh(rng, rt)
+    puts the weights on the shape."""
     size = rng.randint(8, max_size)
     names = [f"x{i:03d}" for i in range(size)]
     rng.shuffle(names)
@@ -379,7 +380,7 @@ def _chained_equidistant(rng, max_size):
         spare = spare[cut:]
         edges += zip(chain, chain[1:])
     rt = RootedTree(tree_from_edges(edges), top[0] if top else base[0])
-    return random_equidistant_on(rng, rt)
+    return weigh(rng, rt)
 
 
 def test_reduce_nabla_equals_suppression_oracle():
@@ -391,6 +392,14 @@ def test_reduce_nabla_equals_suppression_oracle():
         assert result == reduce_nabla_by_suppression(et)
         chained += result.new_root != et.rt.root
     assert chained > 50
+
+    def mixed(rng, rt):  # weights over large coprime denominators
+        return EquidistantTree(rt, mixed_equidistant_weights(rng, rt)[0])
+
+    for max_size in (20, 60, 300) * 4:
+        et = _chained_equidistant(rng, max_size, mixed)
+        assert len({x.denominator for x in et.weights.values()}) > 2
+        assert reduce_nabla(et) == reduce_nabla_by_suppression(et)
 
 
 def test_cycle_edge_equals_deletion_oracle():
