@@ -5,7 +5,7 @@ pruned search for a bijection carrying a matrix onto another, and one check
 of a given map: a space has its distance matrix, a graph its relation matrix
 (labels on the diagonal, edge weights or an edge mark at adjacent pairs, a
 non-edge mark elsewhere).  They are the oracles fast paths are tested against;
-their public entry points are in canonical.py.
+their public entry points are in canonical.py, which settles unequal sizes itself.
 """
 
 from __future__ import annotations
@@ -36,14 +36,13 @@ def _relation_rows(g: Graph, labels: Optional[Mapping], weights: Optional[Mappin
 def _search(a: tuple, b: tuple) -> Optional[dict[int, int]]:
     """An index bijection carrying matrix a onto matrix b, or None.
 
-    a and b are (rows, names) pairs.  Pruning: the sorted multisets of all
-    entries must agree; a point's candidates share its row profile (diagonal
-    entry and sorted row); the point with fewest candidates is placed first.
+    a and b are (rows, names) pairs of one size.  Pruning: the sorted
+    multisets of all entries must agree; a point's candidates share its row
+    profile (diagonal entry and sorted row); the point with fewest candidates
+    is placed first.
     """
     (rows1, names1), (rows2, names2) = a, b
     n = len(names1)
-    if n != len(names2):
-        return None
     if sorted(x for row in rows1 for x in row) != sorted(x for row in rows2 for x in row):
         return None
 

@@ -53,14 +53,15 @@ def centers(t: Tree, w: Mapping) -> frozenset[Vertex]:
     above = {}  # nearest and farthest leaf on the parent's side of v, from the parent
     found = set()
     for v in order:
-        sides = [beyond(v, c, below[c]) for c in rt.children(v)]
+        kids = rt.children(v)
+        sides = [beyond(v, c, below[c]) for c in kids]
         if v != rt.root:
             sides.append(beyond(v, rt.parent(v), above[v]))
         near = heapq.nsmallest(2, sides, key=itemgetter(1))
         far = heapq.nlargest(2, sides, key=itemgetter(2))
         if near[0][1] == far[0][2]:
             found.add(v)
-        for c in rt.children(v):
+        for c in kids:
             if len(sides) == 1:  # c is v's only neighbor: v is the leaf
                 above[c] = (0, 0)
             else:  # the leaves beyond v's other neighbors

@@ -2,13 +2,14 @@
 
 Codes are printable strings with a one-byte schema version prefix; equal
 codes mean isomorphic inputs for the declared flavor.  Rooted flavors sort
-child codes, built from the leaves up; free flavors root the tree at its one
-or two centers and keep the smaller code.  Rational payloads are embedded in
-canonical lowest-terms text, so value equality and code equality coincide.
+child codes, built from the leaves up along a RootedTree's BFS order; free
+flavors root the tree at its one or two centers and keep the smaller code.
+Rational payloads are embedded in canonical lowest-terms text, so value
+equality and code equality coincide.
 
 General (non-tree) graph isomorphism and isometry search run on the matrix
 search of _bijection.py, which is imported only by the calls that use it, so
-comparing trees does not load it.
+comparing trees, or inputs whose sizes differ, does not load it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     SizeLimitError,
     VertexNotFoundError,
 )
-from .graphs import Edge, Graph, Tree, Vertex, normalize_labels, normalize_weights
+from .graphs import Edge, Graph, RootedTree, Tree, Vertex, normalize_labels, normalize_weights
 from .rational import format_rational
 
 if TYPE_CHECKING:
@@ -105,27 +106,21 @@ def _rooted_code(
     labels: Optional[dict[Vertex, str]],
     weights: Optional[dict[Edge, str]],
 ) -> str:
-    # Bottom-up over one BFS order, with no recursion: each finished code
-    # moves into its parent's list of child codes, and that list is dropped
-    # once the parent's code is built.  Labels and weights come as their text.
-    order, up, above = [root], [-1], [None]  # vertex, parent's position, parent
-    for i, v in enumerate(order):
-        p = above[i]
-        for c in t._adj[v]:  # type: ignore[attr-defined]
-            if c != p:
-                order.append(c)
-                up.append(i)
-                above.append(v)
-    kids: list = [[] for _ in order]
-    for i in range(len(order) - 1, -1, -1):
-        v = order[i]
-        parts, kids[i] = kids[i], None
-        parts.sort()
-        code = "(" + (labels[v] + ";" if labels is not None else "") + "".join(parts) + ")"
-        if i:
+    # Bottom-up along RootedTree's BFS order, with no recursion.  A vertex's list of
+    # child codes lives from its first child's code to its own; payloads come as text.
+    rt = RootedTree(t, root)
+    parent, kids = rt._parent, {}  # type: ignore[attr-defined]
+    for v in reversed(rt.bfs_order()):
+        parts = kids.pop(v, None)
+        if parts is None:  # a leaf
+            code = "(" + labels[v] + ";)" if labels is not None else "()"
+        else:
+            parts.sort()
+            code = "(" + (labels[v] + ";" if labels is not None else "") + "".join(parts) + ")"
+        if (p := parent[v]) is not None:
             if weights is not None:
-                code = "[" + weights[(above[i], v) if above[i] < v else (v, above[i])] + "]" + code
-            kids[up[i]].append(code)
+                code = "[" + weights[(p, v) if p < v else (v, p)] + "]" + code
+            kids.setdefault(p, []).append(code)
     return code
 
 
@@ -142,8 +137,6 @@ def canonical_code(
     wts = _texts(normalize_weights(t, weights, strict=False)) if weights is not None else None
     prefix = SCHEMA_VERSION + _TAG[flavor] + ":"
     if flavor in _ROOTED:
-        if not t.has_vertex(root):
-            raise VertexNotFoundError(f"root {root!r} not a vertex")
         return prefix + _rooted_code(t, root, lab, wts)
     return prefix + min(_rooted_code(t, c, lab, wts) for c in tree_centers(t))
 
@@ -161,9 +154,10 @@ def are_isomorphic(
 ) -> bool:
     """Isomorphism test for the declared flavor.
 
-    Trees compare by canonical code.  Other graphs go to the bijection
-    search on their relation matrices, limited to GRAPH_SIZE_LIMIT
-    vertices; rooted flavors apply to trees only.
+    Trees compare by canonical code.  Other graphs are told apart by their
+    vertex and edge counts, once their payloads are checked, and otherwise go
+    to the bijection search on their relation matrices, limited to
+    GRAPH_SIZE_LIMIT vertices; rooted flavors apply to trees only.
     """
     try:
         t1, t2 = (g if isinstance(g, Tree) else Tree(g) for g in (g1, g2))
@@ -177,10 +171,16 @@ def are_isomorphic(
         raise ValueError("rooted flavors are defined for trees only")
     _check_payloads(flavor, labels1, weights1, root1)
     _check_payloads(flavor, labels2, weights2, root2)
-    if max(len(g1.vertices), len(g2.vertices)) > GRAPH_SIZE_LIMIT:
-        raise SizeLimitError(
-            f"graph isomorphism is limited to {GRAPH_SIZE_LIMIT} vertices"
-        )
+    # bad payload values are refused before the sizes decide, as the search refuses them
+    for g, labels, weights in ((g1, labels1, weights1), (g2, labels2, weights2)):
+        if labels is not None:
+            normalize_labels(g, labels)
+        if weights is not None:
+            normalize_weights(g, weights, strict=False)
+    if (len(g1.vertices), len(g1.edges)) != (len(g2.vertices), len(g2.edges)):
+        return False
+    if len(g1.vertices) > GRAPH_SIZE_LIMIT:
+        raise SizeLimitError(f"graph isomorphism is limited to {GRAPH_SIZE_LIMIT} vertices")
     from ._bijection import _relation_rows, _search
 
     rows1, rows2 = _relation_rows(g1, labels1, weights1), _relation_rows(g2, labels2, weights2)
@@ -226,13 +226,14 @@ def isometry_search(
 ) -> Optional[dict[Vertex, Vertex]]:
     """A distance-preserving bijection found by pruned brute force, or None.
 
-    This is the oracle all fast isometry paths are checked against; inputs
-    beyond ISOMETRY_SIZE_LIMIT points are refused.
+    This is the oracle all fast isometry paths are checked against.  Spaces
+    of different sizes are not isometric; equal-sized ones beyond
+    ISOMETRY_SIZE_LIMIT points are refused.
     """
-    if max(len(s1.points), len(s2.points)) > ISOMETRY_SIZE_LIMIT:
-        raise SizeLimitError(
-            f"isometry search is limited to {ISOMETRY_SIZE_LIMIT} points"
-        )
+    if len(s1.points) != len(s2.points):
+        return None
+    if len(s1.points) > ISOMETRY_SIZE_LIMIT:
+        raise SizeLimitError(f"isometry search is limited to {ISOMETRY_SIZE_LIMIT} points")
     from ._bijection import _search
 
     image = _search((s1.rows, s1.points), (s2.rows, s2.points))

@@ -47,10 +47,10 @@ class EquidistantTree:
         object.__setattr__(self, "rt", rt)
         weights = normalize_weights(rt.tree, weights, strict=True)
         scaled, den = _scaled(weights)
-        dist = {rt.root: 0}  # root distances times den
-        for v in rt.bfs_order():
-            for c in rt.children(v):
-                dist[c] = dist[v] + scaled[(v, c) if v < c else (c, v)]
+        dist, parent = {rt.root: 0}, rt._parent  # type: ignore[attr-defined]  # root distances times den
+        for v in rt.bfs_order()[1:]:  # each parent before its children
+            p = parent[v]
+            dist[v] = dist[p] + scaled[(p, v) if p < v else (v, p)]
         sums = {dist[v] for v in self.v0()}
         if len(sums) != 1:
             raise NotEquidistantError("root-to-leaf weight sums differ")
@@ -79,10 +79,10 @@ class MonotoneTree:
     labels: dict[Vertex, Fraction]
 
     def __post_init__(self):
-        rt, labels = self.rt, normalize_labels(self.rt.tree, self.labels)
+        parent, labels = self.rt._parent, normalize_labels(self.rt.tree, self.labels)  # type: ignore[attr-defined]
         scaled, den = _scaled(labels)  # compared as integers
         zeros = {v for v, x in scaled.items() if x == 0}
-        if zeros != self.v0() or any(scaled[c] >= scaled[v] for v in rt.vertices for c in rt.children(v)):
+        if zeros != self.v0() or any(scaled[v] >= scaled[p] for v, p in parent.items() if p is not None):
             raise NotMonotoneError("labeling is not monotone for this root")
         vars(self).update(labels=labels, _scaled=(scaled, den))
 
@@ -114,9 +114,9 @@ def check_monotone(rt: RootedTree, l: Mapping) -> bool:
 
 def labeling_to_weight(mt: MonotoneTree) -> EquidistantTree:
     """The unique equidistant weight paired with a monotone labeling."""
-    scaled, den = mt._scaled  # type: ignore[attr-defined]  # the labels times den
-    # each weight (l(v) - l(c)) / 2 as an integer times 2 den
-    doubled = {(v, c) if v < c else (c, v): scaled[v] - scaled[c] for v in mt.rt.vertices for c in mt.rt.children(v)}
+    (scaled, den), parent = mt._scaled, mt.rt._parent  # type: ignore[attr-defined]  # the labels times den
+    # each weight (l(p) - l(v)) / 2 as an integer times 2 den, v below its parent p
+    doubled = {(p, v) if p < v else (v, p): scaled[p] - scaled[v] for v, p in parent.items() if p is not None}
     return EquidistantTree(mt.rt, _fractions(doubled, 2 * den))
 
 

@@ -1,11 +1,11 @@
 """Finite graphs, trees and rooted trees over opaque string vertex ids.
 
-A Tree is a Graph checked to be connected and acyclic, so graph code takes
-it as it is; a RootedTree is a Tree with a root.  All values are immutable
-after construction and every operation is a pure function, so sharing across
-threads needs no coordination.  Determinism convention: vertex ids are
-ordered lexicographically everywhere (neighbor lists, components, returned
-sets), so equal inputs give identical outputs.
+A Tree is a Graph checked to be connected and acyclic, so graph code takes it
+as it is; a RootedTree is a Tree with a root, kept as a parent map and a BFS
+order.  All values are immutable after construction and every operation is a
+pure function, so sharing across threads needs no coordination.  Determinism
+convention: vertex ids are ordered lexicographically everywhere (neighbor
+lists, components, returned sets), so equal inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def normalize_labels(g: Graph, l: Mapping) -> dict[Vertex, Fraction]:
 
 @record
 class RootedTree:
-    """Tree with a distinguished root; parent/child maps derive from it."""
+    """Tree with a distinguished root, kept as a parent map and a BFS order."""
 
     tree: Tree
     root: Vertex
@@ -207,15 +207,14 @@ class RootedTree:
     def __post_init__(self):
         if not self.tree.has_vertex(self.root):
             raise VertexNotFoundError(f"root {self.root!r} not a vertex")
-        parent: dict[Vertex, Optional[Vertex]] = {self.root: None}
-        children: dict[Vertex, tuple[Vertex, ...]] = {}
-        order = [self.root]
+        adj, parent, order = self.tree._adj, {self.root: None}, [self.root]  # type: ignore[attr-defined]
         for x in order:  # breadth first: the list grows as it is read
-            kids = children[x] = tuple(y for y in self.tree._adj[x] if y != parent[x])  # type: ignore[attr-defined]
-            for y in kids:
-                parent[y] = x
-            order += kids
-        vars(self).update(_parent=parent, _children=children, _bfs=tuple(order))
+            p = parent[x]
+            for y in adj[x]:
+                if y != p:
+                    parent[y] = x
+                    order.append(y)
+        vars(self).update(_parent=parent, _bfs=tuple(order))
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -228,14 +227,12 @@ class RootedTree:
             raise VertexNotFoundError(f"no vertex {v!r}")
 
     def children(self, v: Vertex) -> tuple[Vertex, ...]:
-        try:
-            return self._children[v]  # type: ignore[attr-defined]
-        except (KeyError, TypeError):  # an unhashable id names no vertex
-            raise VertexNotFoundError(f"no vertex {v!r}")
+        p = self.parent(v)
+        return tuple([y for y in self.tree._adj[v] if y != p])  # type: ignore[attr-defined]
 
     def out_degree(self, v: Vertex) -> int:
         """Degree toward the leaves: full degree at the root, degree - 1 elsewhere."""
-        return len(self.children(v))
+        return self.tree.degree(v) - (v != self.root)
 
     def bfs_order(self) -> tuple[Vertex, ...]:
         return self._bfs  # type: ignore[attr-defined]

@@ -164,6 +164,34 @@ def test_graph_brute_force_and_size_limit():
         are_isomorphic(big, big, IsoFlavor.FREE)
 
 
+def test_different_sizes_are_answered_beyond_the_search_cap():
+    # Vertex, edge or point counts that differ decide the answer before the
+    # search's size cap is looked at; payloads are still checked first, and equal
+    # sizes beyond the cap are still refused.
+    names = [f"v{i:02d}" for i in range(20)]
+    path = tree_from_edges(zip(names, names[1:]))
+    cycle = Graph(names, [*zip(names, names[1:]), (names[-1], names[0])])
+    small_cycle = Graph(names[:12], [*zip(names[:11], names[1:12]), (names[11], names[0])])
+    labels = {v: F(1) for v in names}
+    for g1, g2 in ((path, cycle), (cycle, path), (cycle, small_cycle), (small_cycle, cycle)):
+        assert are_isomorphic(g1, g2, IsoFlavor.FREE) is False
+        assert are_isomorphic(g1, g2, IsoFlavor.VERTEX_LABELED, labels1=labels, labels2=labels) is False
+        w1, w2 = ({e: F(2) for e in g.edges} for g in (g1, g2))
+        assert are_isomorphic(g1, g2, IsoFlavor.EDGE_WEIGHTED, weights1=w1, weights2=w2) is False
+        with pytest.raises(ValueError, match="rooted flavors are defined for trees only"):
+            are_isomorphic(g1, g2, IsoFlavor.ROOTED, root1=names[0], root2=names[0])
+    short = {v: F(1) for v in names[:-1]}
+    with pytest.raises(ValueError, match="missing label for vertex 'v19'"):
+        are_isomorphic(small_cycle, cycle, IsoFlavor.VERTEX_LABELED, labels1=labels, labels2=short)
+    with pytest.raises(SizeLimitError, match="graph isomorphism is limited to 8 vertices"):
+        are_isomorphic(cycle, cycle, IsoFlavor.FREE)
+    rng = random.Random(89)
+    s10, s12 = random_ultrametric_space(rng, 10), random_ultrametric_space(rng, 12)
+    assert isometry_search(s10, s12) is None and isometry_search(s12, s10) is None
+    with pytest.raises(SizeLimitError, match="isometry search is limited to 9 points"):
+        isometry_search(s10, s10)
+
+
 def _random_graph(rng, n, prefix, m):
     names = [f"{prefix}{i}" for i in range(n)]
     return Graph(names, rng.sample(list(itertools.combinations(names, 2)), m))
@@ -495,24 +523,29 @@ def test_codes_equal_recursive_encoder(monkeypatch):
             assert _all_flavor_codes(t, labels, weights, root) == fast
 
 
-@pytest.mark.parametrize("shape", ["path", "caterpillar"])
+@pytest.mark.parametrize("shape", ["path", "caterpillar", "star"])
 def test_every_flavor_encodes_20k_vertices_without_recursion(shape):
     n = 20000
     names = [f"v{i:05d}" for i in range(n)]
     if shape == "path":
         edges = [(names[i - 1], names[i]) for i in range(1, n)]
-    else:  # a spine of n/2 vertices, one pendant leaf on each
+    elif shape == "caterpillar":  # a spine of n/2 vertices, one pendant leaf on each
         half = n // 2
         edges = [(names[i - 1], names[i]) for i in range(1, half)]
         edges += [(names[i], names[half + i]) for i in range(half)]
+    else:  # n leaves round a center "c": rooted at a leaf, free flavors at "c"
+        edges = [("c", x) for x in names]
     t = tree_from_edges(edges)
-    labels = {v: F(i % 7) for i, v in enumerate(names)}
+    labels = {v: F(i % 7) for i, v in enumerate(t.vertices)}
     weights = {e: F(1 + i % 3) for i, e in enumerate(t.edges)}
     limit = sys.getrecursionlimit()
     codes = _all_flavor_codes(t, labels, weights, names[0])
     assert sys.getrecursionlimit() == limit
     if shape == "path":
         assert codes[IsoFlavor.ROOTED] == "1R:" + "(" * n + ")" * n
-    else:
+    elif shape == "caterpillar":
         assert codes[IsoFlavor.ROOTED].count("()") == n // 2
-    assert all(code.count("(") == n for code in codes.values())
+    else:
+        assert codes[IsoFlavor.ROOTED] == "1R:((" + "()" * (n - 1) + "))"
+        assert codes[IsoFlavor.FREE] == "1F:(" + "()" * n + ")"
+    assert all(code.count("(") == len(t.vertices) for code in codes.values())

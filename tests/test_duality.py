@@ -19,10 +19,11 @@ from ultratree import (
     find_path,
     generate_monotone,
     labeling_to_weight,
+    reduce_nabla,
     tree_from_edges,
     weight_to_labeling,
 )
-from ultratree.analysis import planted_leaf_ultrametric_check
+from ultratree.analysis import centers, planted_leaf_ultrametric_check
 from ultratree.errors import NotEquidistantError, NotMonotoneError, NonPositiveWeightError
 from ultratree.generators import random_equidistant_tree
 
@@ -63,6 +64,11 @@ def test_check_monotone_small_cases():
     edge = RootedTree(tree_from_edges([("r", "c")]), "r")
     assert not check_monotone(edge, {"r": F(0), "c": F(0)})
     assert check_monotone(edge, {"r": F(3), "c": F(0)})
+    # labels fall strictly along every parent-child edge, so a tie or a rise is refused
+    chain = RootedTree(tree_from_edges([("r", "a"), ("a", "c")]), "r")
+    assert check_monotone(chain, {"r": F(3), "a": F(2), "c": F(0)})
+    assert not check_monotone(chain, {"r": F(2), "a": F(2), "c": F(0)})
+    assert not check_monotone(chain, {"r": F(1), "a": F(2), "c": F(0)})
 
 
 def test_labeling_to_weight_fig11():
@@ -201,6 +207,25 @@ def test_integer_root_distances_equal_fraction_sums():
         mt = weight_to_labeling(et)
         assert mt.labels == {v: 2 * (K - plain[v]) for v in rt.vertices}
         assert labeling_to_weight(mt) == et
+
+
+def test_planted_20k_leaf_star_through_duality_reduction_and_centers():
+    # root r above a center c with 20,000 leaves: a walk that built the children
+    # of c once per child would be quadratic here.
+    leaves = [f"l{i:05d}" for i in range(20000)]
+    rt = RootedTree(tree_from_edges([("r", "c"), *(("c", x) for x in leaves)]), "r")
+    a, b = F(3, 2), F(1, 3)  # weights on r-c and on each leaf edge
+    w = {e: a if e == ("c", "r") else b for e in rt.tree.edges}
+    et = EquidistantTree(rt, w)
+    assert et.K == a + b
+    mt = weight_to_labeling(et)
+    assert mt.labels == {"r": 2 * (a + b), "c": 2 * b, **dict.fromkeys(leaves, F(0))}
+    assert labeling_to_weight(mt) == et
+    nabla = reduce_nabla(et)
+    assert (nabla.new_root, nabla.removed, nabla.reduced.K) == ("c", frozenset({"r"}), b)
+    assert nabla.reduced.rt.children("c") == tuple(leaves)
+    # rooted at r every leaf lies at a + b; at c or at a leaf, r and the leaves differ
+    assert centers(rt.tree, w) == frozenset({"r"})
 
 
 _FIG10_LABELS = {"r": F(14), "a": F(12), "b": F(8), "c": F(0), "d": F(0)}

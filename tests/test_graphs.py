@@ -58,15 +58,56 @@ def test_unknown_or_unhashable_vertex_is_not_found():
             with pytest.raises(VertexNotFoundError) as caught:
                 Graph("abc", [edge])
             assert str(caught.value) == f"edge endpoint not a vertex: {edge!r}"
-        for lookup in (t.neighbors, t.degree, rt.parent, rt.children):
-            with pytest.raises(VertexNotFoundError):
+        for lookup in (t.neighbors, t.degree, rt.parent, rt.children, rt.out_degree):
+            with pytest.raises(VertexNotFoundError) as caught:
                 lookup(bad)
-        with pytest.raises(VertexNotFoundError):
+            assert str(caught.value) == f"no vertex {bad!r}"
+        with pytest.raises(VertexNotFoundError) as caught:
             RootedTree(t, bad)
+        assert str(caught.value) == f"root {bad!r} not a vertex"
         with pytest.raises(VertexNotFoundError):
             find_path(t, bad, "a")
         with pytest.raises(VertexNotFoundError):
             find_path(t, "a", bad)
+
+
+def _check_rooted_walk(t, root, by_path):
+    """RootedTree(t, root) against references built here: the BFS over sorted
+    neighbors, and, for the vertices in by_path, children as the neighbors
+    whose path to the root passes the vertex."""
+    rt = RootedTree(t, root)
+    order, reached_from = [root], {root: None}
+    for x in order:
+        for y in sorted(t.neighbors(x)):
+            if y not in reached_from:
+                reached_from[y] = x
+                order.append(y)
+    assert rt.bfs_order() == tuple(order)
+    for v in t.vertices:
+        kids = tuple(c for c in sorted(t.neighbors(v)) if reached_from[c] == v)
+        assert (rt.parent(v), rt.children(v), rt.out_degree(v)) == (reached_from[v], kids, len(kids))
+    for v in by_path:
+        assert rt.children(v) == tuple(c for c in sorted(t.neighbors(v)) if v in find_path(t, c, root))
+        assert rt.parent(v) == (None if v == root else find_path(t, v, root)[1])
+
+
+def test_rooted_tree_parents_children_and_order_match_references():
+    # random trees, every vertex checked by path; then a lone vertex, a 5000-leaf
+    # star at its center and at a leaf, and a 5000-vertex path at an end and in
+    # the middle, every vertex checked by the BFS and a few of small degree by
+    # path (each find_path walks the whole tree)
+    rng = random.Random(53)
+    for _ in range(60):
+        t = random_tree(rng, rng.randint(1, 300))
+        _check_rooted_walk(t, rng.choice(t.vertices), t.vertices)
+    _check_rooted_walk(Tree(Graph(["a"])), "a", ["a"])
+    leaves = [f"l{i:04d}" for i in range(5000)]
+    star = tree_from_edges([("c", x) for x in leaves])
+    names = [f"p{i:04d}" for i in range(5000)]
+    path = tree_from_edges(zip(names, names[1:]))
+    for t, root in ((star, "c"), (star, leaves[2500]), (path, names[0]), (path, names[2500])):
+        sample = [v for v in (root, *leaves[::1000], *names[::500], names[-1]) if t.has_vertex(v) and t.degree(v) < 3]
+        _check_rooted_walk(t, root, sample)
 
 
 def test_has_edge_agrees_with_the_neighbor_lists():

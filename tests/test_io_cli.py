@@ -266,6 +266,21 @@ def test_cli_iso_and_isometry(tmp_path, capsys):
     assert code == 0 and json.loads(out)["isometric"] is True
 
 
+def test_cli_answers_different_sizes_beyond_the_search_cap(tmp_path, capsys):
+    # a 20-vertex path against a 20-vertex cycle, and spaces of 10 and 12 points:
+    # the counts decide, so neither call meets the search's size cap
+    names = [f"v{i:02d}" for i in range(20)]
+    path = [[u, v] for u, v in zip(names, names[1:])]
+    docs = {"path": path, "cycle": [*path, [names[-1], names[0]]]}
+    p1, p2 = (_write(tmp_path, f"{name}.json", tio.dump_json({"vertices": names, "edges": edges}))
+              for name, edges in docs.items())
+    assert _run(capsys, "iso", "--flavor", "free", p1, p2) == (0, '{\n  "isomorphic": false\n}\n')
+    rng = random.Random(97)
+    m1, m2 = (_write(tmp_path, f"m{n}.json", tio.dump_json(tio.matrix_to_json(random_ultrametric_space(rng, n))))
+              for n in (10, 12))
+    assert _run(capsys, "isometry", m1, m2) == (0, '{\n  "bijection": null,\n  "isometric": false\n}\n')
+
+
 # The payloads each iso flavor compares, stated apart from the library's own rule.
 _FLAVOR_PAYLOADS = {"free": (), "rooted": ("root",), "vlabel": ("labels",), "eweight": ("weights",),
                     "rlabel": ("root", "labels"), "rweight": ("root", "weights")}
@@ -644,9 +659,9 @@ def test_each_verb_loads_only_its_modules(verb_modules):
 # cli.run ends the process and the tree helpers no verb calls live in oracles;
 # no ceiling has risen.
 _SOURCE_LINE_CEILINGS = {
-    "iso": 1283, "dual": 1204, "spanning": 1203, "counterexample": 1203,
-    "repr": 1467, "ballean": 1467, "isometry": 1656, "isometry --fast-ultrametric": 1737,
-    "analyze": 1386, "reduce": 1394, "selftest": 2514,
+    "iso": 1281, "dual": 1201, "spanning": 1200, "counterexample": 1200,
+    "repr": 1464, "ballean": 1464, "isometry": 1653, "isometry --fast-ultrametric": 1735,
+    "analyze": 1384, "reduce": 1391, "selftest": 2513,
 }
 
 
