@@ -17,25 +17,25 @@ _EXPORTS = {
         "graphs",
     ),
     **dict.fromkeys(
-        ("FiniteMetricSpace", "MetricClass", "additive_metric", "classify_metric", "hausdorff_distance",
-         "label_tree_metric", "minimax_label_metric", "restrict", "shortest_path_metric"),
-        "metrics",
+        ("FiniteMetricSpace", "MetricClass", "classify_metric", "label_tree_metric", "restrict"), "metrics"
+    ),
+    **dict.fromkeys(
+        ("additive_metric", "hausdorff_distance", "minimax_label_metric", "shortest_path_metric"), "path_metrics"
     ),
     **dict.fromkeys(
         ("Ballean", "LabeledRootedTree", "ballean", "ballean_tree", "diametrical_graph",
          "multipartite_parts", "representing_tree"),
         "representing",
     ),
+    **dict.fromkeys(("IsoFlavor", "are_isomorphic", "isometry_search", "ultrametric_isometric"), "canonical"),
+    **dict.fromkeys(("canonical_code", "tree_centers"), "tree_codes"),
+    **dict.fromkeys(("is_isometry", "is_isomorphism", "leaf_swap_isometry"), "checkers"),
     **dict.fromkeys(
-        ("IsoFlavor", "are_isomorphic", "canonical_code", "is_isometry", "is_isomorphism",
-         "isometry_search", "leaf_swap_isometry", "tree_centers", "ultrametric_isometric"),
-        "canonical",
-    ),
-    **dict.fromkeys(
-        ("EquidistantTree", "MonotoneTree", "check_equidistant", "check_monotone", "generate_monotone",
-         "labeling_to_weight", "weight_to_labeling"),
+        ("EquidistantTree", "MonotoneTree", "check_equidistant", "check_monotone", "labeling_to_weight",
+         "weight_to_labeling"),
         "duality",
     ),
+    "generate_monotone": "random_monotone",
     **dict.fromkeys(
         ("NablaResult", "bottleneck_spanning_tree", "passthrough_counterexample_pair",
          "nabla_geometric_membership", "cyclic_weight_counterexample", "reduce_nabla"),

@@ -1,18 +1,20 @@
-"""Search for a bijection carrying one matrix onto another, and its check.
+"""Search for a bijection carrying one matrix onto another.
 
 General (non-tree) graph isomorphism and isometry search are one small
-pruned search for a bijection carrying a matrix onto another, and one check
-of a given map: a space has its distance matrix, a graph its relation matrix
-(labels on the diagonal, edge weights or an edge mark at adjacent pairs, a
-non-edge mark elsewhere).  They are the oracles fast paths are tested against;
-their public entry points are in canonical.py, which settles unequal sizes itself.
+pruned search for a bijection carrying a matrix onto another: a space has
+its distance matrix, a graph its relation matrix (labels on the diagonal,
+edge weights or an edge mark at adjacent pairs, a non-edge mark elsewhere).
+It is the oracle fast paths are tested against; its public entry points are
+in canonical.py, which settles unequal sizes itself, and the check of a given
+map on the same matrices is in checkers.py.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
-from .graphs import Graph, Vertex, normalize_labels, normalize_weights
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 
 def _relation_rows(g: Graph, labels: Optional[Mapping], weights: Optional[Mapping]) -> list[list[tuple]]:
@@ -20,6 +22,8 @@ def _relation_rows(g: Graph, labels: Optional[Mapping], weights: Optional[Mappin
     # every other pair; payloads are normalized as canonical_code does it.  A
     # non-edge differs from every edge by length alone, whatever the payload
     # values, and normalized entries all sort together.
+    from .graphs import normalize_labels, normalize_weights
+
     lab = normalize_labels(g, labels) if labels is not None else None
     wts = normalize_weights(g, weights, strict=False) if weights is not None else None
     index = {v: i for i, v in enumerate(g.vertices)}
@@ -79,15 +83,3 @@ def _search(a: tuple, b: tuple) -> Optional[dict[int, int]]:
         return False
 
     return image if assign(0) else None
-
-
-def _carries(mapping: Mapping[Vertex, Vertex], a: tuple, b: tuple) -> bool:
-    # The check of a given map: a bijection from a's names onto b's that
-    # carries every entry of matrix a onto the entry of matrix b at the images.
-    (rows1, names1), (rows2, names2) = a, b
-    if sorted(mapping) != list(names1) or sorted(mapping.values()) != list(names2):
-        return False
-    at = {v: j for j, v in enumerate(names2)}
-    image = [at[mapping[v]] for v in names1]
-    n = len(image)
-    return all(rows1[i][k] == rows2[image[i]][image[k]] for i in range(n) for k in range(i, n))

@@ -13,6 +13,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, Optional
 
+from ._record import record
 from .duality import EquidistantTree, _scaled
 from .errors import (
     NoBranchingVertexError,
@@ -20,7 +21,7 @@ from .errors import (
     NotPlantedError,
     NotUltrametricError,
 )
-from .graphs import RootedTree, Tree, Vertex, degree_sets, edge_key, normalize_weights, record
+from .graphs import RootedTree, Tree, Vertex, degree_sets, edge_key, normalize_weights
 
 if TYPE_CHECKING:
     from .metrics import FiniteMetricSpace

@@ -11,13 +11,12 @@ common denominator (_scaled, which analysis.centers shares), and keeps them.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional
 
+from ._record import record
 from .errors import NotEquidistantError, NotMonotoneError
-from .graphs import (Edge, Graph, RootedTree, Tree, Vertex, degree_sets, normalize_labels, normalize_weights,
-                     record)
+from .graphs import Edge, RootedTree, Vertex, normalize_labels, normalize_weights
 
 if TYPE_CHECKING:
     from .metrics import FiniteMetricSpace
@@ -27,6 +26,12 @@ def _scaled(values: Mapping) -> tuple[dict, int]:
     # Each value as an integer times den, the lcm of the values' denominators.
     den = math.lcm(*(x.denominator for x in values.values()))
     return {k: x.numerator * (den // x.denominator) for k, x in values.items()}, den
+
+
+def _out_degree_zero(rt: RootedTree) -> frozenset[Vertex]:
+    # degree_sets(rt)[0] alone: the vertices no other vertex has as its parent
+    parent = rt._parent  # type: ignore[attr-defined]
+    return frozenset(parent.keys() - [parent[v] for v in rt.bfs_order()[1:]])
 
 
 def _fractions(scaled: dict, den: int) -> dict:
@@ -51,22 +56,24 @@ class EquidistantTree:
         for v in rt.bfs_order()[1:]:  # each parent before its children
             p = parent[v]
             dist[v] = dist[p] + scaled[(p, v) if p < v else (v, p)]
-        sums = {dist[v] for v in self.v0()}
+        v0 = _out_degree_zero(rt)
+        sums = {dist[v] for v in v0}
         if len(sums) != 1:
             raise NotEquidistantError("root-to-leaf weight sums differ")
-        vars(self).update(weights=weights, K=Fraction(*sums, den), _scaled=(dist, den, *sums))
+        vars(self).update(weights=weights, K=Fraction(*sums, den), _scaled=(dist, den, *sums), _v0=v0)
 
     def root_distances(self) -> dict[Vertex, Fraction]:
         """Weighted distance from the root to every vertex."""
         return _fractions(*self._scaled[:2])  # type: ignore[attr-defined]
 
     def metric(self) -> FiniteMetricSpace:
-        from .metrics import additive_metric
+        from .path_metrics import additive_metric
 
         return additive_metric(self.rt.tree, self.weights)
 
     def v0(self) -> frozenset[Vertex]:
-        return degree_sets(self.rt)[0]
+        """The out-degree-zero vertices, found once when the tree was checked."""
+        return self._v0  # type: ignore[attr-defined]
 
 
 @record
@@ -81,10 +88,10 @@ class MonotoneTree:
     def __post_init__(self):
         parent, labels = self.rt._parent, normalize_labels(self.rt.tree, self.labels)  # type: ignore[attr-defined]
         scaled, den = _scaled(labels)  # compared as integers
-        zeros = {v for v, x in scaled.items() if x == 0}
-        if zeros != self.v0() or any(scaled[v] >= scaled[p] for v, p in parent.items() if p is not None):
+        zeros, v0 = {v for v, x in scaled.items() if x == 0}, _out_degree_zero(self.rt)
+        if zeros != v0 or any(scaled[v] >= scaled[p] for v, p in parent.items() if p is not None):
             raise NotMonotoneError("labeling is not monotone for this root")
-        vars(self).update(labels=labels, _scaled=(scaled, den))
+        vars(self).update(labels=labels, _scaled=(scaled, den), _v0=v0)
 
     def metric(self) -> FiniteMetricSpace:
         from .metrics import label_tree_metric
@@ -92,7 +99,8 @@ class MonotoneTree:
         return label_tree_metric(self.rt.tree, self.labels)[0]
 
     def v0(self) -> frozenset[Vertex]:
-        return degree_sets(self.rt)[0]
+        """The out-degree-zero vertices, found once when the tree was checked."""
+        return self._v0  # type: ignore[attr-defined]
 
 
 def check_equidistant(rt: RootedTree, w: Mapping) -> Optional[Fraction]:
@@ -125,67 +133,3 @@ def weight_to_labeling(et: EquidistantTree) -> MonotoneTree:
     l(u) = 2 (K - root-to-u weight sum), so l(root) = 2K."""
     dist, den, k = et._scaled  # type: ignore[attr-defined]  # root distances and K, times den
     return MonotoneTree(et.rt, _fractions({v: 2 * (k - d) for v, d in dist.items()}, den))
-
-
-def _branching_shape(rng: random.Random, size: int) -> list[Optional[int]]:
-    # Parent indices for a rooted shape in which no vertex has exactly one
-    # child: subtree sizes are 1 or >= 3.
-    parents: list[Optional[int]] = [None]
-
-    def split(total: int) -> list[int]:
-        # total >= 2 into at least two parts, each a legal subtree size
-        # (1 or >= 3; a 2-vertex subtree would force an only child)
-        parts: list[int] = []
-        left = total
-        while left > 0:
-            choices = [p for p in range(1, min(left, 6) + 1) if p != 2]
-            if not parts and total in choices:
-                choices.remove(total)
-            parts.append(rng.choice(choices))
-            left -= parts[-1]
-        return parts
-
-    def grow(parent: int, size_here: int) -> None:
-        if size_here == 1:
-            return
-        for part in split(size_here - 1):
-            parents.append(parent)
-            child = len(parents) - 1
-            grow(child, part)
-
-    grow(0, size)
-    return parents
-
-
-def generate_monotone(
-    seed: int | random.Random,
-    min_size: int = 1,
-    max_size: int = 10,
-    branching_only: bool = False,
-) -> MonotoneTree:
-    """Random monotone tree; deterministic for a fixed seed.
-
-    With branching_only, no vertex has out-degree one, so the result is the
-    hierarchy tree shape of some ultrametric space (size 2 is impossible and
-    gets bumped to 3).
-    """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    if min_size < 1 or max_size < min_size:
-        raise ValueError("need 1 <= min_size <= max_size")
-    size = rng.randint(min_size, max_size)
-    if branching_only and size == 2:
-        size = 3
-    parents = _branching_shape(rng, size) if branching_only else [None, *(rng.randrange(i) for i in range(1, size))]
-    names = [f"v{i:02d}" for i in range(size)]
-    edges = [(names[parents[i]], names[i]) for i in range(1, size)]
-    rt = RootedTree(Tree(Graph(names, edges)), names[0])
-
-    labels: dict[Vertex, Fraction] = {}
-    for v in reversed(rt.bfs_order()):
-        kids = rt.children(v)
-        if not kids:
-            labels[v] = Fraction(0)
-        else:
-            step = Fraction(rng.randint(1, 8), rng.choice((1, 1, 2, 4)))
-            labels[v] = max(labels[c] for c in kids) + step
-    return MonotoneTree(rt, labels)

@@ -10,9 +10,11 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .duality import EquidistantTree, generate_monotone, labeling_to_weight
+from .duality import EquidistantTree, labeling_to_weight
 from .graphs import Edge, Graph, Tree, Vertex
-from .metrics import FiniteMetricSpace, space_from
+from .metrics import FiniteMetricSpace
+from .path_metrics import space_from
+from .random_monotone import generate_monotone
 
 
 def _rng(seed: int | random.Random) -> random.Random:

@@ -10,21 +10,27 @@ ids may not contain that character.
 Distance matrices either as CSV (first row and column hold the point ids,
 entries are "p/q") or as the mirroring JSON
     {"points": [str], "matrix": [["p/q", ...], ...]}.
+
+This module holds the entry points the CLI calls and what both forms share.
+The graph-document reader is in graph_reader.py and the matrix readers and
+writers are in matrix_io.py; load_graph_text and load_matrix_text import
+theirs when they run, so a verb compiles only the reader of its input.
 """
 
 from __future__ import annotations
 
-import io as _io
 import json
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
+from ._record import record
 from .errors import ParseError
-from .graphs import Edge, Graph, RootedTree, Tree, Vertex, edge_key, record
 from .rational import format_rational, parse_rational
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .graphs import Edge, Graph, RootedTree, Tree, Vertex
     from .metrics import FiniteMetricSpace
     from .representing import LabeledRootedTree
 
@@ -42,12 +48,16 @@ class GraphDoc:
     payloads: Optional[dict[Vertex, frozenset[Vertex]]] = None
 
     def tree(self) -> Tree:
+        from .graphs import Tree
+
         try:
             return Tree(self.graph)
         except ValueError:
             raise ParseError("expected a tree (connected and acyclic)") from None
 
     def rooted(self) -> RootedTree:
+        from .graphs import RootedTree
+
         if self.root is None:
             raise ParseError("document carries no root")
         return RootedTree(self.tree(), self.root)
@@ -55,6 +65,8 @@ class GraphDoc:
 
 def weights_to_json(weights) -> dict:
     """The "weights" block of a graph document: "u|v" keys, "p/q" values."""
+    from .graphs import edge_key
+
     return {"|".join(edge_key(*e)): format_rational(val) for e, val in sorted(weights.items())}
 
 
@@ -109,141 +121,18 @@ def labeled_tree_to_json(t: LabeledRootedTree) -> dict:
     return graph_to_json(t.rt.tree, t.rt.root, labels=t.labels, payloads=t.payloads)
 
 
-def graph_from_json(obj) -> GraphDoc:
-    if not isinstance(obj, dict):
-        raise ParseError("graph document must be a JSON object")
-    vertices, edges = obj.get("vertices"), obj.get("edges", [])
-    if not isinstance(vertices, list) or not isinstance(edges, list):
-        raise ParseError("'vertices' and 'edges' must be JSON lists")
-    _check_ids(vertices)
-    for e in edges:
-        if not isinstance(e, list) or len(e) != 2 or not isinstance(e[0], str) or not isinstance(e[1], str):
-            raise ParseError(f"edge must be a list of two vertex ids: {e!r}")
-    try:
-        graph = Graph(vertices, edges)
-    except Exception as exc:
-        raise ParseError(f"bad graph: {exc}") from exc
-    if len(graph.edges) < len(edges):  # Graph keeps one copy of an edge given twice
-        seen: set = set()
-        repeat = next(e for e in edges if frozenset(e) in seen or seen.add(frozenset(e)))
-        raise ParseError(f"repeated edge {'|'.join(repeat)!r}")
-
-    root = obj.get("root")
-    if root is not None and not graph.has_vertex(root):
-        raise ParseError(f"root {root!r} is not a vertex")
-    for field in ("weights", "labels", "payloads"):
-        if not isinstance(obj.get(field), (dict, type(None))):
-            raise ParseError(f"{field!r} must be a JSON object or null")
-
-    weights, parse = None, _parser()
-    if obj.get("weights") is not None:
-        weights, edge_set = {}, graph._edge_set  # type: ignore[attr-defined]
-        for key, val in obj["weights"].items():
-            parts = key.split("|")
-            if len(parts) != 2:
-                raise ParseError(f"edge key must be 'u|v': {key!r}")
-            u, v = parts
-            e = (u, v) if u < v else (v, u)
-            if e not in edge_set:
-                raise ParseError(f"self-loop at {u!r}" if u == v else f"weight on unknown edge {key!r}")
-            if e in weights:
-                raise ParseError(f"second weight on edge {key!r}")
-            weights[e] = parse(val)
-
-    vertex_set = set(graph.vertices)  # object keys are hashable, unlike a root
-    labels = None
-    if obj.get("labels") is not None:
-        labels = {}
-        for v, val in obj["labels"].items():
-            if v not in vertex_set:
-                raise ParseError(f"label on unknown vertex {v!r}")
-            labels[v] = parse(val)
-
-    payloads = None
-    if obj.get("payloads") is not None:
-        payloads = {}
-        for v, pts in obj["payloads"].items():
-            if v not in vertex_set:
-                raise ParseError(f"payload on unknown vertex {v!r}")
-            if not isinstance(pts, list) or not all(isinstance(x, str) for x in pts):
-                raise ParseError(f"payload of {v!r} must be a list of strings")
-            payloads[v] = frozenset(pts)
-
-    return GraphDoc(graph, root, weights, labels, payloads)
-
-
-def matrix_to_json(space: FiniteMetricSpace) -> dict:
-    return {
-        "points": list(space.points),
-        "matrix": [[format_rational(x) for x in row] for row in space.rows],
-    }
-
-
-def matrix_from_json(obj) -> FiniteMetricSpace:
-    if not isinstance(obj, dict) or "points" not in obj or "matrix" not in obj:
-        raise ParseError("matrix document needs 'points' and 'matrix'")
-    return _matrix(obj["points"], obj["matrix"])
-
-
-def _matrix(points, matrix) -> FiniteMetricSpace:
-    # The tail of both matrix forms, so they refuse the same point ids and
-    # entries and report every defect of the space as one ParseError.
-    from .metrics import FiniteMetricSpace
-
-    if not isinstance(points, list) or not all(isinstance(p, str) and p for p in points):
-        raise ParseError("'points' must be a list of nonempty strings")
-    _check_ids(points)
-    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
-        raise ParseError("'matrix' must be a list of lists")
-    parse = _parser()
-    rows = [[parse(x) for x in row] for row in matrix]
-    try:
-        return FiniteMetricSpace(points, rows)
-    except Exception as exc:
-        raise ParseError(f"bad matrix: {exc}") from exc
-
-
-def matrix_to_csv(space: FiniteMetricSpace) -> str:
-    import csv
-
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + list(space.points))
-    for p, row in zip(space.points, space.rows):
-        writer.writerow([p] + [format_rational(x) for x in row])
-    return buf.getvalue()
-
-
-def matrix_from_csv(text: str) -> FiniteMetricSpace:
-    import csv
-
-    try:
-        rows = [r for r in csv.reader(_io.StringIO(text)) if r]
-    except csv.Error as exc:
-        raise ParseError(f"bad CSV: {exc}") from exc
-    if len(rows) < 2:
-        raise ParseError("matrix CSV needs a header and at least one row")
-    header = rows[0][1:]
-    points = []
-    matrix = []
-    for r in rows[1:]:
-        if len(r) != len(header) + 1:
-            raise ParseError(f"row length mismatch in CSV near {r[:1]!r}")
-        points.append(r[0])
-        matrix.append(r[1:])
-    if points != header:
-        raise ParseError("CSV row ids must repeat the header order")
-    return _matrix(points, matrix)
-
-
 def load_matrix_text(text: str) -> FiniteMetricSpace:
     """Accept either the JSON or the CSV matrix form."""
+    from .matrix_io import matrix_from_csv, matrix_from_json
+
     if text.lstrip().startswith("{"):
         return matrix_from_json(_load_json(text))
     return matrix_from_csv(text)
 
 
 def load_graph_text(text: str) -> GraphDoc:
+    from .graph_reader import graph_from_json
+
     return graph_from_json(_load_json(text))
 
 

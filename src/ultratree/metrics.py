@@ -1,31 +1,28 @@
-"""Tree- and graph-generated distance functions, all with exact arithmetic.
+"""Finite metric spaces: their checks, classification and ultrametric decision.
 
-The four constructions share one traversal with two combine rules: the sum
-of edge weights along a path (additive on trees, shortest-path on graphs)
-and the max vertex label along it (on trees, and its minimax extension to
-graphs); over several joining paths the minimum counts, all folded on
-integers.  Plus classification of matrices and the Hausdorff distance.  A
-space ranks its distinct distances once when it is made, and every check after
-that runs on those integer ranks.  The ultrametric decision is one Prim search
-(_linkage); its visiting order, in which every ball is an interval, and the
-rank each point joins at are all representing.py needs to build the hierarchy
-tree.
+A space ranks its distinct distances once when it is made, and every check
+after that runs on those integer ranks.  The ultrametric decision is one Prim
+search (_linkage); its visiting order, in which every ball is an interval,
+and the rank each point joins at are all representing.py needs to build the
+hierarchy tree.  The spaces that trees, graphs and functions generate are
+built in path_metrics.py, which label_tree_metric imports when it runs, so
+a matrix verb loads no graph code.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import BadMatrixError, DisconnectedGraphError, EmptySetError, VertexNotFoundError
-from .graphs import Edge, Graph, Tree, Vertex, edge_key, normalize_labels, normalize_weights, record
+from ._record import record
+from .errors import BadMatrixError, EmptySetError, VertexNotFoundError
 
-WeightMap = Mapping[Edge, Fraction]
-LabelMap = Mapping[Vertex, Fraction]
+if TYPE_CHECKING:
+    from .graphs import Tree, Vertex
+    from .path_metrics import LabelMap
 
 ZERO = Fraction(0)
 
@@ -93,11 +90,6 @@ class FiniteMetricSpace:
         if len(set(new_pts)) != len(new_pts):
             raise ValueError("renaming is not injective")
         return FiniteMetricSpace._trusted(new_pts, *self._ranks)  # type: ignore[attr-defined]
-
-
-def space_from(points: Iterable[Vertex], dist: Callable[[Vertex, Vertex], Fraction]) -> FiniteMetricSpace:
-    pts = sorted(points)
-    return FiniteMetricSpace(pts, [[dist(x, y) if x != y else ZERO for y in pts] for x in pts])
 
 
 def _rank(mat: Sequence[Sequence]) -> tuple[list, tuple[tuple[int, ...], ...]]:
@@ -190,50 +182,6 @@ def _linkage(mat: Sequence[Sequence]) -> Optional[tuple[list[int], list]]:
     return order, joins
 
 
-def _path_metric(g: Graph, start: Mapping[Vertex, int], step: Callable, value: Callable) -> FiniteMetricSpace:
-    """d(x, y): min over x-y paths of start[x] folded by step(d, u, v) per edge.
-
-    Search from every source of a connected graph, settling each vertex once:
-    the frontier is a heap, or a stack on a tree, where the unique path gives
-    the first value.  The diagonal is 0.  The fold runs on integers, and
-    value makes one Fraction of each distinct result.
-    """
-    tree = len(g.edges) < len(g.vertices)  # g is connected, so this means a tree
-    push, pop = (list.append, list.pop) if tree else (heapq.heappush, heapq.heappop)
-    rows = []
-    for src in g.vertices:
-        best: dict[Vertex, int] = {}
-        frontier = [(start[src], src)]
-        while frontier:
-            d, x = pop(frontier)
-            if x in best:
-                continue
-            best[x] = d
-            for y in g.neighbors(x):
-                if y not in best:
-                    push(frontier, (step(d, x, y), y))
-        best[src] = 0
-        rows.append(list(map(best.__getitem__, g.vertices)))
-    keys, ranks = _rank(rows)
-    return FiniteMetricSpace._trusted(g.vertices, list(map(value, keys)), ranks)
-
-
-def additive_metric(t: Tree, w: WeightMap) -> FiniteMetricSpace:
-    """Path-weight-sum distances on a strictly positively weighted tree."""
-    return shortest_path_metric(t, w)
-
-
-def shortest_path_metric(g: Graph, w: WeightMap) -> FiniteMetricSpace:
-    """Minimum path-weight-sum over all joining paths; additive on trees."""
-    if not g.is_connected():
-        raise DisconnectedGraphError("shortest-path metric needs a connected graph")
-    weights = normalize_weights(g, w, strict=True)
-    den = math.lcm(*(x.denominator for x in weights.values()))
-    scaled = {e: x.numerator * (den // x.denominator) for e, x in weights.items()}
-    step = lambda d, x, y: d + scaled[edge_key(x, y)]
-    return _path_metric(g, dict.fromkeys(g.vertices, 0), step, lambda d: Fraction(d, den))
-
-
 def label_tree_metric(t: Tree, l: LabelMap) -> tuple[FiniteMetricSpace, MetricClass]:
     """Max vertex label along the unique path, endpoints included.
 
@@ -241,19 +189,9 @@ def label_tree_metric(t: Tree, l: LabelMap) -> tuple[FiniteMetricSpace, MetricCl
     edge carries at least one positive endpoint label, pseudoultrametric
     otherwise.
     """
+    from .path_metrics import minimax_label_metric
+
     return minimax_label_metric(t, l)
-
-
-def minimax_label_metric(g: Graph, l: LabelMap) -> tuple[FiniteMetricSpace, MetricClass]:
-    """Min over joining paths of the max vertex label along the path."""
-    if not g.is_connected():
-        raise DisconnectedGraphError("minimax label metric needs a connected graph")
-    labels = normalize_labels(g, l)
-    keys, (ranks,) = _rank([[ZERO, *labels.values()]])
-    start = dict(zip(labels, ranks[1:]))  # label ranks, 0 for a zero label
-    space = _path_metric(g, start, lambda d, x, y: max(d, start[y]), keys.__getitem__)
-    ultra = all(start[u] or start[v] for u, v in g.edges)  # no edge has two zero labels
-    return space, MetricClass.ULTRAMETRIC if ultra else MetricClass.PSEUDO_ULTRAMETRIC
 
 
 def restrict(space: FiniteMetricSpace, subset: Iterable[Vertex]) -> FiniteMetricSpace:
@@ -264,16 +202,3 @@ def restrict(space: FiniteMetricSpace, subset: Iterable[Vertex]) -> FiniteMetric
     idx = [space.index(p) for p in keep]
     values, ranks = space._ranks  # type: ignore[attr-defined]
     return FiniteMetricSpace._trusted(keep, values, [list(map(ranks[i].__getitem__, idx)) for i in idx])
-
-
-def hausdorff_distance(space: FiniteMetricSpace, a: Iterable[Vertex], b: Iterable[Vertex]) -> Fraction:
-    """Max of the two directed sup-inf distances between point subsets."""
-    aset = sorted(set(a))
-    bset = sorted(set(b))
-    if not aset or not bset:
-        raise EmptySetError("Hausdorff distance needs nonempty sets")
-    ai = [space.index(p) for p in aset]
-    bi = [space.index(p) for p in bset]
-    forward = max(min(space.rows[i][j] for j in bi) for i in ai)
-    backward = max(min(space.rows[i][j] for j in ai) for i in bi)
-    return max(forward, backward)

@@ -32,8 +32,9 @@ from .graphs import (
     Vertex,
     degree_sets,
     edge_key,
+    normalize_weights,
 )
-from .metrics import FiniteMetricSpace, normalize_weights, restrict
+from .metrics import FiniteMetricSpace, restrict
 from .representing import LabeledRootedTree, ball_id, diametrical_graph, multipartite_parts
 from .transforms import NablaResult
 
@@ -287,7 +288,7 @@ def rooted_code_by_recursion(
     labels: Optional[dict[Vertex, str]],
     weights: Optional[dict[Edge, str]],
 ) -> str:
-    """canonical._rooted_code by recursive child-code sorting, on label and weight text."""
+    """tree_codes._rooted_code by recursive child-code sorting, on label and weight text."""
     def enc(v: Vertex, parent: Optional[Vertex]) -> str:
         parts = []
         for c in t.neighbors(v):

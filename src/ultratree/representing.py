@@ -18,9 +18,10 @@ import json
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from ._record import record
 from .errors import NotCompleteMultipartiteError, NotUltrametricError, TooFewPointsError
-from .graphs import Graph, RootedTree, Tree, Vertex, record
-from .metrics import ZERO, FiniteMetricSpace, _linkage, hausdorff_distance, space_from
+from .graphs import Graph, RootedTree, Tree, Vertex
+from .metrics import ZERO, FiniteMetricSpace, _linkage
 
 
 def ball_id(points: Iterable[Vertex]) -> str:
@@ -63,6 +64,8 @@ class Ballean:
 
     def hausdorff_space(self) -> FiniteMetricSpace:
         """The balls as a metric space under the Hausdorff distance."""
+        from .path_metrics import hausdorff_distance, space_from
+
         named = {ball_id(b): b for b in self.balls}
         return space_from(
             named, lambda x, y: hausdorff_distance(self.host, named[x], named[y])

@@ -14,15 +14,19 @@ import os
 import random
 from typing import Callable
 
-from . import io as tio
 from .analysis import centers, diameter_bound_check, planted_leaf_ultrametric_check
-from .canonical import IsoFlavor, canonical_code
-from .duality import EquidistantTree, MonotoneTree, generate_monotone, labeling_to_weight, weight_to_labeling
+from .canonical import IsoFlavor
+from .duality import EquidistantTree, MonotoneTree, labeling_to_weight, weight_to_labeling
+from .graph_reader import graph_from_json
 from .graphs import RootedTree
-from .metrics import additive_metric, label_tree_metric, minimax_label_metric, restrict
+from .matrix_io import matrix_from_json
+from .metrics import label_tree_metric, restrict
+from .path_metrics import additive_metric, minimax_label_metric
+from .random_monotone import generate_monotone
 from .rational import parse_rational
 from .representing import ballean, diametrical_graph, multipartite_parts, representing_tree
 from .transforms import nabla_geometric_membership, reduce_nabla, bottleneck_spanning_tree
+from .tree_codes import canonical_code
 
 
 def load_figure(name: str) -> dict:
@@ -32,7 +36,7 @@ def load_figure(name: str) -> dict:
 
 
 def _check_fig3(doc: dict) -> list[tuple[str, bool]]:
-    inp = tio.graph_from_json(doc["input"])
+    inp = graph_from_json(doc["input"])
     exp = doc["expected"]
     t = inp.tree()
     got = sorted(centers(t, inp.weights))
@@ -50,11 +54,11 @@ def _check_fig3(doc: dict) -> list[tuple[str, bool]]:
 
 
 def _check_fig5(doc: dict) -> list[tuple[str, bool]]:
-    inp = tio.graph_from_json(doc["input"])
+    inp = graph_from_json(doc["input"])
     exp = doc["expected"]
     et = EquidistantTree(inp.rooted(), inp.weights)
     result = reduce_nabla(et)
-    want = tio.graph_from_json(exp["reduced"])
+    want = graph_from_json(exp["reduced"])
     want_et = EquidistantTree(want.rooted(), want.weights)
     out = [
         ("reduction-shape", result.reduced == want_et and result.new_root == want.root),
@@ -72,10 +76,10 @@ def _check_fig5(doc: dict) -> list[tuple[str, bool]]:
 
 
 def _check_fig6(doc: dict) -> list[tuple[str, bool]]:
-    inp = tio.graph_from_json(doc["input"])
+    inp = graph_from_json(doc["input"])
     exp = doc["expected"]
     space, _ = minimax_label_metric(inp.graph, inp.labels)
-    want_space = tio.matrix_from_json(exp["minimax_matrix"])
+    want_space = matrix_from_json(exp["minimax_matrix"])
     out = [("minimax-matrix", space == want_space)]
 
     spanning = bottleneck_spanning_tree(inp.graph, inp.labels)
@@ -89,7 +93,7 @@ def _check_fig6(doc: dict) -> list[tuple[str, bool]]:
     got_code = canonical_code(
         tree.rt.tree, IsoFlavor.ROOTED_LABELED, labels=tree.labels, root=tree.rt.root
     )
-    shown = tio.graph_from_json(exp["hierarchy_tree"])
+    shown = graph_from_json(exp["hierarchy_tree"])
     want_code = canonical_code(
         shown.tree(), IsoFlavor.ROOTED_LABELED, labels=shown.labels, root=shown.root
     )
@@ -98,7 +102,7 @@ def _check_fig6(doc: dict) -> list[tuple[str, bool]]:
 
 
 def _check_fig10(doc: dict) -> list[tuple[str, bool]]:
-    inp = tio.graph_from_json(doc["input"])
+    inp = graph_from_json(doc["input"])
     exp = doc["expected"]
     et = EquidistantTree(inp.rooted(), inp.weights)
     out = [("K", et.K == parse_rational(exp["K"]))]
@@ -121,7 +125,7 @@ def _check_fig10(doc: dict) -> list[tuple[str, bool]]:
 
 
 def _check_fig11(doc: dict) -> list[tuple[str, bool]]:
-    inp = tio.graph_from_json(doc["input"])
+    inp = graph_from_json(doc["input"])
     exp = doc["expected"]
     rt = inp.rooted()
     et = EquidistantTree(rt, inp.weights)
@@ -136,7 +140,7 @@ def _check_fig11(doc: dict) -> list[tuple[str, bool]]:
 
 
 def _check_fig13(doc: dict) -> list[tuple[str, bool]]:
-    inp = tio.graph_from_json(doc["input"])
+    inp = graph_from_json(doc["input"])
     exp = doc["expected"]
     t = inp.tree()
     space = additive_metric(t, inp.weights)

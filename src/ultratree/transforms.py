@@ -17,8 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from ._record import record
 from .errors import AcyclicInputError, DisconnectedGraphError, PathTreeError
-from .graphs import Edge, Graph, RootedTree, Tree, Vertex, degree_sets, edge_key, normalize_labels, record
+from .graphs import Edge, Graph, RootedTree, Tree, Vertex, degree_sets, edge_key, normalize_labels
 
 if TYPE_CHECKING:
     from .duality import EquidistantTree

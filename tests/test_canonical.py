@@ -37,7 +37,7 @@ from ultratree.generators import (
     random_weights,
     shuffled_renaming,
 )
-from ultratree import canonical
+from ultratree import canonical, tree_codes
 from ultratree.metrics import FiniteMetricSpace
 from ultratree.oracles import rooted_code_by_recursion
 from ultratree.transforms import cyclic_weight_counterexample
@@ -519,7 +519,7 @@ def test_codes_equal_recursive_encoder(monkeypatch):
         root = rng.choice(t.vertices)
         fast = _all_flavor_codes(t, labels, weights, root)
         with monkeypatch.context() as m:
-            m.setattr(canonical, "_rooted_code", rooted_code_by_recursion)
+            m.setattr(tree_codes, "_rooted_code", rooted_code_by_recursion)
             assert _all_flavor_codes(t, labels, weights, root) == fast
 
 

@@ -188,6 +188,23 @@ def test_generate_monotone_contract():
         assert check_monotone(mt.rt, mt.labels)
 
 
+def test_v0_is_the_out_degree_zero_class_found_once():
+    from ultratree.generators import random_tree
+
+    rng = random.Random(733)
+    for n in (1, 2, 3, 10, 200, 5000):
+        t = random_tree(rng, n)
+        for root in sorted({t.vertices[0], rng.choice(t.vertices)}):
+            rt = RootedTree(t, root)
+            height: dict = {}  # 0 on the out-degree-zero vertices, growing toward the root: monotone
+            for v in reversed(rt.bfs_order()):
+                height[v] = max((height[c] + 1 for c in rt.children(v)), default=0)
+            mt = MonotoneTree(rt, height)
+            et = labeling_to_weight(mt)
+            assert mt.v0() == et.v0() == degree_sets(rt)[0], (n, root)
+            assert mt.v0() is mt.v0() and et.v0() is et.v0()
+
+
 def test_root_distances_helper():
     rt, w, _ = fig11_trees()
     dist = EquidistantTree(rt, w).root_distances()
@@ -278,11 +295,11 @@ def test_unpaired_maps_are_refused_or_reported():
 
 def test_each_payload_is_normalized_once_per_object(tmp_path, monkeypatch, capsys):
     # Count the two normalizers under every module name they are bound to.
-    from ultratree import cli, metrics
+    from ultratree import cli, graphs
 
     counts = dict.fromkeys(("normalize_weights", "normalize_labels"), 0)
     for name in counts:
-        original = getattr(metrics, name)
+        original = getattr(graphs, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
@@ -312,11 +329,11 @@ def test_each_payload_is_normalized_once_per_object(tmp_path, monkeypatch, capsy
 
 
 def test_planted_check_builds_no_metric(monkeypatch):
-    from ultratree import metrics
+    from ultratree import path_metrics
 
     def refuse(*args, **kwargs):
         raise AssertionError("the planted check built a metric")
 
-    monkeypatch.setattr(metrics, "shortest_path_metric", refuse)
+    monkeypatch.setattr(path_metrics, "shortest_path_metric", refuse)
     rt, w = fig10_tree()
     assert planted_leaf_ultrametric_check(EquidistantTree(rt, w)) == (False, 6, 7)

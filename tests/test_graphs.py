@@ -27,8 +27,8 @@ from ultratree import (
     tree_from_edges,
     weight_to_labeling,
 )
-from ultratree import io as tio
 from ultratree.errors import NonPositiveWeightError, ParseError, VertexNotFoundError
+from ultratree.graph_reader import graph_from_json
 from ultratree.graphs import normalize_labels, normalize_weights
 from ultratree.io import GraphDoc, load_graph_text
 from ultratree.generators import random_connected_graph, random_tree
@@ -342,24 +342,24 @@ def test_records_are_frozen_values():
 
 def _parsed(call, **payload):
     # parse the path a-b-c with the given payload, then hand the parsed document to call
-    doc = tio.graph_from_json({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]], **payload})
+    doc = graph_from_json({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]], **payload})
     return call(doc)
 
 
 _PATH_W, _PATH_L = {"a|b": "1", "b|c": "2"}, {"a": "1", "b": "2", "c": "0"}
 _REFUSALS = [
-    ("duplicate vertex", lambda: tio.graph_from_json({"vertices": ["a", "a"], "edges": []}),
+    ("duplicate vertex", lambda: graph_from_json({"vertices": ["a", "a"], "edges": []}),
      ParseError, "bad graph: duplicate vertex ids"),
     ("duplicate vertex", lambda: Graph(["a", "b", "a"], [("a", "b")]), ValueError, "duplicate vertex ids"),
-    ("empty vertex list", lambda: tio.graph_from_json({"vertices": [], "edges": []}),
+    ("empty vertex list", lambda: graph_from_json({"vertices": [], "edges": []}),
      ParseError, "bad graph: empty vertex set"),
     ("empty vertex list", lambda: Graph([]), ValueError, "empty vertex set"),
-    ("edge listed twice", lambda: tio.graph_from_json({"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}),
+    ("edge listed twice", lambda: graph_from_json({"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}),
      ParseError, "repeated edge 'b|a'"),
-    ("self-loop edge", lambda: tio.graph_from_json({"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "a"]]}),
+    ("self-loop edge", lambda: graph_from_json({"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "a"]]}),
      ParseError, "bad graph: self-loop at 'a'"),
     ("self-loop edge", lambda: Tree(Graph("ab", [("a", "b"), ("b", "b")])), ValueError, "self-loop at 'b'"),
-    ("unknown endpoint", lambda: tio.graph_from_json({"vertices": ["a", "b"], "edges": [["a", "c"]]}),
+    ("unknown endpoint", lambda: graph_from_json({"vertices": ["a", "b"], "edges": [["a", "c"]]}),
      ParseError, "bad graph: edge endpoint not a vertex: ['a', 'c']"),
     ("unknown endpoint", lambda: Tree(Graph("ab", [("c", "a"), ("a", "a")])),
      VertexNotFoundError, "edge endpoint not a vertex: ('c', 'a')"),
@@ -371,7 +371,7 @@ _REFUSALS = [
      ValueError, "not a tree: must be connected with |E| = |V| - 1"),
     ("disconnected, with |E| = |V| - 1", lambda: Tree(Graph("abcd", [("a", "b"), ("b", "c"), ("c", "a")])),
      ValueError, "not a tree: must be connected with |E| = |V| - 1"),
-    ("forest", lambda: tio.graph_from_json({"vertices": ["a", "b", "c"], "edges": [["a", "b"]]}).tree(),
+    ("forest", lambda: graph_from_json({"vertices": ["a", "b", "c"], "edges": [["a", "b"]]}).tree(),
      ParseError, "expected a tree (connected and acyclic)"),
     ("weight key 'a|a'", lambda: _parsed(None, weights={"a|a": "1"}), ParseError, "self-loop at 'a'"),
     ("weight key 'a|a'", lambda: normalize_weights(Graph("ab", [("a", "b")]), {("a", "b"): 1, ("a", "a"): 1}),

@@ -25,7 +25,9 @@ from ultratree.errors import (
     TooFewPointsError,
 )
 from ultratree.generators import random_tree, random_ultrametric_space
-from ultratree.metrics import FiniteMetricSpace, _linkage, classify_metric, minimax_label_metric, space_from
+from ultratree.matrix_io import matrix_to_csv
+from ultratree.metrics import FiniteMetricSpace, _linkage, classify_metric
+from ultratree.path_metrics import minimax_label_metric, space_from
 from ultratree.representing import ball_id
 from ultratree.oracles import (
     balls_by_enumeration,
@@ -368,7 +370,7 @@ def test_engine_at_scale_equals_the_oracles():
         rank = {x: k for k, x in enumerate(sorted({x for r in space.rows for x in r}))}
         strong = strong_triangle_by_enumeration([[rank[x] for x in r] for r in space.rows])
         want = tio.labeled_tree_to_json(hierarchy_by_diametrical_blocks(space)) if strong else None
-        shared = tio.load_matrix_text(tio.matrix_to_csv(space))
+        shared = tio.load_matrix_text(matrix_to_csv(space))
         separate = space_from(space.points, lambda x, y: F(str(space.distance(x, y))))
         for built in (shared, separate):
             assert built == space
