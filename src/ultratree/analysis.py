@@ -3,7 +3,7 @@
 Centers (roots making a weighted tree equidistant), the star
 characterization via all-roots-equidistant weights, sphere-with-center
 recognition, and the inequalities governing planted equidistant trees.
-Centers reroot on integer weights from duality._scaled.
+Centers and the diameter bound work on integer weights from duality._scaled.
 """
 
 from __future__ import annotations
@@ -75,9 +75,7 @@ def centers(t: Tree, w: Mapping) -> frozenset[Vertex]:
 def is_star(t: Tree) -> bool:
     """One vertex adjacent to all others; needs at least one edge."""
     n = len(t.vertices)
-    if n < 2:
-        return False
-    return any(t.degree(v) == n - 1 for v in t.vertices)
+    return n > 1 and any(t.degree(v) == n - 1 for v in t.vertices)
 
 
 def star_equidistant_witness(t: Tree) -> Optional[dict]:
@@ -85,9 +83,7 @@ def star_equidistant_witness(t: Tree) -> Optional[dict]:
 
     Such a weight exists for stars only, so None certifies a non-star.
     """
-    if not is_star(t):
-        return None
-    return {e: Fraction(1) for e in t.edges}
+    return {e: Fraction(1) for e in t.edges} if is_star(t) else None
 
 
 def sphere_center_check(space: FiniteMetricSpace) -> Optional[tuple[Vertex, Fraction]]:
@@ -99,8 +95,7 @@ def sphere_center_check(space: FiniteMetricSpace) -> Optional[tuple[Vertex, Frac
     for c in space.points:
         values = {space.distance(c, x) for x in space.points if x != c}
         if len(values) == 1:
-            (t,) = values
-            return c, t
+            return c, values.pop()
     return None
 
 
@@ -135,13 +130,21 @@ class DiameterBound:
     diam_v1: Fraction
 
 
-def diameter_bound_check(et: EquidistantTree) -> DiameterBound:
-    from .metrics import restrict
+def _diameter(t: Tree, weights: dict, points: frozenset[Vertex]) -> int:
+    # Double sweep: on a tree, the point of the set farthest from any vertex ends a diameter.
+    end = next(iter(points))
+    for _ in range(2):
+        dist: dict = {}
+        for x in t._reach(end):  # breadth first: x's one neighbor already reached is its parent
+            dist[x] = sum(dist[y] + weights[(x, y) if x < y else (y, x)] for y in t.neighbors(x) if y in dist)
+        end = max(points, key=dist.__getitem__)
+    return dist[end]
 
+
+def diameter_bound_check(et: EquidistantTree) -> DiameterBound:
     v0, v1, _ = degree_sets(et.rt)
-    space = et.metric()
-    diam_v0 = restrict(space, v0).diameter()
-    diam_v1 = restrict(space, v1).diameter() if v1 else Fraction(0)
+    weights, den = _scaled(et.weights)
+    diam_v0, diam_v1 = (Fraction(_diameter(et.rt.tree, weights, vs), den) if vs else Fraction(0) for vs in (v0, v1))
     if diam_v0 > 2 * et.K:
         raise AssertionError("out-degree-zero diameter exceeded twice K")
     return DiameterBound(diam_v0, et.K, diam_v0 < 2 * et.K, diam_v1)

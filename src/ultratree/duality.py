@@ -5,7 +5,9 @@ edge pairs them bijectively, with K = l(root) / 2.  The factor 1/2 is fixed;
 the max-label path identity on out-degree-zero vertices holds for no other
 constant.
 An EquidistantTree sums its root distances once, as integers over the weights'
-common denominator (_scaled, which analysis.centers shares), and keeps them.
+common denominator (_scaled, which analysis shares), and keeps them.  Both
+trees take V0 from graphs.degree_sets and walk a RootedTree's BFS order, as
+rooted canonical codes do; free codes are read off the center peel.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import TYPE_CHECKING, Mapping, Optional
 
 from ._record import record
 from .errors import NotEquidistantError, NotMonotoneError
-from .graphs import Edge, RootedTree, Vertex, normalize_labels, normalize_weights
+from .graphs import Edge, RootedTree, Vertex, degree_sets, normalize_labels, normalize_weights
 
 if TYPE_CHECKING:
     from .metrics import FiniteMetricSpace
@@ -26,12 +28,6 @@ def _scaled(values: Mapping) -> tuple[dict, int]:
     # Each value as an integer times den, the lcm of the values' denominators.
     den = math.lcm(*(x.denominator for x in values.values()))
     return {k: x.numerator * (den // x.denominator) for k, x in values.items()}, den
-
-
-def _out_degree_zero(rt: RootedTree) -> frozenset[Vertex]:
-    # degree_sets(rt)[0] alone: the vertices no other vertex has as its parent
-    parent = rt._parent  # type: ignore[attr-defined]
-    return frozenset(parent.keys() - [parent[v] for v in rt.bfs_order()[1:]])
 
 
 def _fractions(scaled: dict, den: int) -> dict:
@@ -56,7 +52,7 @@ class EquidistantTree:
         for v in rt.bfs_order()[1:]:  # each parent before its children
             p = parent[v]
             dist[v] = dist[p] + scaled[(p, v) if p < v else (v, p)]
-        v0 = _out_degree_zero(rt)
+        v0 = degree_sets(rt)[0]
         sums = {dist[v] for v in v0}
         if len(sums) != 1:
             raise NotEquidistantError("root-to-leaf weight sums differ")
@@ -88,7 +84,7 @@ class MonotoneTree:
     def __post_init__(self):
         parent, labels = self.rt._parent, normalize_labels(self.rt.tree, self.labels)  # type: ignore[attr-defined]
         scaled, den = _scaled(labels)  # compared as integers
-        zeros, v0 = {v for v, x in scaled.items() if x == 0}, _out_degree_zero(self.rt)
+        zeros, v0 = {v for v, x in scaled.items() if x == 0}, degree_sets(self.rt)[0]
         if zeros != v0 or any(scaled[v] >= scaled[p] for v, p in parent.items() if p is not None):
             raise NotMonotoneError("labeling is not monotone for this root")
         vars(self).update(labels=labels, _scaled=(scaled, den), _v0=v0)

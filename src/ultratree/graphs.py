@@ -2,14 +2,15 @@
 
 A Tree is a Graph checked to be connected and acyclic, so graph code takes it
 as it is; a RootedTree is a Tree with a root, kept as a parent map and a BFS
-order.  All values are immutable after construction and every operation is a
-pure function, so sharing across threads needs no coordination.  Determinism
-convention: vertex ids are ordered lexicographically everywhere (neighbor
-lists, components, returned sets), so equal inputs give identical outputs.
+order, read by rooted canonical codes and the duality walks (free codes are
+read off the center peel).  Values are immutable and operations pure, so they
+share across threads freely; vertex ids are ordered lexicographically
+everywhere (neighbor lists, components, returned sets), for identical outputs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -205,9 +206,8 @@ class RootedTree:
 
 
 def degree_sets(rt: RootedTree) -> tuple[frozenset[Vertex], frozenset[Vertex], frozenset[Vertex]]:
-    """Partition V(T) by out-degree into (= 0, = 1, >= 2) classes."""
-    v0, v1, v2 = set(), set(), set()
-    for v in rt.vertices:
-        d = rt.out_degree(v)
-        (v0 if d == 0 else v1 if d == 1 else v2).add(v)
-    return frozenset(v0), frozenset(v1), frozenset(v2)
+    """Partition V(T) by out-degree into (= 0, = 1, >= 2) classes, counted in the parent map."""
+    vertices, out = rt._parent.keys(), Counter(rt._parent.values())  # type: ignore[attr-defined]
+    del out[None]  # the root's parent
+    ones = {v for v, d in out.items() if d == 1}
+    return frozenset(vertices - out.keys()), frozenset(ones), frozenset(out.keys() - ones)

@@ -125,16 +125,40 @@ def tree_from_edges(edges: Iterable[Iterable[Vertex]], vertices: Iterable[Vertex
 
 
 def find_path(t: Tree, u: Vertex, v: Vertex) -> Path:
-    """The unique u-v path in a tree, as a vertex sequence."""
+    """The unique u-v path in a tree, as a vertex sequence.
+
+    Breadth-first frontiers grow from both ends over the neighbor lists, the
+    one with fewer edges to scan extended each time, until they meet; so a
+    query costs about the ball the path crosses, not the whole tree."""
     if not t.has_vertex(u):
         raise VertexNotFoundError(f"no vertex {u!r}")
     if not t.has_vertex(v):
         raise VertexNotFoundError(f"no vertex {v!r}")
-    rt = RootedTree(t, v)
-    path = [u]
-    while path[-1] != v:
-        path.append(rt.parent(path[-1]))
-    return tuple(path)
+    # per end: the vertex each reached vertex was reached from, its frontier and
+    # the number of edges that frontier scans
+    ends = [({u: None}, [u], t.degree(u)), ({v: None}, [v], t.degree(v))]
+    meet = u if u == v else None
+    while meet is None:
+        i = ends[0][2] > ends[1][2]
+        (came, frontier, _), other = ends[i], ends[1 - i][0]
+        nxt, cost = [], 0
+        for x in frontier:
+            for y in t.neighbors(x):
+                if y not in came:
+                    came[y] = x
+                    nxt.append(y)
+                    cost += t.degree(y)
+                    if y in other:
+                        meet = y
+        ends[i] = (came, nxt, cost)
+    halves = []
+    for came, _, _ in ends:  # meet back to u, then meet back to v
+        half, x = [], meet
+        while x is not None:
+            half.append(x)
+            x = came[x]
+        halves.append(half)
+    return (*reversed(halves[0]), *halves[1][1:])
 
 
 def subtree_below(rt: RootedTree, v: Vertex) -> RootedTree:
@@ -288,7 +312,8 @@ def rooted_code_by_recursion(
     labels: Optional[dict[Vertex, str]],
     weights: Optional[dict[Edge, str]],
 ) -> str:
-    """tree_codes._rooted_code by recursive child-code sorting, on label and weight text."""
+    """The code tree_codes builds below root (no schema prefix), by recursive child-code
+    sorting, on label and weight text."""
     def enc(v: Vertex, parent: Optional[Vertex]) -> str:
         parts = []
         for c in t.neighbors(v):

@@ -1,12 +1,12 @@
 """Canonical codes of trees, for each isomorphism flavor.
 
 Codes are printable strings with a one-byte schema version prefix; equal
-codes mean isomorphic inputs for the declared flavor.  Rooted flavors sort
-child codes, built from the leaves up along a RootedTree's BFS order; free
-flavors root the tree at its one or two centers and keep the smaller code.
-Rational payloads are embedded in canonical lowest-terms text, so value
-equality and code equality coincide.  Only comparisons of trees load this
-module.
+codes mean isomorphic inputs for the declared flavor.  One bottom-up loop
+sorts child codes for every flavor: rooted codes run it up a RootedTree's BFS
+order, and free codes are read off the leaf peel that finds the one or two
+centers, finished at each center with the other below it, keeping the smaller.
+Payloads are embedded in canonical lowest-terms text, so value equality and
+code equality coincide.  Only comparisons of trees load this module.
 """
 
 from __future__ import annotations
@@ -14,38 +14,38 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from .canonical import _ROOTED, IsoFlavor, _check_payloads
-from .graphs import Edge, RootedTree, Tree, Vertex, normalize_labels, normalize_weights
+from .graphs import RootedTree, Tree, Vertex, normalize_labels, normalize_weights
 from .rational import format_rational
 
 SCHEMA_VERSION = "1"
-_TAG = {
-    IsoFlavor.FREE: "F",
-    IsoFlavor.ROOTED: "R",
-    IsoFlavor.VERTEX_LABELED: "V",
-    IsoFlavor.EDGE_WEIGHTED: "E",
-    IsoFlavor.ROOTED_LABELED: "L",
-    IsoFlavor.ROOTED_WEIGHTED: "W",
-}
+_TAG = {IsoFlavor.FREE: "F", IsoFlavor.ROOTED: "R", IsoFlavor.VERTEX_LABELED: "V",
+        IsoFlavor.EDGE_WEIGHTED: "E", IsoFlavor.ROOTED_LABELED: "L", IsoFlavor.ROOTED_WEIGHTED: "W"}
+
+
+def _peel(t: Tree) -> tuple[list[Vertex], dict[Vertex, Vertex], tuple[Vertex, ...]]:
+    # Leaves peeled a layer at a time until one or two vertices are left: the other
+    # vertices in peel order, the neighbor each is peeled toward, and the middle.
+    adj = t._adj  # type: ignore[attr-defined]
+    deg = {v: len(ns) for v, ns in adj.items()}  # zero once peeled
+    layer, order, toward = [v for v, d in deg.items() if d < 2], [], {}
+    while len(deg) - len(order) > 2:
+        nxt = []
+        for v in layer:
+            deg[v] = 0
+            for u in adj[v]:
+                if deg[u]:  # the one neighbor not yet peeled
+                    toward[v] = u
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        nxt.append(u)
+        order += layer
+        layer = nxt
+    return order, toward, tuple(sorted(layer))
 
 
 def tree_centers(t: Tree) -> tuple[Vertex, ...]:
     """The one or two middle vertices of a longest path, by leaf peeling."""
-    if len(t.vertices) <= 2:
-        return t.vertices
-    deg = {v: len(ns) for v, ns in t._adj.items()}  # type: ignore[attr-defined]
-    layer = [v for v, d in deg.items() if d == 1]
-    remaining = len(deg)
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for u in t._adj[v]:  # type: ignore[attr-defined]
-                if deg[u] > 1:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return tuple(sorted(layer))
+    return _peel(t)[2]
 
 
 def _texts(vals: dict) -> dict:
@@ -53,19 +53,12 @@ def _texts(vals: dict) -> dict:
     return {k: memo[i] if (i := id(x)) in memo else memo.setdefault(i, format_rational(x)) for k, x in vals.items()}
 
 
-def _rooted_code(
-    t: Tree,
-    root: Vertex,
-    labels: Optional[dict[Vertex, str]],
-    weights: Optional[dict[Edge, str]],
-) -> str:
-    # Bottom-up along RootedTree's BFS order, with no recursion.  A vertex's list of
-    # child codes lives from its first child's code to its own; payloads come as text.
-    rt = RootedTree(t, root)
-    parent, kids = rt._parent, {}  # type: ignore[attr-defined]
-    for v in reversed(rt.bfs_order()):
-        parts = kids.pop(v, None)
-        if parts is None:  # a leaf
+def _encode(order, parent: Mapping, kids: dict, labels: Optional[dict], weights: Optional[dict]) -> str:
+    # With no recursion: each vertex of order, after its children, sorts the codes kids
+    # holds for it, then hands its code to its parent.  Returns the last code.
+    code = ""
+    for v in order:
+        if (parts := kids.pop(v, None)) is None:  # a leaf: nothing to sort or join, one shared "()" unlabeled
             code = "(" + labels[v] + ";)" if labels is not None else "()"
         else:
             parts.sort()
@@ -88,7 +81,14 @@ def canonical_code(
     _check_payloads(flavor, labels, weights, root)
     lab = _texts(normalize_labels(t, labels)) if labels is not None else None
     wts = _texts(normalize_weights(t, weights, strict=False)) if weights is not None else None
-    prefix = SCHEMA_VERSION + _TAG[flavor] + ":"
     if flavor in _ROOTED:
-        return prefix + _rooted_code(t, root, lab, wts)
-    return prefix + min(_rooted_code(t, c, lab, wts) for c in tree_centers(t))
+        rt = RootedTree(t, root)
+        order, parent, middle = rt.bfs_order()[:0:-1], rt._parent, (root,)  # type: ignore[attr-defined]
+    else:
+        order, parent, middle = _peel(t)
+    _encode(order, parent, kids := {}, lab, wts)
+    # finished at each middle vertex c, with the other one, if any, hung below it
+    return SCHEMA_VERSION + _TAG[flavor] + ":" + min(
+        _encode([*b, c], {c: None, **dict.fromkeys(b, c)}, {m: kids.get(m, [])[:] for m in middle}, lab, wts)
+        for c, b in zip(middle, (middle[1:], middle[:1]))
+    )

@@ -262,6 +262,28 @@ def test_diameter_bound_strict_iff_planted():
         assert bound.strict == et.rt.is_planted()
 
 
+def test_diameter_bound_equals_the_materialized_metric():
+    # the double sweep against the diameters of the restricted additive metric:
+    # generated trees (planted ones too) and trees with weights over MIXED_DENS,
+    # up to 60 vertices; then one 5000-vertex tree, with no time limit
+    rng = random.Random(211)
+    for i in range(90):
+        if i % 3 == 2:
+            rt = RootedTree(random_tree(rng, rng.randint(2, 60)), f"v{rng.randrange(2):02d}")
+            et = EquidistantTree(rt, mixed_equidistant_weights(rng, rt)[0])
+        else:
+            et = _planted_equidistant(rng) if i % 3 else random_equidistant_tree(rng, 1, 60)
+        v0, v1, _ = degree_sets(et.rt)
+        space = et.metric()
+        want = (restrict(space, v0).diameter(), restrict(space, v1).diameter() if v1 else F(0))
+        bound = diameter_bound_check(et)
+        assert (bound.diam_v0, bound.diam_v1) == want
+        assert (bound.K, bound.strict) == (et.K, want[0] < 2 * et.K)
+    big = random_equidistant_tree(rng, 5000, 5000)
+    bound = diameter_bound_check(big)
+    assert bound.diam_v0 <= 2 * big.K and bound.strict == big.rt.is_planted()
+
+
 def test_phylo_shape():
     assert phylo_shape(tree_from_edges([("c", "a"), ("c", "b"), ("c", "d")]))
     assert not phylo_shape(tree_from_edges([("a", "b"), ("b", "c")]))

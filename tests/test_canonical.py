@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -40,6 +41,7 @@ from ultratree.generators import (
 from ultratree import canonical, tree_codes
 from ultratree.metrics import FiniteMetricSpace
 from ultratree.oracles import rooted_code_by_recursion
+from ultratree.rational import format_rational
 from ultratree.transforms import cyclic_weight_counterexample
 
 from helpers import (
@@ -508,19 +510,72 @@ def _all_flavor_codes(t, labels, weights, root):
     }
 
 
-def test_codes_equal_recursive_encoder(monkeypatch):
-    rng = random.Random(401)
-    for _ in range(500):
-        n = rng.randint(1, 60)
-        t = random_tree(rng, n)
-        # few distinct values, so equal child codes and ties are common
+def _fuzz_trees(seed, count):
+    """(tree, labels, weights, root) for `count` trees built here from a parent
+    list: first the paths of 1 to 12 vertices, then random recursive trees,
+    paths, stars and brooms of 1 to 60 vertices under shuffled names.  Labels
+    and weights take few distinct values, so equal child codes and ties are
+    common."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = i + 1 if i < 12 else rng.randint(1, 60)
+        shape = "path" if i < 12 else ("random", "path", "star", "broom")[i % 4]
+        names = [f"v{j:02d}" for j in range(n)]
+        rng.shuffle(names)
+        parents = {
+            "random": lambda j: rng.randrange(j),
+            "path": lambda j: j - 1,
+            "star": lambda j: 0,
+            "broom": lambda j: j - 1 if j < n // 2 else rng.randrange(max(0, n // 2 - 1), j),
+        }[shape]
+        t = tree_from_edges([(names[parents(j)], names[j]) for j in range(1, n)], vertices=names)
         labels = {v: F(rng.randint(0, 3), rng.choice((1, 2))) for v in t.vertices}
         weights = {e: F(rng.randint(1, 3), rng.choice((1, 2))) for e in t.edges}
-        root = rng.choice(t.vertices)
-        fast = _all_flavor_codes(t, labels, weights, root)
-        with monkeypatch.context() as m:
-            m.setattr(tree_codes, "_rooted_code", rooted_code_by_recursion)
-            assert _all_flavor_codes(t, labels, weights, root) == fast
+        yield t, labels, weights, rng.choice(t.vertices)
+
+
+def test_fuzz_codes_keep_their_pinned_digest():
+    # 1,000 trees in all six flavors, hashed: schema "1" fixes these bytes, so
+    # any other way of building the codes must reproduce them
+    h = hashlib.sha256()
+    for t, labels, weights, root in _fuzz_trees(907, 1000):
+        codes = _all_flavor_codes(t, labels, weights, root)
+        h.update("\n".join(codes[flavor] for flavor in IsoFlavor).encode() + b"\n")
+    assert h.hexdigest() == "e556b6c87fd41e768c263607dbb28b4dc1eac9fe5e563246b37247c7850486ae"
+
+
+def _centers_by_eccentricity(t):
+    """The vertices of least eccentricity, by a BFS from every vertex."""
+    ecc = {}
+    for s in t.vertices:
+        depth = {s: 0}
+        for x in (order := [s]):
+            for y in t.neighbors(x):
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    order.append(y)
+        ecc[s] = max(depth.values())
+    least = min(ecc.values())
+    return tuple(v for v in t.vertices if ecc[v] == least)
+
+
+def test_codes_equal_recursive_encoder():
+    # rooted flavors against the recursive encoder at the root; free flavors
+    # against the smaller recursive code over the reference centers
+    parities = set()
+    for t, labels, weights, root in _fuzz_trees(401, 600):
+        centers = _centers_by_eccentricity(t)
+        assert tree_centers(t) == centers
+        if all(t.degree(v) <= 2 for v in t.vertices):
+            parities.add(len(t.vertices) % 2)
+        lab = {v: format_rational(x) for v, x in labels.items()}
+        wts = {e: format_rational(x) for e, x in weights.items()}
+        for flavor, code in _all_flavor_codes(t, labels, weights, root).items():
+            payloads = (lab if flavor in canonical._LABELED else None, wts if flavor in canonical._WEIGHTED else None)
+            starts = (root,) if flavor in canonical._ROOTED else centers
+            want = min(rooted_code_by_recursion(t, c, *payloads) for c in starts)
+            assert code == tree_codes.SCHEMA_VERSION + tree_codes._TAG[flavor] + ":" + want, (flavor, t.edges, root)
+    assert parities == {0, 1}
 
 
 @pytest.mark.parametrize("shape", ["path", "caterpillar", "star"])
