@@ -3,25 +3,20 @@
 Centers (roots making a weighted tree equidistant), the star
 characterization via all-roots-equidistant weights, sphere-with-center
 recognition, and the inequalities governing planted equidistant trees.
-Centers and the diameter bound work on integer weights from duality._scaled.
+A center is a vertex all of whose sides share one common height, and
+analyze reads K only at such a root.  Centers and the diameter bound work
+on integer weights from duality._scaled.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
-from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from ._record import record
 from .duality import EquidistantTree, _scaled
-from .errors import (
-    NoBranchingVertexError,
-    NotEquidistantError,
-    NotPlantedError,
-    NotUltrametricError,
-)
-from .graphs import RootedTree, Tree, Vertex, degree_sets, edge_key, normalize_weights
+from .errors import NoBranchingVertexError, NotPlantedError, NotUltrametricError
+from .graphs import RootedTree, Tree, Vertex, degree_sets, normalize_weights
 
 if TYPE_CHECKING:
     from .metrics import FiniteMetricSpace
@@ -31,44 +26,42 @@ def centers(t: Tree, w: Mapping) -> frozenset[Vertex]:
     """All vertices whose rooting makes the weighted tree equidistant.
 
     Rooted at r, the out-degree-zero vertices are the tree leaves other than
-    r (a lone vertex is its own, at K = 0), so r is a center iff its nearest
-    and farthest such leaf lie at one distance.  One rerooting pass finds
-    both for every r: bottom-up from an arbitrary root, then top-down, on
-    the weights as integers over their common denominator.
+    r (a lone vertex is its own, at K = 0).  A side of r, the part of the
+    tree beyond one neighbor, has one height: the distance from r at which
+    all its out-degree-zero vertices lie, or None when they lie at more than
+    one.  r is a center iff all its sides share one height.  Two passes over
+    the weights as integers over their common denominator find every
+    vertex's sides: bottom-up from an arbitrary root, then top-down, where
+    the side toward a parent is one edge plus what the parent's other sides
+    share.
     """
     weights, _ = _scaled(normalize_weights(t, w, strict=True))
     if len(t.vertices) == 1:
         return frozenset(t.vertices)
-    rt = RootedTree(t, t.vertices[0])
-    order = rt.bfs_order()
-
-    def beyond(v: Vertex, u: Vertex, span: tuple[int, int]) -> tuple[Vertex, int, int]:
-        # u with the nearest and farthest leaf on u's side of edge v-u, from v
-        d = weights[edge_key(v, u)]
-        return u, d + span[0], d + span[1]
-
-    below = {}  # nearest and farthest leaf under v, from v; v itself if childless
-    for v in reversed(order):
-        sides = [beyond(v, c, below[c]) for c in rt.children(v)]
-        below[v] = (min(s[1] for s in sides), max(s[2] for s in sides)) if sides else (0, 0)
-    above = {}  # nearest and farthest leaf on the parent's side of v, from the parent
-    found = set()
-    for v in order:
-        kids = rt.children(v)
-        sides = [beyond(v, c, below[c]) for c in kids]
-        if v != rt.root:
-            sides.append(beyond(v, rt.parent(v), above[v]))
-        near = heapq.nsmallest(2, sides, key=itemgetter(1))
-        far = heapq.nlargest(2, sides, key=itemgetter(2))
-        if near[0][1] == far[0][2]:
-            found.add(v)
-        for c in kids:
-            if len(sides) == 1:  # c is v's only neighbor: v is the leaf
-                above[c] = (0, 0)
-            else:  # the leaves beyond v's other neighbors
-                lo = near[1] if near[0][0] == c else near[0]
-                hi = far[1] if far[0][0] == c else far[0]
-                above[c] = (lo[1], hi[2])
+    parent = t._reach(t.vertices[0])
+    sides: dict = {v: {} for v in parent}  # v -> {neighbor: height of the side beyond it, from v}
+    for v in reversed(tuple(parent)[1:]):  # each vertex after its children
+        values, p = set(sides[v].values()), parent[v]
+        h = values.pop() if len(values) == 1 else None if values else 0  # 0: v is a leaf
+        sides[p][v] = None if h is None else h + weights[(v, p) if v < p else (p, v)]
+    found = []
+    for v, p in parent.items():  # each vertex after its parent
+        side = sides[v]
+        values = set(side.values())
+        if len(values) == 1 and None not in values:
+            found.append(v)
+        # what v's other sides share, by the height of the side left out
+        if len(side) == 1:
+            rest = dict.fromkeys(values, 0)  # nothing but v beyond its one side
+        elif len(values) == 2:  # the others share one height only if the one left out is lone
+            hs = list(side.values())
+            rest = {h: (values - {h}).pop() for h in values if hs.count(h) == 1}
+        else:
+            rest = dict(zip(values, values)) if len(values) == 1 else {}
+        for c, h in side.items():
+            if c != p:
+                x = rest.get(h)
+                sides[c][v] = None if x is None else x + weights[(v, c) if v < c else (c, v)]
     return frozenset(found)
 
 
@@ -135,8 +128,8 @@ def _diameter(t: Tree, weights: dict, points: frozenset[Vertex]) -> int:
     end = next(iter(points))
     for _ in range(2):
         dist: dict = {}
-        for x in t._reach(end):  # breadth first: x's one neighbor already reached is its parent
-            dist[x] = sum(dist[y] + weights[(x, y) if x < y else (y, x)] for y in t.neighbors(x) if y in dist)
+        for x, p in t._reach(end).items():  # each vertex after its parent
+            dist[x] = 0 if p is None else dist[p] + weights[(x, p) if x < p else (p, x)]
         end = max(points, key=dist.__getitem__)
     return dist[end]
 
@@ -176,11 +169,8 @@ def analyze(t: Tree, w: Mapping, root: Optional[Vertex] = None) -> StructureRepo
     if root is not None:
         rt = RootedTree(t, root)
         planted = rt.is_planted()
-        try:
+        if root in cs:
             et = EquidistantTree(rt, w)
-        except NotEquidistantError:
-            pass
-        else:
             K = et.K
             if planted and degree_sets(rt)[2]:
                 _, lhs, rhs = planted_leaf_ultrametric_check(et)

@@ -1,11 +1,12 @@
 """Finite graphs, trees and rooted trees over opaque string vertex ids.
 
 A Tree is a Graph checked to be connected and acyclic, so graph code takes it
-as it is; a RootedTree is a Tree with a root, kept as a parent map and a BFS
-order, read by rooted canonical codes and the duality walks (free codes are
-read off the center peel).  Values are immutable and operations pure, so they
-share across threads freely; vertex ids are ordered lexicographically
-everywhere (neighbor lists, components, returned sets), for identical outputs.
+as it is; a RootedTree is a Tree with a root, kept as the parent map of the
+one breadth-first search, Graph._reach, and its BFS order, read by rooted
+canonical codes and the duality walks (free codes are read off the center
+peel).  Values are immutable and operations pure, so they share across
+threads freely; vertex ids are ordered lexicographically everywhere (neighbor
+lists, components, returned sets), for identical outputs.
 """
 
 from __future__ import annotations
@@ -82,15 +83,16 @@ class Graph:
         known = self.has_vertex(u) and self.has_vertex(v)  # so both ids hash and compare
         return known and (min(u, v), max(u, v)) in self._edge_set  # type: ignore[attr-defined]
 
-    def _reach(self, start: Vertex) -> list[Vertex]:
-        # every vertex joined to start, in breadth-first order
-        adj, order, seen = self._adj, [start], {start}  # type: ignore[attr-defined]
-        for x in order:
+    def _reach(self, start: Vertex) -> dict[Vertex, Optional[Vertex]]:
+        # the one breadth-first search: every vertex joined to start, in BFS order,
+        # mapped to the vertex it was reached from (start to None)
+        adj, parent, order = self._adj, {start: None}, [start]  # type: ignore[attr-defined]
+        for x in order:  # the list grows as it is read
             for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
+                if y not in parent:
+                    parent[y] = x
                     order.append(y)
-        return order
+        return parent
 
     def components(self) -> list[tuple[Vertex, ...]]:
         """Connected components, each sorted, ordered by smallest member."""
@@ -163,7 +165,8 @@ def normalize_labels(g: Graph, l: Mapping) -> dict[Vertex, Fraction]:
 
 @record
 class RootedTree:
-    """Tree with a distinguished root, kept as a parent map and a BFS order."""
+    """Tree with a distinguished root, kept as the parent map that
+    Graph._reach returns from the root and that map's BFS order."""
 
     tree: Tree
     root: Vertex
@@ -171,14 +174,8 @@ class RootedTree:
     def __post_init__(self):
         if not self.tree.has_vertex(self.root):
             raise VertexNotFoundError(f"root {self.root!r} not a vertex")
-        adj, parent, order = self.tree._adj, {self.root: None}, [self.root]  # type: ignore[attr-defined]
-        for x in order:  # breadth first: the list grows as it is read
-            p = parent[x]
-            for y in adj[x]:
-                if y != p:
-                    parent[y] = x
-                    order.append(y)
-        vars(self).update(_parent=parent, _bfs=tuple(order))
+        parent = self.tree._reach(self.root)
+        vars(self).update(_parent=parent, _bfs=tuple(parent))
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:

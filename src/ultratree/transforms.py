@@ -55,16 +55,16 @@ def reduce_nabla(et: EquidistantTree) -> NablaResult:
         k += 1
     root = order[k]
 
-    dist = et.root_distances()
+    dist, parent = et.root_distances(), rt._parent  # type: ignore[attr-defined]
     weights: dict[Edge, Fraction] = {}
     top = {root: root}  # the nearest kept vertex at or above each vertex
-    for v in order[k:]:
-        for c in rt.children(v):
-            if c in v1:
-                top[c] = top[v]
-            else:
-                weights[edge_key(top[v], c)] = dist[c] - dist[top[v]]
-                top[c] = c
+    for c in order[k + 1 :]:  # below the new root, each vertex after its parent
+        up = top[parent[c]]
+        if c in v1:
+            top[c] = up
+        else:
+            weights[edge_key(up, c)] = dist[c] - dist[up]
+            top[c] = c
 
     kept = set(top.values())
     reduced = EquidistantTree(RootedTree(Tree(Graph(kept, weights.keys())), root), weights)

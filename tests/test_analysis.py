@@ -329,6 +329,40 @@ def test_centers_equal_rooting_oracle():
         t = random_tree(rng, n)
         w, _, _ = mixed_equidistant_weights(rng, RootedTree(t, rng.choice(t.vertices)))
         cases += [(t, w), (t, {e: F(rng.randint(1, 40), rng.choice(MIXED_DENS)) for e in t.edges})]
+    for k in range(3, 13):  # stars whose leaf weights are equal except one: that leaf is the one center
+        star = tree_from_edges([("c", f"l{j:02d}") for j in range(k)])
+        leaf = f"l{k // 2:02d}"
+        for odd in (F(1), F(3)):
+            w = {e: F(2) for e in star.edges} | {("c", leaf): odd}
+            cases.append((star, w))
+            assert centers(star, w) == {leaf}
+    for n in range(2, 13):  # paths: both ends, and the middle vertex when it is the weighted midpoint
+        path = tree_from_edges([(f"p{j:02d}", f"p{j + 1:02d}") for j in range(n - 1)])
+        half = [F(rng.randint(1, 3)) for _ in range((n - 1) // 2)]
+        mirrored = dict(zip(path.edges, half + [F(rng.randint(1, 3))] * (n % 2 == 0) + half[::-1]))
+        for w in (mirrored, {e: F(rng.randint(1, 3), rng.choice((1, 2))) for e in path.edges}):
+            cases.append((path, w))
+            assert {"p00", f"p{n - 1:02d}"} <= centers(path, w)
+        if n > 2:  # the middle vertex, or the vertex after the middle edge
+            assert (f"p{n // 2:02d}" in centers(path, mirrored)) == (n % 2 == 1)
+    for spine in range(2, 9):  # brooms and caterpillars whose leaf edges all weigh the same
+        handle = [(f"h{j}", f"h{j + 1}") for j in range(spine)]
+        broom = tree_from_edges(handle + [(f"h{spine}", f"z{j}") for j in range(rng.randint(2, 5))])
+        legs = [(f"h{j}", f"y{j}{i}") for j in range(1, spine) for i in range(rng.randint(1, 3))]
+        caterpillar = tree_from_edges(handle + legs)
+        for t in (broom, caterpillar):
+            leaf_edges = {e for e in t.edges if t.degree(e[0]) == 1 or t.degree(e[1]) == 1}
+            for inner in (F(1), F(rng.randint(1, 4), 2)):
+                cases.append((t, {e: F(1) if e in leaf_edges else inner for e in t.edges}))
+    arm_lengths = ((1, 1, 2), (1, 2, 2), (1, 1, 1, 2), (1, 2, 2, 2), (1, 1, 2, 2), (1, 1, 2, 2, 2), (1, 2, 3), (2, 2, 2))
+    for lengths in arm_lengths:
+        # a hub m whose sides tie two ways (or three ways, or one), seen from the end of an arm
+        arms = [[f"x{j}{i}" for i in range(k)] for j, k in enumerate(lengths)]
+        arms[0][-1] = "a"  # the first vertex, where the two passes start
+        hub = tree_from_edges([(u, v) for arm in arms for u, v in zip(["m", *arm], arm)])
+        cases.append((hub, {e: F(1) for e in hub.edges}))
+        cases.append((hub, {e: F(rng.randint(1, 2)) for e in hub.edges}))
+        assert ("m" in centers(hub, cases[-2][1])) == (len(set(lengths)) == 1)
     with_centers = 0
     for t, w in cases:
         found = centers(t, w)
@@ -336,3 +370,16 @@ def test_centers_equal_rooting_oracle():
         with_centers += bool(found)
     assert centers(*fig3_tree()) == {"v1", "v4", "v5"}
     assert with_centers > 100
+    star = tree_from_edges([("c", f"l{j:05d}") for j in range(20000)])  # too big for the oracle
+    assert centers(star, {e: F(1) for e in star.edges} | {("c", "l12345"): F(2)}) == {"l12345"}
+
+
+def test_analyze_reads_K_only_at_a_center():
+    t, w = fig3_tree()  # centers v1, v4 and v5
+    off = analyze(t, w, root="v6")  # a leaf: planted, but its leaves lie at 4 and 8
+    assert (off.planted, off.K, off.branching_lhs, off.branching_rhs) == (True, None, None, None)
+    assert off.centers == ("v1", "v4", "v5")
+    on = analyze(t, w, root="v4")  # planted, with v1 the nearest branching vertex at 4
+    assert (on.planted, on.K, on.branching_lhs, on.branching_rhs) == (True, 8, 8, 8)
+    top = analyze(t, w, root="v1")
+    assert (top.planted, top.K, top.branching_lhs, top.branching_rhs) == (False, 4, None, None)
