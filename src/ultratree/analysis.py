@@ -4,8 +4,8 @@ Centers (roots making a weighted tree equidistant), the star
 characterization via all-roots-equidistant weights, sphere-with-center
 recognition, and the inequalities governing planted equidistant trees.
 A center is a vertex all of whose sides share one common height, and
-analyze reads K only at such a root.  Centers and the diameter bound work
-on integer weights from duality._scaled.
+analyze reads K only at such a root.  Centers, the planted check and the
+diameter bound read the weights' integer form, made once per analyze call.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from ._record import record
-from .duality import EquidistantTree, _scaled
+from .duality import EquidistantTree
 from .errors import NoBranchingVertexError, NotPlantedError, NotUltrametricError
 from .graphs import RootedTree, Tree, Vertex, degree_sets, normalize_weights
+from .rational import integer_form
 
 if TYPE_CHECKING:
     from .metrics import FiniteMetricSpace
@@ -35,7 +36,10 @@ def centers(t: Tree, w: Mapping) -> frozenset[Vertex]:
     the side toward a parent is one edge plus what the parent's other sides
     share.
     """
-    weights, _ = _scaled(normalize_weights(t, w, strict=True))
+    return _centers(t, integer_form(normalize_weights(t, w, strict=True))[0])
+
+
+def _centers(t: Tree, weights: dict) -> frozenset[Vertex]:
     if len(t.vertices) == 1:
         return frozenset(t.vertices)
     parent = t._reach(t.vertices[0])
@@ -104,9 +108,8 @@ def planted_leaf_ultrametric_check(et: EquidistantTree) -> tuple[bool, Fraction,
         raise NotPlantedError("root must have out-degree one")
     if not v2:
         raise NoBranchingVertexError("no vertex with out-degree at least two")
-    dist = et.root_distances()
-    lhs = 2 * min(dist[v] for v in v2)
-    rhs = min(dist[v] for v in v0)
+    dist, den, *_ = et._scaled  # type: ignore[attr-defined]  # root distances times den
+    lhs, rhs = Fraction(2 * min(dist[v] for v in v2), den), Fraction(min(dist[v] for v in v0), den)
     return lhs >= rhs, lhs, rhs
 
 
@@ -136,11 +139,11 @@ def _diameter(t: Tree, weights: dict, points: frozenset[Vertex]) -> int:
 
 def diameter_bound_check(et: EquidistantTree) -> DiameterBound:
     v0, v1, _ = degree_sets(et.rt)
-    weights, den = _scaled(et.weights)
-    diam_v0, diam_v1 = (Fraction(_diameter(et.rt.tree, weights, vs), den) if vs else Fraction(0) for vs in (v0, v1))
-    if diam_v0 > 2 * et.K:
+    _, den, k, weights = et._scaled  # type: ignore[attr-defined]  # K and the weights, times den
+    d0, d1 = (_diameter(et.rt.tree, weights, vs) if vs else 0 for vs in (v0, v1))
+    if d0 > 2 * k:
         raise AssertionError("out-degree-zero diameter exceeded twice K")
-    return DiameterBound(diam_v0, et.K, diam_v0 < 2 * et.K, diam_v1)
+    return DiameterBound(Fraction(d0, den), et.K, d0 < 2 * k, Fraction(d1, den))
 
 
 def phylo_shape(t: Tree) -> bool:
@@ -161,16 +164,15 @@ class StructureReport:
 
 def analyze(t: Tree, w: Mapping, root: Optional[Vertex] = None) -> StructureReport:
     """One-stop report over a weighted tree, optionally rooted."""
-    cs = centers(t, w)  # refuses bad weights before the root is looked at
-    planted: Optional[bool] = None
-    K: Optional[Fraction] = None
-    lhs: Optional[Fraction] = None
-    rhs: Optional[Fraction] = None
+    weights = normalize_weights(t, w, strict=True)  # refuses bad weights before the root is looked at
+    scaled, den = integer_form(weights)  # for centers and the EquidistantTree at a center root alike
+    cs = _centers(t, scaled)
+    planted = K = lhs = rhs = None
     if root is not None:
         rt = RootedTree(t, root)
         planted = rt.is_planted()
         if root in cs:
-            et = EquidistantTree(rt, w)
+            et = EquidistantTree._trusted(rt, weights, scaled, den)
             K = et.K
             if planted and degree_sets(rt)[2]:
                 _, lhs, rhs = planted_leaf_ultrametric_check(et)

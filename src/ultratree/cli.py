@@ -179,10 +179,9 @@ def _cmd_counterexample(args) -> str:
 
 
 def _cmd_selftest(args) -> str:
-    from .selftest import run_selftest
+    from .selftest import env_seed, run_selftest
 
-    seed = int(os.environ.get("ULTRATREE_SEED", "0"))
-    report, ok = run_selftest(seed)
+    report, ok = run_selftest(env_seed())
     if not ok:
         raise UltratreeError("selftest failed:\n" + report)
     return report

@@ -4,30 +4,25 @@ The two carry the same data: w({u,v}) = (l(u) - l(v)) / 2 on each parent-child
 edge pairs them bijectively, with K = l(root) / 2.  The factor 1/2 is fixed;
 the max-label path identity on out-degree-zero vertices holds for no other
 constant.
-An EquidistantTree sums its root distances once, as integers over the weights'
-common denominator (_scaled, which analysis shares), and keeps them.  Both
-trees take V0 from graphs.degree_sets and walk a RootedTree's BFS order, as
-rooted canonical codes do; free codes are read off the center peel.
+An EquidistantTree keeps its weights' integer form (rational.integer_form) and
+sums its root distances once on it; diameter_bound_check, reduce_nabla and the
+paired labeling read those integers.  Both trees take V0 from
+graphs.degree_sets and walk a RootedTree's BFS order, as rooted canonical
+codes do; free codes are read off the center peel.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from ._record import record
 from .errors import NotEquidistantError, NotMonotoneError
 from .graphs import Edge, RootedTree, Vertex, degree_sets, normalize_labels, normalize_weights
+from .rational import integer_form
 
 if TYPE_CHECKING:
     from .metrics import FiniteMetricSpace
-
-
-def _scaled(values: Mapping) -> tuple[dict, int]:
-    # Each value as an integer times den, the lcm of the values' denominators.
-    den = math.lcm(*(x.denominator for x in values.values()))
-    return {k: x.numerator * (den // x.denominator) for k, x in values.items()}, den
 
 
 def _fractions(scaled: dict, den: int) -> dict:
@@ -45,9 +40,13 @@ class EquidistantTree:
     K: Fraction  # derived: the common sum, not an argument
 
     def __init__(self, rt: RootedTree, weights: Mapping[Edge, Fraction]):
-        object.__setattr__(self, "rt", rt)
         weights = normalize_weights(rt.tree, weights, strict=True)
-        scaled, den = _scaled(weights)
+        self._store(rt, weights, *integer_form(weights))
+
+    # For weights normalized on rt's tree and their integer form: no second normalization or scaling.
+    _trusted = classmethod(lambda cls, *args: object.__new__(cls)._store(*args))
+
+    def _store(self, rt: RootedTree, weights: dict, scaled: dict, den: int) -> "EquidistantTree":
         dist, parent = {rt.root: 0}, rt._parent  # type: ignore[attr-defined]  # root distances times den
         for v in rt.bfs_order()[1:]:  # each parent before its children
             p = parent[v]
@@ -56,7 +55,8 @@ class EquidistantTree:
         sums = {dist[v] for v in v0}
         if len(sums) != 1:
             raise NotEquidistantError("root-to-leaf weight sums differ")
-        vars(self).update(weights=weights, K=Fraction(*sums, den), _scaled=(dist, den, *sums), _v0=v0)
+        vars(self).update(rt=rt, weights=weights, K=Fraction(*sums, den), _scaled=(dist, den, *sums, scaled), _v0=v0)
+        return self
 
     def root_distances(self) -> dict[Vertex, Fraction]:
         """Weighted distance from the root to every vertex."""
@@ -83,7 +83,7 @@ class MonotoneTree:
 
     def __post_init__(self):
         parent, labels = self.rt._parent, normalize_labels(self.rt.tree, self.labels)  # type: ignore[attr-defined]
-        scaled, den = _scaled(labels)  # compared as integers
+        scaled, den = integer_form(labels)  # compared as integers
         zeros, v0 = {v for v, x in scaled.items() if x == 0}, degree_sets(self.rt)[0]
         if zeros != v0 or any(scaled[v] >= scaled[p] for v, p in parent.items() if p is not None):
             raise NotMonotoneError("labeling is not monotone for this root")
@@ -118,14 +118,14 @@ def check_monotone(rt: RootedTree, l: Mapping) -> bool:
 
 def labeling_to_weight(mt: MonotoneTree) -> EquidistantTree:
     """The unique equidistant weight paired with a monotone labeling."""
-    (scaled, den), parent = mt._scaled, mt.rt._parent  # type: ignore[attr-defined]  # the labels times den
-    # each weight (l(p) - l(v)) / 2 as an integer times 2 den, v below its parent p
-    doubled = {(p, v) if p < v else (v, p): scaled[p] - scaled[v] for v, p in parent.items() if p is not None}
-    return EquidistantTree(mt.rt, _fractions(doubled, 2 * den))
+    scaled, den = mt._scaled  # type: ignore[attr-defined]  # the labels times den
+    # each weight |l(u) - l(v)| / 2 as an integer times 2 den, in edge order: no second normalization or scaling
+    doubled = {(u, v): abs(scaled[u] - scaled[v]) for u, v in mt.rt.tree.edges}
+    return EquidistantTree._trusted(mt.rt, _fractions(doubled, 2 * den), doubled, 2 * den)
 
 
 def weight_to_labeling(et: EquidistantTree) -> MonotoneTree:
     """The unique monotone labeling paired with an equidistant weight:
     l(u) = 2 (K - root-to-u weight sum), so l(root) = 2K."""
-    dist, den, k = et._scaled  # type: ignore[attr-defined]  # root distances and K, times den
+    dist, den, k, _ = et._scaled  # type: ignore[attr-defined]  # root distances and K, times den
     return MonotoneTree(et.rt, _fractions({v: 2 * (k - d) for v, d in dist.items()}, den))

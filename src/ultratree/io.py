@@ -93,25 +93,11 @@ def _check_ids(ids) -> None:
             raise ParseError(f"vertex id may not contain '|': {v!r}")
 
 
-def graph_to_json(
-    g: Graph,
-    root: Optional[Vertex] = None,
-    weights=None,
-    labels=None,
-    payloads=None,
-) -> dict:
+def graph_to_json(g: Graph, root: Optional[Vertex] = None, weights=None, labels=None, payloads=None) -> dict:
     _check_ids(g.vertices)
-    doc: dict = {
-        "vertices": list(g.vertices),
-        "edges": [list(e) for e in g.edges],
-        "root": root,
-        "weights": None,
-        "labels": None,
-    }
-    if weights is not None:
-        doc["weights"] = weights_to_json(weights)
-    if labels is not None:
-        doc["labels"] = {v: format_rational(val) for v, val in sorted(labels.items())}
+    doc = {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges], "root": root,
+           "weights": None if weights is None else weights_to_json(weights),
+           "labels": None if labels is None else {v: format_rational(x) for v, x in sorted(labels.items())}}
     if payloads is not None:
         doc["payloads"] = {v: sorted(pts) for v, pts in sorted(payloads.items())}
     return doc

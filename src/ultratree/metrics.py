@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from ._record import record
 from .errors import BadMatrixError, EmptySetError, VertexNotFoundError
+from .rational import integer_form
 
 if TYPE_CHECKING:
     from .graphs import Tree, Vertex
@@ -143,8 +143,8 @@ def _classify(values: Sequence[Fraction], ranks: Sequence[Sequence[int]]) -> Met
         return MetricClass.PSEUDO_ULTRAMETRIC if strong else MetricClass.NOT_SEMIMETRIC
     if strong:
         return MetricClass.ULTRAMETRIC
-    den = math.lcm(*(x.denominator for x in values))  # d(i, j) <= d(i, k) + d(j, k), scaled to integers
-    d = [[x.numerator * (den // x.denominator) for x in map(values.__getitem__, row)] for row in ranks]
+    scaled, _ = integer_form(dict(enumerate(values)))  # d(i, j) <= d(i, k) + d(j, k), on integers
+    d = [list(map(scaled.__getitem__, row)) for row in ranks]
     triangle = all(min(map(int.__add__, d[i], d[j])) >= d[i][j] for i in range(n) for j in range(i + 1, n))
     return MetricClass.METRIC_ONLY if triangle else MetricClass.NOT_SEMIMETRIC
 

@@ -11,13 +11,13 @@ distance between point subsets.  No verb on a matrix loads this module.
 from __future__ import annotations
 
 import heapq
-import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import DisconnectedGraphError, EmptySetError
 from .graphs import Edge, Graph, Tree, Vertex, edge_key, normalize_labels, normalize_weights
 from .metrics import ZERO, FiniteMetricSpace, MetricClass, _rank
+from .rational import integer_form
 
 WeightMap = Mapping[Edge, Fraction]
 LabelMap = Mapping[Vertex, Fraction]
@@ -65,9 +65,7 @@ def shortest_path_metric(g: Graph, w: WeightMap) -> FiniteMetricSpace:
     """Minimum path-weight-sum over all joining paths; additive on trees."""
     if not g.is_connected():
         raise DisconnectedGraphError("shortest-path metric needs a connected graph")
-    weights = normalize_weights(g, w, strict=True)
-    den = math.lcm(*(x.denominator for x in weights.values()))
-    scaled = {e: x.numerator * (den // x.denominator) for e, x in weights.items()}
+    scaled, den = integer_form(normalize_weights(g, w, strict=True))
     step = lambda d, x, y: d + scaled[edge_key(x, y)]
     return _path_metric(g, dict.fromkeys(g.vertices, 0), step, lambda d: Fraction(d, den))
 

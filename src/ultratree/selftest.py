@@ -3,8 +3,8 @@
 Each corpus file holds one worked instance plus its expected outcomes; the
 runner re-derives every outcome and reports one PASS/FAIL line per claim.
 A few seeded generator round trips run at the end; the seed comes from the
-caller (the CLI reads ULTRATREE_SEED).  Output is deterministic byte for
-byte given the same seed.
+caller (the CLI reads ULTRATREE_SEED through env_seed).  Output is
+deterministic byte for byte given the same seed.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Callable
 from .analysis import centers, diameter_bound_check, planted_leaf_ultrametric_check
 from .canonical import IsoFlavor
 from .duality import EquidistantTree, MonotoneTree, labeling_to_weight, weight_to_labeling
+from .errors import ParseError
 from .graph_reader import graph_from_json
 from .graphs import RootedTree
 from .matrix_io import matrix_from_json
@@ -202,17 +203,22 @@ def _generator_claims(seed: int) -> list[tuple[str, str, bool]]:
     return out
 
 
+def env_seed() -> int:
+    """ULTRATREE_SEED (0 when unset), an integer text as parse_rational reads one."""
+    text = os.environ.get("ULTRATREE_SEED", "0")
+    try:
+        if "/" not in text:
+            return int(parse_rational(text))
+    except ParseError:
+        pass
+    raise ParseError(f"ULTRATREE_SEED must be an integer, got {text!r}")
+
+
 def run_selftest(seed: int = 0) -> tuple[str, bool]:
     """Run every corpus claim; returns (report text, all passed)."""
-    lines = []
-    all_ok = True
-    for figure, check in _CHECKERS.items():
-        for claim, ok in check(load_figure(figure)):
-            all_ok &= ok
-            lines.append(f"{figure} {claim} {'PASS' if ok else 'FAIL'}")
-    for figure, claim, ok in _generator_claims(seed):
-        all_ok &= ok
-        lines.append(f"{figure} {claim} {'PASS' if ok else 'FAIL'}")
-    passed = sum(1 for line in lines if line.endswith("PASS"))
-    lines.append(f"selftest: {passed}/{len(lines)} claims passed")
-    return "\n".join(lines) + "\n", all_ok
+    claims = [(figure, *claim) for figure, check in _CHECKERS.items() for claim in check(load_figure(figure))]
+    claims += _generator_claims(seed)
+    lines = [f"{figure} {claim} {'PASS' if ok else 'FAIL'}" for figure, claim, ok in claims]
+    passed = sum(1 for *_, ok in claims if ok)
+    lines.append(f"selftest: {passed}/{len(claims)} claims passed")
+    return "\n".join(lines) + "\n", passed == len(claims)

@@ -39,10 +39,11 @@ def reduce_nabla(et: EquidistantTree) -> NablaResult:
     descendant; every other out-degree-one vertex is replaced by a single
     edge carrying the sum of its two incident weights.  One walk down from
     the new root joins each kept vertex (out-degree zero or at least two) to
-    its nearest kept ancestor, at their difference in root distance.  Fails
-    on weighted paths, where nothing would remain.
+    its nearest kept ancestor, at their difference in root distance, read
+    off the integer root distances et keeps.  Fails on weighted paths, where
+    nothing would remain.
     """
-    from .duality import EquidistantTree
+    from .duality import EquidistantTree, _fractions
 
     _, v1, v2 = degree_sets(et.rt)
     if not v2:
@@ -55,20 +56,14 @@ def reduce_nabla(et: EquidistantTree) -> NablaResult:
         k += 1
     root = order[k]
 
-    dist, parent = et.root_distances(), rt._parent  # type: ignore[attr-defined]
-    weights: dict[Edge, Fraction] = {}
+    (dist, den, *_), parent = et._scaled, rt._parent  # type: ignore[attr-defined]  # root distances times den
     top = {root: root}  # the nearest kept vertex at or above each vertex
     for c in order[k + 1 :]:  # below the new root, each vertex after its parent
-        up = top[parent[c]]
-        if c in v1:
-            top[c] = up
-        else:
-            weights[edge_key(up, c)] = dist[c] - dist[up]
-            top[c] = c
-
-    kept = set(top.values())
-    reduced = EquidistantTree(RootedTree(Tree(Graph(kept, weights.keys())), root), weights)
-    removed = frozenset(et.rt.vertices) - kept
+        top[c] = top[parent[c]] if c in v1 else c
+    tree = Tree(Graph(set(top.values()), [(top[parent[c]], c) for c in top if top[c] == c != root]))
+    spans = {(u, v): abs(dist[u] - dist[v]) for u, v in tree.edges}  # weights times den, in edge order
+    reduced = EquidistantTree._trusted(RootedTree(tree, root), _fractions(spans, den), spans, den)
+    removed = frozenset(et.rt.vertices).difference(tree.vertices)
     assert removed == v1
     return NablaResult(reduced, removed, root)
 

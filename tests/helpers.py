@@ -129,6 +129,29 @@ def mixed_equidistant_weights(rng, rt: RootedTree):
     return w, plain, K
 
 
+def rooted_shapes(n: int):
+    """Every rooted tree shape on n >= 1 vertices, once each, as (tree, root).
+
+    Beyer and Hedetniemi (1980): a shape is its canonical level sequence, the
+    lexicographically largest of its preorder depth sequences, and these come
+    in decreasing lexicographic order from the path (1, 2, ..., n) to the star
+    (1, 2, ..., 2).  The successor of L takes the last p with L[p] > 2 and the
+    last q < p with L[q] = L[p] - 1, the parent of p, and repeats L[q:p] from p
+    on.  Vertex i hangs from the last vertex before it one level up.
+    """
+    names = [f"v{i:02d}" for i in range(n)]
+    levels = list(range(1, n + 1))
+    while True:
+        edges = [(names[max(j for j in range(i) if levels[j] == levels[i] - 1)], names[i]) for i in range(1, n)]
+        yield Tree(Graph(names, edges)), names[0]
+        p = max((i for i in range(n) if levels[i] > 2), default=None)
+        if p is None:
+            return
+        q = max(i for i in range(p) if levels[i] == levels[p] - 1)
+        for i in range(p, n):
+            levels[i] = levels[i - p + q]
+
+
 def rename_tree(t: Tree, mapping):
     return Tree(Graph([mapping[v] for v in t.vertices],
                       [(mapping[u], mapping[v]) for u, v in t.edges]))

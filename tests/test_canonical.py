@@ -51,6 +51,7 @@ from helpers import (
     rename_labels,
     rename_tree,
     rename_weights,
+    rooted_shapes,
 )
 
 
@@ -604,3 +605,23 @@ def test_every_flavor_encodes_20k_vertices_without_recursion(shape):
         assert codes[IsoFlavor.ROOTED] == "1R:((" + "()" * (n - 1) + "))"
         assert codes[IsoFlavor.FREE] == "1F:(" + "()" * n + ")"
     assert all(code.count("(") == len(t.vertices) for code in codes.values())
+
+
+# OEIS A000081 and A000055: rooted and free unlabeled trees on n = 1..10 vertices
+_ROOTED_COUNTS = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719)
+_FREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)
+
+
+def test_codes_count_every_shape_once_up_to_10_vertices():
+    # Each rooted shape is made once by its level sequence, so its rooted codes must all
+    # differ; a free tree is made once per rooting, so its free codes must collapse to
+    # one per free shape (Otter's counts).
+    rooted_counts, free_counts = [], []
+    for n in range(1, 11):
+        shapes = list(rooted_shapes(n))
+        rooted = {canonical_code(t, IsoFlavor.ROOTED, root=root) for t, root in shapes}
+        assert len(shapes) == len(rooted), n
+        rooted_counts.append(len(rooted))
+        free_counts.append(len({canonical_code(t, IsoFlavor.FREE) for t, _ in shapes}))
+    assert tuple(rooted_counts) == _ROOTED_COUNTS
+    assert tuple(free_counts) == _FREE_COUNTS

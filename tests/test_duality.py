@@ -295,12 +295,12 @@ def test_unpaired_maps_are_refused_or_reported():
 
 
 def test_each_payload_is_normalized_once_per_object(tmp_path, monkeypatch, capsys):
-    # Count the two normalizers under every module name they are bound to.
-    from ultratree import cli, graphs
+    # Count the two normalizers and the integer form under every module name they are bound to.
+    from ultratree import cli, graphs, rational
 
-    counts = dict.fromkeys(("normalize_weights", "normalize_labels"), 0)
+    counts = dict.fromkeys(("normalize_weights", "normalize_labels", "integer_form"), 0)
     for name in counts:
-        original = getattr(graphs, name)
+        original = getattr(rational if name == "integer_form" else graphs, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
@@ -317,16 +317,18 @@ def test_each_payload_is_normalized_once_per_object(tmp_path, monkeypatch, capsy
     def normalizations(*argv):
         counts.update(dict.fromkeys(counts, 0))
         assert cli.main(list(argv)) == 0
-        return capsys.readouterr().out, (counts["normalize_weights"], counts["normalize_labels"])
+        return capsys.readouterr().out, tuple(counts.values())
 
     out, seen = normalizations("dual", "--direction", "w2l", str(weighted))
-    assert seen == (1, 1)
+    assert seen == (1, 1, 2)
     labeled = tmp_path / "labeled.json"
     labeled.write_text(out)
-    assert normalizations("dual", "--direction", "l2w", str(labeled))[1] == (1, 1)
-    assert normalizations("reduce", str(weighted))[1] == (2, 0)
-    weights, labels = normalizations("analyze", str(weighted))[1]
-    assert (weights, labels) == (2, 0)  # centers and the EquidistantTree, one each
+    # the weights paired with a labeling are made from its integers
+    assert normalizations("dual", "--direction", "l2w", str(labeled))[1] == (0, 1, 1)
+    # the reduced tree is built on the integers of the given one
+    assert normalizations("reduce", str(weighted))[1] == (1, 0, 1)
+    # one integer form for centers and the EquidistantTree at the root, a center of fig10
+    assert normalizations("analyze", str(weighted))[1] == (1, 0, 1)
 
 
 def test_planted_check_builds_no_metric(monkeypatch):

@@ -557,6 +557,26 @@ def test_cli_selftest_passes_and_is_deterministic(capsys):
     assert code == 0 and first == second
 
 
+@pytest.mark.parametrize("seed", ["abc", "", "1/2", "7/1", "1.5", "1e3", "1_000", "\u0667", "0x10", "1" * 5000])
+def test_cli_selftest_refuses_a_seed_that_is_no_integer_text(capsys, monkeypatch, seed):
+    monkeypatch.setenv("ULTRATREE_SEED", seed)
+    code, out = _run(capsys, "selftest")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "parse-error" and error["message"].startswith("ULTRATREE_SEED must be an integer, got ")
+
+
+def test_cli_selftest_reads_a_seed_as_an_integer_text(capsys, monkeypatch):
+    monkeypatch.setenv("ULTRATREE_SEED", "7")
+    want = _run(capsys, "selftest")
+    assert want[0] == 0
+    for seed in (" 7 ", "+7", "007"):
+        monkeypatch.setenv("ULTRATREE_SEED", seed)
+        assert _run(capsys, "selftest") == want, seed
+    monkeypatch.setenv("ULTRATREE_SEED", "-7")
+    assert _run(capsys, "selftest")[0] == 0
+
+
 def test_cli_selftest_subprocess_bytes_identical():
     cmd = [sys.executable, "-m", "ultratree.cli", "selftest"]
     env = {"ULTRATREE_SEED": "7"}
@@ -680,9 +700,9 @@ def test_each_verb_loads_only_its_modules(verb_modules):
 # sides of each split, has risen, by less than the new modules' docstring and
 # import lines.
 _SOURCE_LINE_CEILINGS = {
-    "iso": 1209, "iso --flavor free (cyclic graph)": 1200, "dual": 1109, "spanning": 1169, "counterexample": 1169,
-    "repr": 1367, "repr --labeled-tree": 1457, "ballean": 1367, "ballean --tree": 1367,
-    "isometry": 1201, "isometry --fast-ultrametric": 1598, "analyze": 1286, "reduce": 1300, "selftest": 2563,
+    "iso": 1201, "iso --flavor free (cyclic graph)": 1192, "dual": 1101, "spanning": 1156, "counterexample": 1156,
+    "repr": 1359, "repr --labeled-tree": 1447, "ballean": 1359, "ballean --tree": 1359,
+    "isometry": 1193, "isometry --fast-ultrametric": 1590, "analyze": 1280, "reduce": 1287, "selftest": 2556,
 }
 
 
@@ -1007,3 +1027,29 @@ def test_number_grammar_is_ascii_p_over_q_on_every_release(token, value):
     doc = {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"a|b": token}}
     with pytest.raises(ParseError, match="^not a rational: "):
         graph_from_json(doc)
+
+
+# sha256 of each seed-1 benchmark workload's calls, and of selftest at seeds 0 and 7, as
+# tools/replay_digest.py prints them; the same on Python 3.10-3.13.  Its help group is
+# left out: argparse's help text differs on 3.13.
+_REPLAY_DIGESTS = {
+    "ultra_matrix": "fca1e6620759e0895418bfff50b0b43b93d0e54fd27bc9c705b4dbea8709ca2b",
+    "big_trees": "954db3e2b60b41b1e8b44dd0c948936859a77175fc57fe4c99d785b3fbd4faf1",
+    "label_graphs": "8066565c0b83161a3c3b101f00341679aad9645f1469810b1279e02f8e2589a5",
+    "selftest": "e67ad6a13fa2e5eadc27fb2958ddf7c04cd4eb806e8771bbe40734a204676067",
+}
+
+
+def test_cli_output_bytes_keep_their_replay_digests(tmp_path, monkeypatch):
+    import hashlib
+    import importlib.util
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench/ on the path
+    monkeypatch.setenv("ULTRATREE_SEED", "0")  # restored after selftest_calls sets it
+    path = Path(__file__).parents[1] / "tools" / "replay_digest.py"
+    spec = importlib.util.spec_from_file_location("replay_digest", path)
+    replay = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay)
+    groups = {workload: replay.workload_calls(str(tmp_path), workload, 1) for workload in replay.gen.WORKLOADS}
+    groups["selftest"] = replay.selftest_calls()
+    assert {name: hashlib.sha256(b"".join(calls)).hexdigest() for name, calls in groups.items()} == _REPLAY_DIGESTS

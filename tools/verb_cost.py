@@ -7,6 +7,9 @@ loads.  For each probe of tests/test_io_cli.py's _verb_runs, one small valid
 call per verb and variant, the script prints:
 - the source lines, counted as the test's line ceilings count them: cli.py,
   __init__.py and every submodule the call loads;
+- the unrun lines among them: the source lines of the functions (lambdas and
+  comprehensions included) that the call never enters, found by running the
+  probe under a profiler, so the share of compiled code a call could shed;
 - the median, over 41 rounds, of the time compile() takes on those sources
   in this process, in milliseconds;
 - the loaded submodules.
@@ -27,11 +30,14 @@ import sys
 sys.dont_write_bytecode = True
 
 import argparse  # noqa: E402
+import json  # noqa: E402
 import os  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import types  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,6 +46,58 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import test_io_cli  # noqa: E402  (tests/test_io_cli.py: the probes and the module probe)
 
 ROUNDS = 41
+
+# The test's module probe under a profiler that records each code object of the
+# package that the call enters, printed after the probe's own line as JSON
+# [file name, first line, name] triples.
+_TRACED = """
+import sys
+_entered = set()
+def _profile(frame, event, arg):
+    if event == "call":
+        _entered.add(frame.f_code)
+sys.setprofile(_profile)
+""" + test_io_cli._LOADED_BY + """
+sys.setprofile(None)
+import json, ultratree
+_home = os.path.dirname(ultratree.__file__)
+print(json.dumps(sorted({(os.path.basename(c.co_filename), c.co_firstlineno, c.co_name)
+                         for c in _entered if os.path.dirname(c.co_filename) == _home})))
+"""
+
+
+def traced_call(*argv) -> tuple[set, set]:
+    """(ultratree submodules, entered code keys) of one CLI call."""
+    proc = subprocess.run([sys.executable, "-c", _TRACED, *argv], capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"probe {argv} failed: {proc.stderr}")
+    *_, loaded, entered = proc.stdout.splitlines()
+    code, *modules = loaded.split()
+    if code != "0":
+        raise SystemExit(f"probe {argv} exited {code}: {proc.stderr}")
+    package = {m[len("ultratree."):] for m in modules if m.startswith("ultratree.")}
+    return package, {tuple(key) for key in json.loads(entered)}
+
+
+def unrun_lines(path: str, text: str, entered: set) -> int:
+    """Source lines of the functions in one module that the call never entered."""
+    name = Path(path).name
+
+    def last(code: types.CodeType) -> int:  # a body's last line, nested bodies included
+        nested = [last(c) for c in code.co_consts if isinstance(c, types.CodeType)]
+        return max([line for *_, line in code.co_lines() if line is not None] + nested)
+
+    lines, todo = set(), [compile(text, path, "exec", dont_inherit=True)]
+    while todo:
+        for c in todo.pop().co_consts:
+            if not isinstance(c, types.CodeType):
+                continue
+            is_function = c.co_flags & 0x1  # CO_OPTIMIZED: a function, not a class body
+            if is_function and (name, c.co_firstlineno, c.co_name) not in entered:
+                lines.update(range(c.co_firstlineno, last(c) + 1))
+            else:
+                todo.append(c)
+    return len(lines)
 
 
 def main() -> None:
@@ -55,11 +113,12 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         runs = test_io_cli._verb_runs(Path(tmp))
-        loaded = {verb: test_io_cli._modules_loaded_by(*argv)[0] for verb, argv in runs.items()}
-    sources = {}
-    for verb, modules in loaded.items():
+        traced = {verb: traced_call(*argv) for verb, argv in runs.items()}
+    sources, unrun = {}, {}
+    for verb, (modules, entered) in traced.items():
         paths = [package / f"{name}.py" for name in sorted(modules | {"__init__", "cli"})]
         sources[verb] = [(str(path), path.read_text(encoding="utf-8")) for path in paths]
+        unrun[verb] = sum(unrun_lines(path, text, entered) for path, text in sources[verb])
 
     times: dict[str, list[float]] = {verb: [] for verb in sources}
     for _ in range(ROUNDS):  # rounds interleave the verbs, so a slow spell is shared
@@ -71,11 +130,11 @@ def main() -> None:
 
     print(f"# {package.parent}, Python {platform.python_version()}, {ROUNDS} compile rounds")
     width = max(map(len, sources))
-    print(f"{'verb':<{width}}  {'lines':>5}  {'median_ms':>9}  modules")
+    print(f"{'verb':<{width}}  {'lines':>5}  {'unrun':>5}  {'median_ms':>9}  modules")
     for verb, files in sources.items():
         lines = sum(len(text.splitlines()) for _, text in files)
         median = 1000 * statistics.median(times[verb])
-        print(f"{verb:<{width}}  {lines:>5}  {median:>9.2f}  {' '.join(sorted(loaded[verb]))}")
+        print(f"{verb:<{width}}  {lines:>5}  {unrun[verb]:>5}  {median:>9.2f}  {' '.join(sorted(traced[verb][0]))}")
 
 
 if __name__ == "__main__":
