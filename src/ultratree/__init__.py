@@ -12,39 +12,33 @@ __version__ = "0.1.0"
 
 # public name -> submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(
-        ("Graph", "Path", "RootedTree", "Tree", "degree_sets", "edge_key"),
-        "graphs",
-    ),
-    **dict.fromkeys(
-        ("FiniteMetricSpace", "MetricClass", "classify_metric", "label_tree_metric", "restrict"), "metrics"
-    ),
+    **dict.fromkeys(("Graph", "Path", "RootedTree", "Tree", "edge_key"), "graphs"),
+    **dict.fromkeys(("FiniteMetricSpace", "MetricClass", "classify_metric", "label_tree_metric"), "metrics"),
     **dict.fromkeys(
         ("additive_metric", "hausdorff_distance", "minimax_label_metric", "shortest_path_metric"), "path_metrics"
     ),
-    **dict.fromkeys(
-        ("Ballean", "LabeledRootedTree", "ballean", "ballean_tree", "diametrical_graph",
-         "multipartite_parts", "representing_tree"),
-        "representing",
-    ),
+    **dict.fromkeys(("Ballean", "LabeledRootedTree", "ballean", "ballean_tree", "representing_tree"), "representing"),
+    **dict.fromkeys(("diametrical_graph", "multipartite_parts", "restrict"), "spaces"),
     **dict.fromkeys(("IsoFlavor", "are_isomorphic", "isometry_search", "ultrametric_isometric"), "canonical"),
     **dict.fromkeys(("canonical_code", "tree_centers"), "tree_codes"),
     **dict.fromkeys(("is_isometry", "is_isomorphism", "leaf_swap_isometry"), "checkers"),
     **dict.fromkeys(
-        ("EquidistantTree", "MonotoneTree", "check_equidistant", "check_monotone", "labeling_to_weight",
-         "weight_to_labeling"),
+        ("EquidistantTree", "MonotoneTree", "check_equidistant", "check_monotone", "degree_sets",
+         "labeling_to_weight", "weight_to_labeling"),
         "duality",
     ),
     "generate_monotone": "random_monotone",
     **dict.fromkeys(
-        ("NablaResult", "bottleneck_spanning_tree", "passthrough_counterexample_pair",
-         "nabla_geometric_membership", "cyclic_weight_counterexample", "reduce_nabla"),
-        "transforms",
+        ("NablaResult", "bottleneck_spanning_tree", "cyclic_weight_counterexample", "reduce_nabla"), "transforms"
     ),
     **dict.fromkeys(
-        ("DiameterBound", "StructureReport", "analyze", "centers", "diameter_bound_check", "is_star",
-         "phylo_shape", "planted_leaf_ultrametric_check", "sphere_center_check", "star_equidistant_witness"),
+        ("StructureReport", "analyze", "centers", "is_star", "phylo_shape", "planted_leaf_ultrametric_check"),
         "analysis",
+    ),
+    **dict.fromkeys(
+        ("DiameterBound", "diameter_bound_check", "nabla_geometric_membership", "passthrough_counterexample_pair",
+         "sphere_center_check", "star_equidistant_witness"),
+        "propositions",
     ),
     **dict.fromkeys(("Rational", "format_rational", "parse_rational"), "rational"),
     **dict.fromkeys(("all_simple_paths", "find_cycle", "find_path", "subtree_below", "tree_from_edges"), "oracles"),

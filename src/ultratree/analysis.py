@@ -1,26 +1,24 @@
 """Structural predicates for weighted trees and their leaf geometries.
 
-Centers (roots making a weighted tree equidistant), the star
-characterization via all-roots-equidistant weights, sphere-with-center
-recognition, and the inequalities governing planted equidistant trees.
+Centers (roots making a weighted tree equidistant), stars, the inequality
+governing planted equidistant trees, and analyze, the report the CLI prints.
 A center is a vertex all of whose sides share one common height, and
-analyze reads K only at such a root.  Centers, the planted check and the
-diameter bound read the weights' integer form, made once per analyze call.
+analyze reads K only at such a root.  Centers and the planted check read the
+weights' integer form, made once per analyze call.  The star witness, the
+sphere-center check and the diameter bound, which analyze does not report,
+are in propositions.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import Mapping, Optional
 
 from ._record import record
-from .duality import EquidistantTree
-from .errors import NoBranchingVertexError, NotPlantedError, NotUltrametricError
-from .graphs import RootedTree, Tree, Vertex, degree_sets, normalize_weights
+from .duality import EquidistantTree, degree_sets
+from .errors import NoBranchingVertexError, NotPlantedError
+from .graphs import RootedTree, Tree, Vertex, normalize_weights
 from .rational import integer_form
-
-if TYPE_CHECKING:
-    from .metrics import FiniteMetricSpace
 
 
 def centers(t: Tree, w: Mapping) -> frozenset[Vertex]:
@@ -75,27 +73,6 @@ def is_star(t: Tree) -> bool:
     return n > 1 and any(t.degree(v) == n - 1 for v in t.vertices)
 
 
-def star_equidistant_witness(t: Tree) -> Optional[dict]:
-    """An all-ones weight making every rooting equidistant, if t is a star.
-
-    Such a weight exists for stars only, so None certifies a non-star.
-    """
-    return {e: Fraction(1) for e in t.edges} if is_star(t) else None
-
-
-def sphere_center_check(space: FiniteMetricSpace) -> Optional[tuple[Vertex, Fraction]]:
-    """A point c with every other point at one common distance t > 0, if any."""
-    from .metrics import MetricClass
-
-    if space.classify() is not MetricClass.ULTRAMETRIC:
-        raise NotUltrametricError("sphere check needs an ultrametric space")
-    for c in space.points:
-        values = {space.distance(c, x) for x in space.points if x != c}
-        if len(values) == 1:
-            return c, values.pop()
-    return None
-
-
 def planted_leaf_ultrametric_check(et: EquidistantTree) -> tuple[bool, Fraction, Fraction]:
     """For a planted equidistant tree with a branching vertex, compare twice
     the root-to-branching distance against the root-to-leaf distance.
@@ -111,39 +88,6 @@ def planted_leaf_ultrametric_check(et: EquidistantTree) -> tuple[bool, Fraction,
     dist, den, *_ = et._scaled  # type: ignore[attr-defined]  # root distances times den
     lhs, rhs = Fraction(2 * min(dist[v] for v in v2), den), Fraction(min(dist[v] for v in v0), den)
     return lhs >= rhs, lhs, rhs
-
-
-@record
-class DiameterBound:
-    """Diameter of the out-degree-zero set against twice the root-to-leaf
-    distance; strictness coincides with the tree being planted.  The
-    diameter over the out-degree-one set rides along for inspection and is
-    never asserted against."""
-
-    diam_v0: Fraction
-    K: Fraction
-    strict: bool
-    diam_v1: Fraction
-
-
-def _diameter(t: Tree, weights: dict, points: frozenset[Vertex]) -> int:
-    # Double sweep: on a tree, the point of the set farthest from any vertex ends a diameter.
-    end = next(iter(points))
-    for _ in range(2):
-        dist: dict = {}
-        for x, p in t._reach(end).items():  # each vertex after its parent
-            dist[x] = 0 if p is None else dist[p] + weights[(x, p) if x < p else (p, x)]
-        end = max(points, key=dist.__getitem__)
-    return dist[end]
-
-
-def diameter_bound_check(et: EquidistantTree) -> DiameterBound:
-    v0, v1, _ = degree_sets(et.rt)
-    _, den, k, weights = et._scaled  # type: ignore[attr-defined]  # K and the weights, times den
-    d0, d1 = (_diameter(et.rt.tree, weights, vs) if vs else 0 for vs in (v0, v1))
-    if d0 > 2 * k:
-        raise AssertionError("out-degree-zero diameter exceeded twice K")
-    return DiameterBound(Fraction(d0, den), et.K, d0 < 2 * k, Fraction(d1, den))
 
 
 def phylo_shape(t: Tree) -> bool:

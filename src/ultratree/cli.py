@@ -12,6 +12,7 @@ from __future__ import annotations
 import atexit
 import os
 import sys
+from importlib import import_module
 from types import SimpleNamespace
 
 from .errors import ParseError, UltratreeError
@@ -24,24 +25,26 @@ EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 
 
-def _load(*names: str) -> None:
-    """Bind each library name in this module's globals unless it is bound.
-
-    Names come through the package (`tio` is its `io`) on first use.  The
-    handlers look them up at call time, so a verb loads only its own modules
-    and a name rebound on this module (as the traced replay does) is the one
-    that runs."""
-    scope, package = globals(), sys.modules[__package__]
-    for name in names:
-        if name not in scope:
-            scope[name] = getattr(package, "io" if name == "tio" else name)
-
-
 def __getattr__(name: str):
-    if name != "tio" and name not in sys.modules[__package__].__all__:
+    """A library name (`tio` is the package's io) on first use, bound in this module."""
+    package = sys.modules[__package__]
+    if name != "tio" and name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(name)
-    return globals()[name]
+    value = globals()[name] = getattr(package, "io" if name == "tio" else name)
+    return value
+
+
+class _Names:
+    """This module's names, read at each access, for the handlers (see VERBS).  Not the
+    module object: `python -m cProfile -m ultratree.cli` runs this code in a bare dict."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        return globals()[name] if name in globals() else __getattr__(name)  # the module's, which binds it
+
+
+_NAMES = _Names()
 
 
 def _read(path: str) -> str:
@@ -76,158 +79,46 @@ def _emit(text: str, output: str | None) -> None:
 def _error_json(exc: Exception) -> str:
     # ValueError: contract violations inside otherwise well-formed documents
     code = exc.code if isinstance(exc, UltratreeError) else "invalid-input"
-    return tio.dump_json({"error": {"code": code, "message": str(exc)}})
-
-
-def _cmd_repr(args) -> str:
-    _load("label_tree_metric", "representing_tree")
-    if args.labeled_tree:
-        doc = tio.load_graph_text(_read(args.input))
-        if doc.labels is None:
-            raise ParseError("labeled-tree input needs labels")
-        space, _ = label_tree_metric(doc.tree(), doc.labels)
-    else:
-        space = tio.load_matrix_text(_read(args.input))
-    return tio.dump_json(tio.labeled_tree_to_json(representing_tree(space)))
-
-
-def _cmd_iso(args) -> str:
-    from .canonical import _payloads
-
-    _load("IsoFlavor", "are_isomorphic")
-    flavor = IsoFlavor(args.flavor)
-    a, b = (tio.load_graph_text(_read(path)) for path in (args.left, args.right))
-    (l1, w1, r1), (l2, w2, r2) = (_payloads(flavor, doc.labels, doc.weights, doc.root) for doc in (a, b))
-    return tio.dump_json({"isomorphic": are_isomorphic(a.graph, b.graph, flavor, l1, l2, w1, w2, r1, r2)})
-
-
-def _cmd_isometry(args) -> str:
-    _load("ultrametric_isometric", "isometry_search")
-    s1, s2 = (tio.load_matrix_text(_read(path)) for path in (args.left, args.right))
-    if args.fast_ultrametric:
-        return tio.dump_json({"isometric": ultrametric_isometric(s1, s2), "bijection": None})
-    found = isometry_search(s1, s2)
-    return tio.dump_json({"isometric": found is not None, "bijection": found})
-
-
-def _cmd_dual(args) -> str:
-    _load("EquidistantTree", "MonotoneTree", "weight_to_labeling", "labeling_to_weight")
-    doc = tio.load_graph_text(_read(args.input))
-    rt = doc.rooted()
-    if args.direction == "w2l":
-        if doc.weights is None:
-            raise ParseError("w2l needs weights")
-        et = EquidistantTree(rt, doc.weights)
-        mt = weight_to_labeling(et)
-    else:
-        if doc.labels is None:
-            raise ParseError("l2w needs labels")
-        mt = MonotoneTree(rt, doc.labels)
-        et = labeling_to_weight(mt)
-    return tio.dump_json(tio.graph_to_json(rt.tree, root=rt.root, weights=et.weights, labels=mt.labels))
-
-
-def _cmd_reduce(args) -> str:
-    _load("EquidistantTree", "reduce_nabla")
-    doc = tio.load_graph_text(_read(args.input))
-    if doc.weights is None:
-        raise ParseError("reduce needs weights")
-    result = reduce_nabla(EquidistantTree(doc.rooted(), doc.weights))
-    rt = result.reduced.rt
-    tree_doc = tio.graph_to_json(rt.tree, root=rt.root, weights=result.reduced.weights)
-    return tio.dump_json({"tree": tree_doc, "removed": sorted(result.removed), "new_root": result.new_root})
-
-
-def _cmd_spanning(args) -> str:
-    _load("bottleneck_spanning_tree")
-    doc = tio.load_graph_text(_read(args.input))
-    if doc.labels is None:
-        raise ParseError("spanning needs labels")
-    tree = bottleneck_spanning_tree(doc.graph, doc.labels)
-    return tio.dump_json(tio.graph_to_json(tree, labels=doc.labels))
-
-
-def _cmd_analyze(args) -> str:
-    _load("analyze", "format_rational")
-    doc = tio.load_graph_text(_read(args.input))
-    if doc.weights is None:
-        raise ParseError("analyze needs weights")
-    report = analyze(doc.tree(), doc.weights, root=doc.root)
-    out = {name: getattr(report, name) for name in ("planted", "centers", "is_star", "phylo_shape")}
-    for name in ("K", "branching_lhs", "branching_rhs"):
-        value = getattr(report, name)
-        out[name] = None if value is None else format_rational(value)
-    return tio.dump_json(out)
-
-
-def _cmd_ballean(args) -> str:
-    _load("ballean", "ballean_tree")
-    space = tio.load_matrix_text(_read(args.input))
-    if args.tree:
-        return tio.dump_json(tio.labeled_tree_to_json(ballean_tree(space)))
-    balls = ballean(space)
-    return tio.dump_json({"points": list(space.points), "balls": [sorted(b) for b in balls.balls]})
-
-
-def _cmd_counterexample(args) -> str:
-    _load("cyclic_weight_counterexample")
-    doc = tio.load_graph_text(_read(args.input))
-    w1, w2 = cyclic_weight_counterexample(doc.graph)
-    return tio.dump_json(
-        {"graph": tio.graph_to_json(doc.graph), "w1": tio.weights_to_json(w1), "w2": tio.weights_to_json(w2)}
-    )
-
-
-def _cmd_selftest(args) -> str:
-    from .selftest import env_seed, run_selftest
-
-    report, ok = run_selftest(env_seed())
-    if not ok:
-        raise UltratreeError("selftest failed:\n" + report)
-    return report
+    return _NAMES.tio.dump_json({"error": {"code": code, "message": str(exc)}})
 
 
 # The CLI grammar, which build_parser and _plain_args both read.  Each verb maps
 # to (handler, help, {flag: help}, {choice option: choices}, positional names);
-# a verb's flags exclude one another and each choice option is required.
+# a verb's flags exclude one another and each choice option is required.  A
+# handler is named "module.function": main imports that module of the package
+# only to run it, so a call compiles no other verb's handler, and calls it
+# with _NAMES and the parsed arguments.  A handler reads every public library
+# name, `tio` and `_read` from _NAMES, never by an import of its own, so a name
+# rebound in this module (as the traced benchmark replay rebinds them) is the
+# one that runs.  No handler imports this module: under `python -m
+# ultratree.cli` it runs as __main__, and an import would compile it again.
 VERBS = {
-    "repr": (_cmd_repr, "hierarchy tree of an ultrametric space",
+    "repr": ("cli_matrix.cmd_repr", "hierarchy tree of an ultrametric space",
              {"--matrix": "input is a distance matrix (default)",
               "--labeled-tree": "input is a labeled tree; use its max-label metric"}, {}, ("input",)),
-    "iso": (_cmd_iso, "tree/graph isomorphism for a flavor", {}, {"--flavor": ISO_FLAVORS}, ("left", "right")),
-    "isometry": (_cmd_isometry, "isometry of two finite metric spaces",
+    "iso": ("cli_graph.cmd_iso", "tree/graph isomorphism for a flavor", {}, {"--flavor": ISO_FLAVORS},
+            ("left", "right")),
+    "isometry": ("cli_matrix.cmd_isometry", "isometry of two finite metric spaces",
                  {"--fast-ultrametric": "compare hierarchy-tree codes instead of searching"}, {}, ("left", "right")),
-    "dual": (_cmd_dual, "switch between equidistant weights and monotone labels", {},
+    "dual": ("cli_graph.cmd_dual", "switch between equidistant weights and monotone labels", {},
              {"--direction": ("w2l", "l2w")}, ("input",)),
-    "reduce": (_cmd_reduce, "suppress out-degree-one vertices of an equidistant tree", {}, {}, ("input",)),
-    "spanning": (_cmd_spanning, "spanning tree realizing the minimax label metric", {}, {}, ("input",)),
-    "analyze": (_cmd_analyze, "structure report for a weighted tree", {}, {}, ("input",)),
-    "ballean": (_cmd_ballean, "all balls of an ultrametric space",
+    "reduce": ("cli_graph.cmd_reduce", "suppress out-degree-one vertices of an equidistant tree", {}, {},
+               ("input",)),
+    "spanning": ("cli_graph.cmd_spanning", "spanning tree realizing the minimax label metric", {}, {}, ("input",)),
+    "analyze": ("cli_graph.cmd_analyze", "structure report for a weighted tree", {}, {}, ("input",)),
+    "ballean": ("cli_matrix.cmd_ballean", "all balls of an ultrametric space",
                 {"--tree": "emit the hierarchy tree of the ball space"}, {}, ("input",)),
-    "counterexample": (_cmd_counterexample, "two isometric but non-isomorphic weightings of a cyclic graph",
-                       {}, {}, ("input",)),
-    "selftest": (_cmd_selftest, "run the bundled figure corpus", {}, {}, ()),
+    "counterexample": ("cli_graph.cmd_counterexample",
+                       "two isometric but non-isomorphic weightings of a cyclic graph", {}, {}, ("input",)),
+    "selftest": ("selftest.cmd_selftest", "run the bundled figure corpus", {}, {}, ()),
 }
 
 
 def build_parser():
     """The argparse parser of VERBS: it prints help and diagnoses malformed calls."""
-    import argparse
+    from .cli_parser import parser_of
 
-    parser = argparse.ArgumentParser(prog="ultratree", description=__doc__)
-    parser.add_argument("--output", "-o", default=None, help="write output to a file instead of stdout")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (func, verb_help, flags, choices, positionals) in VERBS.items():
-        p = sub.add_parser(verb, help=verb_help)
-        group = p.add_mutually_exclusive_group() if len(flags) > 1 else p
-        for flag, flag_help in flags.items():
-            group.add_argument(flag, action="store_true", help=flag_help)
-        for option, values in choices.items():
-            p.add_argument(option, required=True, choices=values)
-        for name in positionals:
-            p.add_argument(name)
-        p.set_defaults(func=func)
-    return parser
+    return parser_of(VERBS, __doc__)
 
 
 def _plain_args(argv: list) -> SimpleNamespace | None:
@@ -259,9 +150,10 @@ def _plain_args(argv: list) -> SimpleNamespace | None:
 
 def main(argv=None) -> int:
     args = _plain_args(sys.argv[1:] if argv is None else list(argv)) or build_parser().parse_args(argv)
-    _load("tio")
+    module, _, name = args.func.partition(".")
+    handler = getattr(import_module(f".{module}", __package__), name)
     try:
-        text, status = args.func(args), EXIT_OK
+        text, status = handler(_NAMES, args), EXIT_OK
     except (UltratreeError, ValueError) as exc:
         text, status = _error_json(exc), EXIT_PARSE if isinstance(exc, ParseError) else EXIT_DOMAIN
     try:

@@ -6,23 +6,32 @@ the max-label path identity on out-degree-zero vertices holds for no other
 constant.
 An EquidistantTree keeps its weights' integer form (rational.integer_form) and
 sums its root distances once on it; diameter_bound_check, reduce_nabla and the
-paired labeling read those integers.  Both trees take V0 from
-graphs.degree_sets and walk a RootedTree's BFS order, as rooted canonical
-codes do; free codes are read off the center peel.
+paired labeling read those integers.  Both trees take V0 from degree_sets,
+the out-degree classes of a rooted tree, and walk a RootedTree's BFS order,
+as rooted canonical codes do; free codes are read off the center peel.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from ._record import record
 from .errors import NotEquidistantError, NotMonotoneError
-from .graphs import Edge, RootedTree, Vertex, degree_sets, normalize_labels, normalize_weights
+from .graphs import Edge, RootedTree, Vertex, normalize_labels, normalize_weights
 from .rational import integer_form
 
 if TYPE_CHECKING:
     from .metrics import FiniteMetricSpace
+
+
+def degree_sets(rt: RootedTree) -> tuple[frozenset[Vertex], frozenset[Vertex], frozenset[Vertex]]:
+    """Partition V(T) by out-degree into (= 0, = 1, >= 2) classes, counted in the parent map."""
+    vertices, out = rt._parent.keys(), Counter(rt._parent.values())  # type: ignore[attr-defined]
+    del out[None]  # the root's parent
+    ones = {v for v, d in out.items() if d == 1}
+    return frozenset(vertices - out.keys()), frozenset(ones), frozenset(out.keys() - ones)
 
 
 def _fractions(scaled: dict, den: int) -> dict:
@@ -87,7 +96,14 @@ class MonotoneTree:
         zeros, v0 = {v for v, x in scaled.items() if x == 0}, degree_sets(self.rt)[0]
         if zeros != v0 or any(scaled[v] >= scaled[p] for v, p in parent.items() if p is not None):
             raise NotMonotoneError("labeling is not monotone for this root")
-        vars(self).update(labels=labels, _scaled=(scaled, den), _v0=v0)
+        self._store(self.rt, labels, scaled, den, v0)
+
+    # For labels normalized on rt's tree, monotone, with their integer form and V0: no normalization or check.
+    _trusted = classmethod(lambda cls, *args: object.__new__(cls)._store(*args))
+
+    def _store(self, rt: RootedTree, labels: dict, scaled: dict, den: int, v0: frozenset) -> "MonotoneTree":
+        vars(self).update(rt=rt, labels=labels, _scaled=(scaled, den), _v0=v0)
+        return self
 
     def metric(self) -> FiniteMetricSpace:
         from .metrics import label_tree_metric
@@ -128,4 +144,6 @@ def weight_to_labeling(et: EquidistantTree) -> MonotoneTree:
     """The unique monotone labeling paired with an equidistant weight:
     l(u) = 2 (K - root-to-u weight sum), so l(root) = 2K."""
     dist, den, k, _ = et._scaled  # type: ignore[attr-defined]  # root distances and K, times den
-    return MonotoneTree(et.rt, _fractions({v: 2 * (k - d) for v, d in dist.items()}, den))
+    # zero on V0 and falling along every edge, as the weights are positive; in vertex order, as normalized
+    scaled = {v: 2 * (k - dist[v]) for v in et.rt.vertices}
+    return MonotoneTree._trusted(et.rt, _fractions(scaled, den), scaled, den, et.v0())

@@ -11,7 +11,6 @@ lists, components, returned sets), for identical outputs.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -200,11 +199,3 @@ class RootedTree:
 
     def is_planted(self) -> bool:
         return self.out_degree(self.root) == 1
-
-
-def degree_sets(rt: RootedTree) -> tuple[frozenset[Vertex], frozenset[Vertex], frozenset[Vertex]]:
-    """Partition V(T) by out-degree into (= 0, = 1, >= 2) classes, counted in the parent map."""
-    vertices, out = rt._parent.keys(), Counter(rt._parent.values())  # type: ignore[attr-defined]
-    del out[None]  # the root's parent
-    ones = {v for v, d in out.items() if d == 1}
-    return frozenset(vertices - out.keys()), frozenset(ones), frozenset(out.keys() - ones)

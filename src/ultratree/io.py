@@ -12,9 +12,9 @@ entries are "p/q") or as the mirroring JSON
     {"points": [str], "matrix": [["p/q", ...], ...]}.
 
 This module holds the entry points the CLI calls and what both forms share.
-The graph-document reader is in graph_reader.py and the matrix readers and
-writers are in matrix_io.py; load_graph_text and load_matrix_text import
-theirs when they run, so a verb compiles only the reader of its input.
+The graph-document reader is in graph_reader.py and the matrix readers are
+in matrix_io.py; load_graph_text and load_matrix_text import theirs when
+they run, so a verb compiles only the reader of its input.
 """
 
 from __future__ import annotations

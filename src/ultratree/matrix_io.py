@@ -1,6 +1,7 @@
-"""Distance matrices on the wire: the JSON and CSV forms of io.py's docstring.
+"""The distance-matrix readers: the JSON and CSV forms of io.py's docstring.
 
-Only verbs on matrices load the readers, through io.load_matrix_text.
+Only verbs on matrices load them, through io.load_matrix_text; the writers,
+which no verb runs, are in matrix_writers.py.
 """
 
 from __future__ import annotations
@@ -10,17 +11,9 @@ from typing import TYPE_CHECKING
 
 from .errors import ParseError
 from .io import _check_ids, _parser
-from .rational import format_rational
 
 if TYPE_CHECKING:
     from .metrics import FiniteMetricSpace
-
-
-def matrix_to_json(space: FiniteMetricSpace) -> dict:
-    return {
-        "points": list(space.points),
-        "matrix": [[format_rational(x) for x in row] for row in space.rows],
-    }
 
 
 def matrix_from_json(obj) -> FiniteMetricSpace:
@@ -45,17 +38,6 @@ def _matrix(points, matrix) -> FiniteMetricSpace:
         return FiniteMetricSpace(points, rows)
     except Exception as exc:
         raise ParseError(f"bad matrix: {exc}") from exc
-
-
-def matrix_to_csv(space: FiniteMetricSpace) -> str:
-    import csv
-
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + list(space.points))
-    for p, row in zip(space.points, space.rows):
-        writer.writerow([p] + [format_rational(x) for x in row])
-    return buf.getvalue()
 
 
 def matrix_from_csv(text: str) -> FiniteMetricSpace:

@@ -6,7 +6,9 @@ search (_linkage); its visiting order, in which every ball is an interval,
 and the rank each point joins at are all representing.py needs to build the
 hierarchy tree.  The spaces that trees, graphs and functions generate are
 built in path_metrics.py, which label_tree_metric imports when it runs, so
-a matrix verb loads no graph code.
+a matrix verb loads no graph code.  No verb classifies a space or restricts
+one: the classes are told apart in spaces.py, which classify_metric and
+FiniteMetricSpace.classify import when they run, and restrict lives there.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from ._record import record
-from .errors import BadMatrixError, EmptySetError, VertexNotFoundError
-from .rational import integer_form
+from .errors import BadMatrixError, VertexNotFoundError
 
 if TYPE_CHECKING:
     from .graphs import Tree, Vertex
@@ -82,6 +83,8 @@ class FiniteMetricSpace:
         return max((x for row in self.rows for x in row), default=ZERO)
 
     def classify(self) -> MetricClass:
+        from .spaces import _classify
+
         return _classify(*self._ranks)  # type: ignore[attr-defined]
 
     def rename(self, mapping: Mapping[Vertex, Vertex]) -> "FiniteMetricSpace":
@@ -128,25 +131,9 @@ def classify_metric(rows: Sequence[Sequence[Fraction]]) -> MetricClass:
         raise BadMatrixError("matrix not square")
     ranked = _rank(mat)
     _check_matrix(*ranked, lambda i, j: f"row {i}" if i == j else f"({i}, {j})", False)
+    from .spaces import _classify
+
     return _classify(*ranked)
-
-
-def _classify(values: Sequence[Fraction], ranks: Sequence[Sequence[int]]) -> MetricClass:
-    # classify_metric without the checks, on the ranks of a checked matrix.
-    n = len(ranks)
-    zero = ranks[0][0] if n else 0
-    if any(min(row) < zero for row in ranks):
-        return MetricClass.NOT_SEMIMETRIC
-    has_zero_pair = sum(row.count(zero) for row in ranks) > n
-    strong = not n or _linkage(ranks) is not None
-    if has_zero_pair:
-        return MetricClass.PSEUDO_ULTRAMETRIC if strong else MetricClass.NOT_SEMIMETRIC
-    if strong:
-        return MetricClass.ULTRAMETRIC
-    scaled, _ = integer_form(dict(enumerate(values)))  # d(i, j) <= d(i, k) + d(j, k), on integers
-    d = [list(map(scaled.__getitem__, row)) for row in ranks]
-    triangle = all(min(map(int.__add__, d[i], d[j])) >= d[i][j] for i in range(n) for j in range(i + 1, n))
-    return MetricClass.METRIC_ONLY if triangle else MetricClass.NOT_SEMIMETRIC
 
 
 def _linkage(mat: Sequence[Sequence]) -> Optional[tuple[list[int], list]]:
@@ -192,13 +179,3 @@ def label_tree_metric(t: Tree, l: LabelMap) -> tuple[FiniteMetricSpace, MetricCl
     from .path_metrics import minimax_label_metric
 
     return minimax_label_metric(t, l)
-
-
-def restrict(space: FiniteMetricSpace, subset: Iterable[Vertex]) -> FiniteMetricSpace:
-    """Submatrix on a nonempty subset of the points."""
-    keep = sorted(set(subset))
-    if not keep:
-        raise EmptySetError("cannot restrict to the empty set")
-    idx = [space.index(p) for p in keep]
-    values, ranks = space._ranks  # type: ignore[attr-defined]
-    return FiniteMetricSpace._trusted(keep, values, [list(map(ranks[i].__getitem__, idx)) for i in idx])

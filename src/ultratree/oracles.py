@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .duality import EquidistantTree, check_equidistant
+from .duality import EquidistantTree, check_equidistant, degree_sets
 from .errors import AcyclicInputError, PathTreeError, SizeLimitError, VertexNotFoundError
 from .graphs import (
     Edge,
@@ -30,12 +30,12 @@ from .graphs import (
     RootedTree,
     Tree,
     Vertex,
-    degree_sets,
     edge_key,
     normalize_weights,
 )
-from .metrics import FiniteMetricSpace, restrict
-from .representing import LabeledRootedTree, ball_id, diametrical_graph, multipartite_parts
+from .metrics import FiniteMetricSpace
+from .representing import LabeledRootedTree, ball_id
+from .spaces import diametrical_graph, multipartite_parts, restrict
 from .transforms import NablaResult
 
 

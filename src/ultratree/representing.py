@@ -8,8 +8,8 @@ metrics._linkage decides in O(n^2) whether the space is ultrametric and
 returns the visiting order of its Prim search, in which every ball is an
 interval, with the rank each point joins at; representing_tree alone turns
 them into vertices.  This gives the same tree as the recursion into
-diametrical blocks, which stays in oracles.py as the test reference.
-diametrical_graph and multipartite_parts are that recursion's steps.
+diametrical blocks, which stays in oracles.py as the test reference; its
+steps, diametrical_graph and multipartite_parts, are in spaces.py.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from ._record import record
-from .errors import NotCompleteMultipartiteError, NotUltrametricError, TooFewPointsError
+from .errors import NotUltrametricError
 from .graphs import Graph, RootedTree, Tree, Vertex
 from .metrics import ZERO, FiniteMetricSpace, _linkage
 
@@ -70,44 +70,6 @@ class Ballean:
         return space_from(
             named, lambda x, y: hausdorff_distance(self.host, named[x], named[y])
         )
-
-
-def diametrical_graph(space: FiniteMetricSpace) -> Graph:
-    """Graph on the points whose edges are exactly the diameter-realizing pairs."""
-    if len(space.points) < 2:
-        raise TooFewPointsError("diametrical graph needs at least two points")
-    diam = space.diameter()
-    pts = space.points
-    edges = [
-        (u, v)
-        for i, u in enumerate(pts)
-        for v in pts[i + 1 :]
-        if space.distance(u, v) == diam
-    ]
-    return Graph(pts, edges)
-
-
-def multipartite_parts(dg: Graph) -> list[tuple[Vertex, ...]]:
-    """The unique complete-multipartite block partition of a graph.
-
-    Blocks are the connected components of the complement graph; the
-    decomposition exists iff no block has an internal edge.  Failure gives a
-    witness pair, which for a diametrical graph certifies the generating
-    space was not ultrametric.
-    """
-    blocks = dg.complement().components()
-    if len(blocks) < 2:
-        raise NotCompleteMultipartiteError(
-            "graph has a single block; a complete multipartite graph needs k >= 2"
-        )
-    for block in blocks:
-        for i, u in enumerate(block):
-            for v in block[i + 1 :]:
-                if dg.has_edge(u, v):
-                    raise NotCompleteMultipartiteError(
-                        f"vertices {u!r}, {v!r} are adjacent inside one block"
-                    )
-    return blocks
 
 
 def representing_tree(space: FiniteMetricSpace) -> LabeledRootedTree:

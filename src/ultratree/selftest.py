@@ -14,19 +14,21 @@ import os
 import random
 from typing import Callable
 
-from .analysis import centers, diameter_bound_check, planted_leaf_ultrametric_check
+from .analysis import centers, planted_leaf_ultrametric_check
 from .canonical import IsoFlavor
 from .duality import EquidistantTree, MonotoneTree, labeling_to_weight, weight_to_labeling
-from .errors import ParseError
+from .errors import ParseError, UltratreeError
 from .graph_reader import graph_from_json
 from .graphs import RootedTree
 from .matrix_io import matrix_from_json
-from .metrics import label_tree_metric, restrict
+from .metrics import label_tree_metric
 from .path_metrics import additive_metric, minimax_label_metric
+from .propositions import diameter_bound_check, nabla_geometric_membership
 from .random_monotone import generate_monotone
 from .rational import parse_rational
-from .representing import ballean, diametrical_graph, multipartite_parts, representing_tree
-from .transforms import nabla_geometric_membership, reduce_nabla, bottleneck_spanning_tree
+from .representing import ballean, representing_tree
+from .spaces import diametrical_graph, multipartite_parts, restrict
+from .transforms import reduce_nabla, bottleneck_spanning_tree
 from .tree_codes import canonical_code
 
 
@@ -222,3 +224,11 @@ def run_selftest(seed: int = 0) -> tuple[str, bool]:
     passed = sum(1 for *_, ok in claims if ok)
     lines.append(f"selftest: {passed}/{len(claims)} claims passed")
     return "\n".join(lines) + "\n", passed == len(claims)
+
+
+def cmd_selftest(cli, args) -> str:
+    """The CLI's selftest verb, which cli.main imports from here to run it."""
+    report, ok = run_selftest(env_seed())
+    if not ok:
+        raise UltratreeError("selftest failed:\n" + report)
+    return report

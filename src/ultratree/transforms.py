@@ -5,11 +5,11 @@ equidistant tree while preserving distances between out-degree-zero
 vertices; one walk from the root finds each kept vertex's nearest kept
 ancestor.  The bottleneck spanning tree realizes the minimax label metric
 of a connected graph on a tree: Kruskal's algorithm on the edge key
-max(l(u), l(v)) (Hu 1961).  Two counterexample constructions produce weight
-pairs that are isometric but non-isomorphic: one for cyclic graphs, whose
-heavy edge is the last edge Kruskal's pass from the largest edge down finds
-already joined, and a closed-form re-split for rooted trees with a
-pass-through vertex.
+max(l(u), l(v)) (Hu 1961).  The counterexample for cyclic graphs produces
+weight pairs that are isometric but non-isomorphic; its heavy edge is the
+last edge Kruskal's pass from the largest edge down finds already joined.
+The metric reading of the reduction and the counterexample pair for rooted
+trees with a pass-through vertex, which no verb runs, are in propositions.py.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ._record import record
 from .errors import AcyclicInputError, DisconnectedGraphError, PathTreeError
-from .graphs import Edge, Graph, RootedTree, Tree, Vertex, degree_sets, edge_key, normalize_labels
+from .graphs import Edge, Graph, RootedTree, Tree, Vertex, normalize_labels
 
 if TYPE_CHECKING:
     from .duality import EquidistantTree
@@ -43,7 +43,7 @@ def reduce_nabla(et: EquidistantTree) -> NablaResult:
     off the integer root distances et keeps.  Fails on weighted paths, where
     nothing would remain.
     """
-    from .duality import EquidistantTree, _fractions
+    from .duality import EquidistantTree, _fractions, degree_sets
 
     _, v1, v2 = degree_sets(et.rt)
     if not v2:
@@ -66,24 +66,6 @@ def reduce_nabla(et: EquidistantTree) -> NablaResult:
     removed = frozenset(et.rt.vertices).difference(tree.vertices)
     assert removed == v1
     return NablaResult(reduced, removed, root)
-
-
-def nabla_geometric_membership(et: EquidistantTree, x: Vertex) -> bool:
-    """Membership in the reduced vertex set, read off the metric alone.
-
-    True iff some pair y, z of out-degree-zero vertices (possibly equal) has
-    x as its metric midpoint: d(y,x) = d(x,z) = d(y,z)/2.
-    """
-    _, _, v2 = degree_sets(et.rt)
-    if not v2:
-        raise PathTreeError("every vertex has out-degree at most one")
-    space = et.metric()
-    leaves = sorted(et.v0())
-    return any(
-        space.distance(y, x) == space.distance(x, z) == space.distance(y, z) / 2
-        for y in leaves
-        for z in leaves
-    )
 
 
 def _kruskal(g: Graph, edges: Iterable[Edge]) -> tuple[list[Edge], list[Edge]]:
@@ -149,38 +131,3 @@ def cyclic_weight_counterexample(g: Graph) -> tuple[dict[Edge, Fraction], dict[E
     w1[e0] = Fraction(1 + m)
     w2[e0] = Fraction(2 + m)
     return w1, w2
-
-
-def passthrough_counterexample_pair(et: EquidistantTree) -> tuple[EquidistantTree, EquidistantTree]:
-    """Two equidistant weights on one rooted tree with a pass-through vertex:
-    et itself and a re-weighting with the same distance matrix on the
-    out-degree-zero vertices, non-isomorphic as rooted weighted trees and as
-    their paired monotone labelings.
-
-    At the smallest non-root pass-through vertex v, with weights a above and
-    b below, the second weight puts x = min(a, b)/2 above and a + b - x below.
-    Every path between out-degree-zero vertices that meets v uses both edges,
-    so those distances and K stay.  As x < min(a, b) and a + b - x > max(a, b)
-    the weight multiset changes; as x != a, v's label 2(K - dist(v)) changes
-    and no other label moves.  When the root is the only pass-through vertex
-    its pendant edge's weight doubles instead: the root is no out-degree-zero
-    vertex, so no such distance changes, while the weight multiset does and
-    K grows by the old weight, which moves the root's label.
-    """
-    from .duality import EquidistantTree
-
-    rt, w2 = et.rt, dict(et.weights)
-    _, ones, _ = degree_sets(rt)
-    if not ones:
-        raise PathTreeError("no out-degree-one vertex to exploit")
-    interior = ones - {rt.root}
-    if interior:
-        v = min(interior)
-        (child,) = rt.children(v)
-        e_up, e_down = edge_key(rt.parent(v), v), edge_key(v, child)
-        a, b = w2[e_up], w2[e_down]
-        w2[e_up] = x = min(a, b) / 2
-        w2[e_down] = a + b - x
-    else:
-        w2[edge_key(rt.root, *rt.children(rt.root))] *= 2
-    return et, EquidistantTree(rt, w2)

@@ -18,7 +18,8 @@ from ultratree.errors import ParseError
 from ultratree.generators import random_ultrametric_space
 from ultratree import io as tio
 from ultratree.graph_reader import graph_from_json
-from ultratree.matrix_io import matrix_from_csv, matrix_from_json, matrix_to_csv, matrix_to_json
+from ultratree.matrix_io import matrix_from_csv, matrix_from_json
+from ultratree.matrix_writers import matrix_to_csv, matrix_to_json
 
 from helpers import fig6_graph, fig10_tree, fig13_tree, rename_labels, rename_tree, rename_weights
 
@@ -655,7 +656,15 @@ def test_each_verb_loads_only_its_modules(verb_modules):
     package = {verb: modules for verb, (modules, _) in loaded.items()}
 
     help_package, help_others = _modules_loaded_by("--help")
-    assert help_package <= {"cli", "errors"}
+    assert help_package <= {"cli_parser", "errors"}
+    # Nothing imports ultratree.cli, which `python -m` runs as __main__, so each call
+    # compiles cli.py once; argparse is built in cli_parser for --help alone.
+    assert [verb for verb, modules in package.items() if modules & {"cli", "cli_parser"}] == []
+    # Of the three handler modules, a verb loads the one cli.VERBS names for it.
+    from ultratree.cli import VERBS
+
+    handlers = {verb: modules & {"cli_matrix", "cli_graph", "selftest"} for verb, modules in package.items()}
+    assert handlers == {verb: {VERBS[verb.split()[0]][0].partition(".")[0]} for verb in package}
     # A plain call is read from cli.VERBS, so no verb call pays for argparse and the
     # gettext and locale modules its messages pull in; --help still runs argparse.
     assert {verb: others & {"argparse", "gettext", "locale"} for verb, (_, others) in loaded.items()} == dict.fromkeys(
@@ -683,7 +692,10 @@ def test_each_verb_loads_only_its_modules(verb_modules):
         assert "graph_reader" not in package[verb], verb
     assert not package["isometry"] & {"graphs", "tree_codes"}
     assert "tree_codes" not in package["iso --flavor free (cyclic graph)"]
-    assert [verb for verb, modules in package.items() if "checkers" in modules or "generators" in modules] == []
+    assert [verb for verb, modules in package.items() if modules & {"checkers", "generators", "matrix_writers"}] == []
+    # Restriction, classification and the paper's single-instance propositions serve
+    # selftest's claims; no other verb runs them.
+    assert [verb for verb, modules in package.items() if modules & {"spaces", "propositions"}] == ["selftest"]
     assert [verb for verb, modules in package.items() if "random_monotone" in modules] == ["selftest"]
     # Records come from _record.record, so no verb pays for the code-generating
     # dataclasses module and the inspect module it imports.
@@ -695,14 +707,13 @@ def test_each_verb_loads_only_its_modules(verb_modules):
 # Source lines each verb compiles (the harness keeps no bytecode): cli.py, the
 # package's __init__.py and every submodule the call loads.  Tree and graph
 # verbs compile no matrix code, matrix verbs no graph-document reader and no
-# path metric.  Every verb is held at what it compiles once each loads only the
-# reader of its input and the code it runs; only selftest, which loads both
-# sides of each split, has risen, by less than the new modules' docstring and
-# import lines.
+# path metric, and no verb compiles another group's handlers.  Every verb is
+# held at what it compiles once each loads only the reader of its input, its
+# own handlers and the code it runs.
 _SOURCE_LINE_CEILINGS = {
-    "iso": 1201, "iso --flavor free (cyclic graph)": 1192, "dual": 1101, "spanning": 1156, "counterexample": 1156,
-    "repr": 1359, "repr --labeled-tree": 1447, "ballean": 1359, "ballean --tree": 1359,
-    "isometry": 1193, "isometry --fast-ultrametric": 1590, "analyze": 1280, "reduce": 1287, "selftest": 2556,
+    "iso": 1158, "iso --flavor free (cyclic graph)": 1149, "dual": 1076, "spanning": 1060, "counterexample": 1060,
+    "repr": 1197, "repr --labeled-tree": 1303, "ballean": 1197, "ballean --tree": 1197,
+    "isometry": 1078, "isometry --fast-ultrametric": 1428, "analyze": 1199, "reduce": 1209, "selftest": 2485,
 }
 
 

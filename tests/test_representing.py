@@ -25,7 +25,7 @@ from ultratree.errors import (
     TooFewPointsError,
 )
 from ultratree.generators import random_tree, random_ultrametric_space
-from ultratree.matrix_io import matrix_to_csv
+from ultratree.matrix_writers import matrix_to_csv
 from ultratree.metrics import FiniteMetricSpace, _linkage, classify_metric
 from ultratree.path_metrics import minimax_label_metric, space_from
 from ultratree.representing import ball_id

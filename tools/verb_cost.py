@@ -7,6 +7,9 @@ loads.  For each probe of tests/test_io_cli.py's _verb_runs, one small valid
 call per verb and variant, the script prints:
 - the source lines, counted as the test's line ceilings count them: cli.py,
   __init__.py and every submodule the call loads;
+- the tokens of those sources, comments and line ends left out, as the
+  tokenize module reads them: compile time follows this count more closely
+  than it follows lines;
 - the unrun lines among them: the source lines of the functions (lambdas and
   comprehensions included) that the call never enters, found by running the
   probe under a profiler, so the share of compiled code a call could shed;
@@ -30,6 +33,7 @@ import sys
 sys.dont_write_bytecode = True
 
 import argparse  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import os  # noqa: E402
 import platform  # noqa: E402
@@ -37,6 +41,7 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tokenize  # noqa: E402
 import types  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -77,6 +82,12 @@ def traced_call(*argv) -> tuple[set, set]:
         raise SystemExit(f"probe {argv} exited {code}: {proc.stderr}")
     package = {m[len("ultratree."):] for m in modules if m.startswith("ultratree.")}
     return package, {tuple(key) for key in json.loads(entered)}
+
+
+def token_count(text: str) -> int:
+    """The tokens of a module's source, without its comments and line ends."""
+    skip = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE)
+    return sum(token.type not in skip for token in tokenize.generate_tokens(io.StringIO(text).readline))
 
 
 def unrun_lines(path: str, text: str, entered: set) -> int:
@@ -130,11 +141,13 @@ def main() -> None:
 
     print(f"# {package.parent}, Python {platform.python_version()}, {ROUNDS} compile rounds")
     width = max(map(len, sources))
-    print(f"{'verb':<{width}}  {'lines':>5}  {'unrun':>5}  {'median_ms':>9}  modules")
+    print(f"{'verb':<{width}}  {'lines':>5}  {'tokens':>6}  {'unrun':>5}  {'median_ms':>9}  modules")
     for verb, files in sources.items():
         lines = sum(len(text.splitlines()) for _, text in files)
+        tokens = sum(token_count(text) for _, text in files)
         median = 1000 * statistics.median(times[verb])
-        print(f"{verb:<{width}}  {lines:>5}  {unrun[verb]:>5}  {median:>9.2f}  {' '.join(sorted(traced[verb][0]))}")
+        modules = " ".join(sorted(traced[verb][0]))
+        print(f"{verb:<{width}}  {lines:>5}  {tokens:>6}  {unrun[verb]:>5}  {median:>9.2f}  {modules}")
 
 
 if __name__ == "__main__":
