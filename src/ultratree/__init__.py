@@ -12,10 +12,12 @@ __version__ = "0.1.0"
 
 # public name -> submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(("Graph", "Path", "RootedTree", "Tree", "edge_key"), "graphs"),
-    **dict.fromkeys(("FiniteMetricSpace", "MetricClass", "classify_metric", "label_tree_metric"), "metrics"),
+    **dict.fromkeys(("Graph", "Path", "RootedTree", "Tree"), "graphs"),
+    "edge_key": "payloads",
+    **dict.fromkeys(("FiniteMetricSpace", "classify_metric", "label_tree_metric"), "metrics"),
     **dict.fromkeys(
-        ("additive_metric", "hausdorff_distance", "minimax_label_metric", "shortest_path_metric"), "path_metrics"
+        ("MetricClass", "additive_metric", "hausdorff_distance", "minimax_label_metric", "shortest_path_metric"),
+        "path_metrics",
     ),
     **dict.fromkeys(("Ballean", "LabeledRootedTree", "ballean", "ballean_tree", "representing_tree"), "representing"),
     **dict.fromkeys(("diametrical_graph", "multipartite_parts", "restrict"), "spaces"),

@@ -17,8 +17,8 @@ from typing import Mapping, Optional
 from ._record import record
 from .duality import EquidistantTree, degree_sets
 from .errors import NoBranchingVertexError, NotPlantedError
-from .graphs import RootedTree, Tree, Vertex, normalize_weights
-from .rational import integer_form
+from .graphs import RootedTree, Tree, Vertex
+from .payloads import integer_form, normalize_weights
 
 
 def centers(t: Tree, w: Mapping) -> frozenset[Vertex]:

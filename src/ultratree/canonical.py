@@ -72,7 +72,8 @@ def are_isomorphic(
     to the bijection search on their relation matrices, limited to
     GRAPH_SIZE_LIMIT vertices; rooted flavors apply to trees only.
     """
-    from .graphs import Tree, normalize_labels, normalize_weights
+    from .graphs import Tree
+    from .payloads import normalize_labels, normalize_weights
 
     try:
         t1, t2 = (g if isinstance(g, Tree) else Tree(g) for g in (g1, g2))

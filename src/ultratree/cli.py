@@ -93,22 +93,22 @@ def _error_json(exc: Exception) -> str:
 # one that runs.  No handler imports this module: under `python -m
 # ultratree.cli` it runs as __main__, and an import would compile it again.
 VERBS = {
-    "repr": ("cli_matrix.cmd_repr", "hierarchy tree of an ultrametric space",
+    "repr": ("cli_repr.cmd_repr", "hierarchy tree of an ultrametric space",
              {"--matrix": "input is a distance matrix (default)",
               "--labeled-tree": "input is a labeled tree; use its max-label metric"}, {}, ("input",)),
-    "iso": ("cli_graph.cmd_iso", "tree/graph isomorphism for a flavor", {}, {"--flavor": ISO_FLAVORS},
+    "iso": ("cli_iso.cmd_iso", "tree/graph isomorphism for a flavor", {}, {"--flavor": ISO_FLAVORS},
             ("left", "right")),
-    "isometry": ("cli_matrix.cmd_isometry", "isometry of two finite metric spaces",
+    "isometry": ("cli_isometry.cmd_isometry", "isometry of two finite metric spaces",
                  {"--fast-ultrametric": "compare hierarchy-tree codes instead of searching"}, {}, ("left", "right")),
-    "dual": ("cli_graph.cmd_dual", "switch between equidistant weights and monotone labels", {},
+    "dual": ("cli_dual.cmd_dual", "switch between equidistant weights and monotone labels", {},
              {"--direction": ("w2l", "l2w")}, ("input",)),
-    "reduce": ("cli_graph.cmd_reduce", "suppress out-degree-one vertices of an equidistant tree", {}, {},
+    "reduce": ("cli_reduce.cmd_reduce", "suppress out-degree-one vertices of an equidistant tree", {}, {},
                ("input",)),
-    "spanning": ("cli_graph.cmd_spanning", "spanning tree realizing the minimax label metric", {}, {}, ("input",)),
-    "analyze": ("cli_graph.cmd_analyze", "structure report for a weighted tree", {}, {}, ("input",)),
-    "ballean": ("cli_matrix.cmd_ballean", "all balls of an ultrametric space",
+    "spanning": ("cli_spanning.cmd_spanning", "spanning tree realizing the minimax label metric", {}, {}, ("input",)),
+    "analyze": ("cli_analyze.cmd_analyze", "structure report for a weighted tree", {}, {}, ("input",)),
+    "ballean": ("cli_ballean.cmd_ballean", "all balls of an ultrametric space",
                 {"--tree": "emit the hierarchy tree of the ball space"}, {}, ("input",)),
-    "counterexample": ("cli_graph.cmd_counterexample",
+    "counterexample": ("cli_counterexample.cmd_counterexample",
                        "two isometric but non-isomorphic weightings of a cyclic graph", {}, {}, ("input",)),
     "selftest": ("selftest.cmd_selftest", "run the bundled figure corpus", {}, {}, ()),
 }

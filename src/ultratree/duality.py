@@ -4,7 +4,7 @@ The two carry the same data: w({u,v}) = (l(u) - l(v)) / 2 on each parent-child
 edge pairs them bijectively, with K = l(root) / 2.  The factor 1/2 is fixed;
 the max-label path identity on out-degree-zero vertices holds for no other
 constant.
-An EquidistantTree keeps its weights' integer form (rational.integer_form) and
+An EquidistantTree keeps its weights' integer form (payloads.integer_form) and
 sums its root distances once on it; diameter_bound_check, reduce_nabla and the
 paired labeling read those integers.  Both trees take V0 from degree_sets,
 the out-degree classes of a rooted tree, and walk a RootedTree's BFS order,
@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, Mapping, Optional
 
 from ._record import record
 from .errors import NotEquidistantError, NotMonotoneError
-from .graphs import Edge, RootedTree, Vertex, normalize_labels, normalize_weights
-from .rational import integer_form
+from .graphs import Edge, RootedTree, Vertex
+from .payloads import integer_form, normalize_labels, normalize_weights
 
 if TYPE_CHECKING:
     from .metrics import FiniteMetricSpace

@@ -6,27 +6,20 @@ one breadth-first search, Graph._reach, and its BFS order, read by rooted
 canonical codes and the duality walks (free codes are read off the center
 peel).  Values are immutable and operations pure, so they share across
 threads freely; vertex ids are ordered lexicographically everywhere (neighbor
-lists, components, returned sets), for identical outputs.
+lists, components, returned sets), for identical outputs.  Edge keys and
+the weight and label checks are in payloads.py, which matrix verbs skip.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from ._record import record
-from .errors import NonPositiveWeightError, VertexNotFoundError
+from .errors import VertexNotFoundError
 
 Vertex = str
 Edge = tuple[str, str]
 Path = tuple[str, ...]
-
-
-def edge_key(u: Vertex, v: Vertex) -> Edge:
-    """Normalize an unordered pair to a (min, max) tuple."""
-    if u == v:
-        raise ValueError(f"self-loop at {u!r}")
-    return (u, v) if u < v else (v, u)
 
 
 @record
@@ -132,34 +125,6 @@ class Tree(Graph):
     def leaves(self) -> frozenset[Vertex]:
         """Vertices of degree less than two (a lone vertex is a leaf)."""
         return frozenset(v for v in self.vertices if self.degree(v) < 2)
-
-
-def normalize_weights(g: Graph, w: Mapping, strict: bool = True) -> dict[Edge, Fraction]:
-    """Check a weight map is total on E(g) and (optionally) strictly positive."""
-    keyed: dict[Edge, Fraction] = {}
-    for (u, v), x in w.items():
-        keyed[(u, v) if u < v else edge_key(u, v)] = x if isinstance(x, Fraction) else Fraction(x)
-    out = {}
-    for e in g.edges:
-        if (x := keyed.get(e)) is None:
-            raise NonPositiveWeightError(f"missing weight for edge {e!r}")
-        if x.numerator < strict:  # negative, or zero when strict
-            raise NonPositiveWeightError(f"weight {x} on edge {e!r}")
-        out[e] = x
-    return out
-
-
-def normalize_labels(g: Graph, l: Mapping) -> dict[Vertex, Fraction]:
-    """Check a label map is total on V(g) and nonnegative."""
-    keyed = {v: x if isinstance(x, Fraction) else Fraction(x) for v, x in l.items()}
-    out = {}
-    for v in g.vertices:
-        if (x := keyed.get(v)) is None:
-            raise ValueError(f"missing label for vertex {v!r}")
-        if x.numerator < 0:
-            raise ValueError(f"negative label {x} on vertex {v!r}")
-        out[v] = x
-    return out
 
 
 @record

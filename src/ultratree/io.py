@@ -65,7 +65,7 @@ class GraphDoc:
 
 def weights_to_json(weights) -> dict:
     """The "weights" block of a graph document: "u|v" keys, "p/q" values."""
-    from .graphs import edge_key
+    from .payloads import edge_key
 
     return {"|".join(edge_key(*e)): format_rational(val) for e, val in sorted(weights.items())}
 

@@ -1,38 +1,28 @@
-"""Finite metric spaces: their checks, classification and ultrametric decision.
+"""Finite metric spaces and their checks.
 
 A space ranks its distinct distances once when it is made, and every check
-after that runs on those integer ranks.  The ultrametric decision is one Prim
-search (_linkage); its visiting order, in which every ball is an interval,
-and the rank each point joins at are all representing.py needs to build the
-hierarchy tree.  The spaces that trees, graphs and functions generate are
-built in path_metrics.py, which label_tree_metric imports when it runs, so
-a matrix verb loads no graph code.  No verb classifies a space or restricts
-one: the classes are told apart in spaces.py, which classify_metric and
-FiniteMetricSpace.classify import when they run, and restrict lives there.
+after that runs on those integer ranks; the ultrametric decision on them is
+representing._linkage.  The spaces that trees, graphs and functions generate
+are built in path_metrics.py, which label_tree_metric imports when it runs,
+so a matrix verb loads no graph code.  No verb classifies a space or
+restricts one: both are done in spaces.py, which classify_metric and
+FiniteMetricSpace.classify import when they run.  MetricClass, named here in
+annotations only, is defined in path_metrics.py.
 """
 
 from __future__ import annotations
 
-import enum
-import itertools
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from ._record import record
 from .errors import BadMatrixError, VertexNotFoundError
 
 if TYPE_CHECKING:
     from .graphs import Tree, Vertex
-    from .path_metrics import LabelMap
+    from .path_metrics import LabelMap, MetricClass
 
 ZERO = Fraction(0)
-
-
-class MetricClass(enum.Enum):
-    NOT_SEMIMETRIC = "NotSemimetric"
-    METRIC_ONLY = "MetricOnly"
-    ULTRAMETRIC = "Ultrametric"
-    PSEUDO_ULTRAMETRIC = "PseudoUltrametric"
 
 
 @record
@@ -134,39 +124,6 @@ def classify_metric(rows: Sequence[Sequence[Fraction]]) -> MetricClass:
     from .spaces import _classify
 
     return _classify(*ranked)
-
-
-def _linkage(mat: Sequence[Sequence]) -> Optional[tuple[list[int], list]]:
-    """Checked single-linkage order of a nonempty symmetric zero-diagonal matrix.
-
-    Entries need only compare: a space passes the integer ranks it made once.
-    A dense O(n^2) Prim search visits the points in an order p_0, ..., p_{n-1},
-    and p_k (k > 0) joins at j_k, its least entry to an earlier point.  Every
-    single-linkage cluster is an interval of that order, as the search uses
-    up a cluster before it leaves it.  So the subdominant ultrametric of p_i
-    and p_k (i < k) is max(j_{i+1}, ..., j_k), and the strong triangle
-    inequality holds exactly when every pair carries that maximum; each pair
-    is checked once.
-
-    Returns (order, joins), the rows p_0, ..., p_{n-1} and the entries
-    j_1, ..., j_{n-1}; None at the first failed pair.
-    """
-    n = len(mat)
-    order, joins = [0], []  # visiting order, and the entry each later point joins at
-    key, todo = list(mat[0]), list(range(1, n))
-    while todo:
-        y = min(todo, key=key.__getitem__)
-        todo.remove(y)
-        order.append(y)
-        joins.append(key[y])
-        row = mat[y]
-        for z in todo:
-            if row[z] < key[z]:
-                key[z] = row[z]
-    for i, x in enumerate(order):
-        if list(map(mat[x].__getitem__, order[i + 1 :])) != list(itertools.accumulate(joins[i:], max)):
-            return None
-    return order, joins
 
 
 def label_tree_metric(t: Tree, l: LabelMap) -> tuple[FiniteMetricSpace, MetricClass]:

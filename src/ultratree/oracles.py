@@ -23,17 +23,9 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .duality import EquidistantTree, check_equidistant, degree_sets
 from .errors import AcyclicInputError, PathTreeError, SizeLimitError, VertexNotFoundError
-from .graphs import (
-    Edge,
-    Graph,
-    Path,
-    RootedTree,
-    Tree,
-    Vertex,
-    edge_key,
-    normalize_weights,
-)
+from .graphs import Edge, Graph, Path, RootedTree, Tree, Vertex
 from .metrics import FiniteMetricSpace
+from .payloads import edge_key, normalize_weights
 from .representing import LabeledRootedTree, ball_id
 from .spaces import diametrical_graph, multipartite_parts, restrict
 from .transforms import NablaResult

@@ -4,23 +4,32 @@ The four constructions share one traversal with two combine rules: the sum
 of edge weights along a path (additive on trees, shortest-path on graphs)
 and the max vertex label along it (on trees, and its minimax extension to
 graphs); over several joining paths the minimum counts, all folded on
-integers.  Plus a space from any distance function and the Hausdorff
-distance between point subsets.  No verb on a matrix loads this module.
+integers.  Plus a space from any distance function, the Hausdorff
+distance between point subsets and MetricClass, the class of a space that
+minimax_label_metric returns with it.  No verb on a matrix loads this module.
 """
 
 from __future__ import annotations
 
+import enum
 import heapq
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import DisconnectedGraphError, EmptySetError
-from .graphs import Edge, Graph, Tree, Vertex, edge_key, normalize_labels, normalize_weights
-from .metrics import ZERO, FiniteMetricSpace, MetricClass, _rank
-from .rational import integer_form
+from .graphs import Edge, Graph, Tree, Vertex
+from .metrics import ZERO, FiniteMetricSpace, _rank
+from .payloads import edge_key, integer_form, normalize_labels, normalize_weights
 
 WeightMap = Mapping[Edge, Fraction]
 LabelMap = Mapping[Vertex, Fraction]
+
+
+class MetricClass(enum.Enum):
+    NOT_SEMIMETRIC = "NotSemimetric"
+    METRIC_ONLY = "MetricOnly"
+    ULTRAMETRIC = "Ultrametric"
+    PSEUDO_ULTRAMETRIC = "PseudoUltrametric"
 
 
 def space_from(points: Iterable[Vertex], dist: Callable[[Vertex, Vertex], Fraction]) -> FiniteMetricSpace:

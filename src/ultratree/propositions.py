@@ -18,8 +18,10 @@ from ._record import record
 from .analysis import is_star
 from .duality import EquidistantTree, degree_sets
 from .errors import NotUltrametricError, PathTreeError
-from .graphs import Tree, Vertex, edge_key
-from .metrics import FiniteMetricSpace, MetricClass
+from .graphs import Tree, Vertex
+from .metrics import FiniteMetricSpace
+from .path_metrics import MetricClass
+from .payloads import edge_key
 
 
 def nabla_geometric_membership(et: EquidistantTree, x: Vertex) -> bool:

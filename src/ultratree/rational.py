@@ -1,4 +1,4 @@
-"""Exact rational values, their canonical text form and a map's integer form.
+"""Exact rational values and their canonical text form.
 
 All quantities in the toolkit (weights, labels, distances) are
 ``fractions.Fraction`` values.  The canonical text form is ``str(Fraction)``
@@ -8,7 +8,6 @@ equality; it is the form embedded in canonical codes and serialized files.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import ParseError
@@ -34,9 +33,3 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     return str(value if isinstance(value, Fraction) else Fraction(value))
-
-
-def integer_form(values: dict) -> tuple[dict, int]:
-    """A map of Fractions as (integers, den): each value times den, the lcm of their denominators."""
-    den = math.lcm(*(x.denominator for x in values.values()))
-    return {k: x.numerator * (den // x.denominator) for k, x in values.items()}, den

@@ -4,29 +4,33 @@ A finite ultrametric space decomposes recursively: pairs realizing the
 diameter form a complete multipartite graph whose blocks are the children.
 The resulting labeled rooted tree has the space's balls as vertex payloads,
 one extra zero leaf per internal vertex gives the tree of the ball space.
-metrics._linkage decides in O(n^2) whether the space is ultrametric and
-returns the visiting order of its Prim search, in which every ball is an
-interval, with the rank each point joins at; representing_tree alone turns
-them into vertices.  This gives the same tree as the recursion into
-diametrical blocks, which stays in oracles.py as the test reference; its
-steps, diametrical_graph and multipartite_parts, are in spaces.py.
+_linkage, the ultrametric decision, is one O(n^2) Prim search: it returns
+the visiting order, in which every ball is an interval, with the rank each
+point joins at, and representing_tree alone turns them into vertices
+(spaces._classify reads only its verdict).  This gives the same tree as the
+recursion into diametrical blocks, which stays in oracles.py as the test
+reference; its steps, diametrical_graph and multipartite_parts, are in
+spaces.py.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ._record import record
 from .errors import NotUltrametricError
 from .graphs import Graph, RootedTree, Tree, Vertex
-from .metrics import ZERO, FiniteMetricSpace, _linkage
+from .metrics import ZERO, FiniteMetricSpace
+
+_compact = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps given separators builds one per call
 
 
 def ball_id(points: Iterable[Vertex]) -> str:
     """Deterministic, collision-free vertex id for a set of points."""
-    return json.dumps(sorted(points), separators=(",", ":"))
+    return _compact(sorted(points))
 
 
 @record
@@ -70,6 +74,39 @@ class Ballean:
         return space_from(
             named, lambda x, y: hausdorff_distance(self.host, named[x], named[y])
         )
+
+
+def _linkage(mat: Sequence[Sequence]) -> Optional[tuple[list[int], list]]:
+    """Checked single-linkage order of a nonempty symmetric zero-diagonal matrix.
+
+    Entries need only compare: a space passes the integer ranks it made once.
+    A dense O(n^2) Prim search visits the points in an order p_0, ..., p_{n-1},
+    and p_k (k > 0) joins at j_k, its least entry to an earlier point.  Every
+    single-linkage cluster is an interval of that order, as the search uses
+    up a cluster before it leaves it.  So the subdominant ultrametric of p_i
+    and p_k (i < k) is max(j_{i+1}, ..., j_k), and the strong triangle
+    inequality holds exactly when every pair carries that maximum; each pair
+    is checked once.
+
+    Returns (order, joins), the rows p_0, ..., p_{n-1} and the entries
+    j_1, ..., j_{n-1}; None at the first failed pair.
+    """
+    n = len(mat)
+    order, joins = [0], []  # visiting order, and the entry each later point joins at
+    key, todo = list(mat[0]), list(range(1, n))
+    while todo:
+        y = min(todo, key=key.__getitem__)
+        todo.remove(y)
+        order.append(y)
+        joins.append(key[y])
+        row = mat[y]
+        for z in todo:
+            if row[z] < key[z]:
+                key[z] = row[z]
+    for i, x in enumerate(order):
+        if list(map(mat[x].__getitem__, order[i + 1 :])) != list(itertools.accumulate(joins[i:], max)):
+            return None
+    return order, joins
 
 
 def representing_tree(space: FiniteMetricSpace) -> LabeledRootedTree:

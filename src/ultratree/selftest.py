@@ -43,17 +43,10 @@ def _check_fig3(doc: dict) -> list[tuple[str, bool]]:
     exp = doc["expected"]
     t = inp.tree()
     got = sorted(centers(t, inp.weights))
-    out = [("centers", got == exp["centers"])]
     et = EquidistantTree(RootedTree(t, "v1"), inp.weights)
-    out.append(("K-at-v1", et.K == parse_rational(exp["K_at_v1"])))
     bound = diameter_bound_check(et)
-    out.append(
-        (
-            "v0-diameter-equals-2K",
-            bound.diam_v0 == parse_rational(exp["diam_v0_at_v1"]) and not bound.strict,
-        )
-    )
-    return out
+    return [("centers", got == exp["centers"]), ("K-at-v1", et.K == parse_rational(exp["K_at_v1"])),
+            ("v0-diameter-equals-2K", bound.diam_v0 == parse_rational(exp["diam_v0_at_v1"]) and not bound.strict)]
 
 
 def _check_fig5(doc: dict) -> list[tuple[str, bool]]:
@@ -63,19 +56,11 @@ def _check_fig5(doc: dict) -> list[tuple[str, bool]]:
     result = reduce_nabla(et)
     want = graph_from_json(exp["reduced"])
     want_et = EquidistantTree(want.rooted(), want.weights)
-    out = [
-        ("reduction-shape", result.reduced == want_et and result.new_root == want.root),
-        ("removed-set", sorted(result.removed) == exp["removed"]),
-        (
-            "size-identity",
-            len(result.reduced.rt.vertices) + len(result.removed) == len(et.rt.vertices),
-        ),
-    ]
-    member = {
-        v: nabla_geometric_membership(et, v) for v in et.rt.vertices
-    }
-    out.append(("midpoint-membership", member == exp["membership"]))
-    return out
+    member = {v: nabla_geometric_membership(et, v) for v in et.rt.vertices}
+    return [("reduction-shape", result.reduced == want_et and result.new_root == want.root),
+            ("removed-set", sorted(result.removed) == exp["removed"]),
+            ("size-identity", len(result.reduced.rt.vertices) + len(result.removed) == len(et.rt.vertices)),
+            ("midpoint-membership", member == exp["membership"])]
 
 
 def _check_fig6(doc: dict) -> list[tuple[str, bool]]:
@@ -83,48 +68,29 @@ def _check_fig6(doc: dict) -> list[tuple[str, bool]]:
     exp = doc["expected"]
     space, _ = minimax_label_metric(inp.graph, inp.labels)
     want_space = matrix_from_json(exp["minimax_matrix"])
-    out = [("minimax-matrix", space == want_space)]
-
     spanning = bottleneck_spanning_tree(inp.graph, inp.labels)
     realized, _ = label_tree_metric(spanning, {v: inp.labels[v] for v in spanning.vertices})
-    out.append(("spanning-tree-realizes-minimax", realized == space))
-
     blocks = [list(b) for b in multipartite_parts(diametrical_graph(space))]
-    out.append(("diametrical-blocks", blocks == exp["blocks"]))
-
     tree = representing_tree(space)
-    got_code = canonical_code(
-        tree.rt.tree, IsoFlavor.ROOTED_LABELED, labels=tree.labels, root=tree.rt.root
-    )
     shown = graph_from_json(exp["hierarchy_tree"])
-    want_code = canonical_code(
-        shown.tree(), IsoFlavor.ROOTED_LABELED, labels=shown.labels, root=shown.root
-    )
-    out.append(("hierarchy-tree-shape", got_code == want_code))
-    return out
+    got_code = canonical_code(tree.rt.tree, IsoFlavor.ROOTED_LABELED, labels=tree.labels, root=tree.rt.root)
+    want_code = canonical_code(shown.tree(), IsoFlavor.ROOTED_LABELED, labels=shown.labels, root=shown.root)
+    return [("minimax-matrix", space == want_space), ("spanning-tree-realizes-minimax", realized == space),
+            ("diametrical-blocks", blocks == exp["blocks"]), ("hierarchy-tree-shape", got_code == want_code)]
 
 
 def _check_fig10(doc: dict) -> list[tuple[str, bool]]:
     inp = graph_from_json(doc["input"])
     exp = doc["expected"]
     et = EquidistantTree(inp.rooted(), inp.weights)
-    out = [("K", et.K == parse_rational(exp["K"]))]
-    space = et.metric()
-    leaf_space = restrict(space, et.rt.tree.leaves())
-    out.append(("leaf-restriction-class", leaf_space.classify().value == exp["leaf_class"]))
+    leaf_space = restrict(et.metric(), et.rt.tree.leaves())
     holds, lhs, rhs = planted_leaf_ultrametric_check(et)
-    out.append(
-        (
-            "branching-inequality",
-            (holds, lhs, rhs)
-            == (exp["holds"], parse_rational(exp["lhs"]), parse_rational(exp["rhs"])),
-        )
-    )
     bound = diameter_bound_check(et)
-    out.append(
-        ("planted-strict-bound", bound.strict and bound.diam_v0 == parse_rational(exp["diam_v0"]))
-    )
-    return out
+    return [("K", et.K == parse_rational(exp["K"])),
+            ("leaf-restriction-class", leaf_space.classify().value == exp["leaf_class"]),
+            ("branching-inequality",
+             (holds, lhs, rhs) == (exp["holds"], parse_rational(exp["lhs"]), parse_rational(exp["rhs"]))),
+            ("planted-strict-bound", bound.strict and bound.diam_v0 == parse_rational(exp["diam_v0"]))]
 
 
 def _check_fig11(doc: dict) -> list[tuple[str, bool]]:
@@ -133,13 +99,10 @@ def _check_fig11(doc: dict) -> list[tuple[str, bool]]:
     rt = inp.rooted()
     et = EquidistantTree(rt, inp.weights)
     mt = MonotoneTree(rt, inp.labels)
-    out = [("K", et.K == parse_rational(exp["K"]))]
-    out.append(("weights-to-labels", weight_to_labeling(et).labels == mt.labels))
-    out.append(("labels-to-weights", labeling_to_weight(mt).weights == et.weights))
-    out.append(
-        ("round-trip", labeling_to_weight(weight_to_labeling(et)).weights == et.weights)
-    )
-    return out
+    return [("K", et.K == parse_rational(exp["K"])),
+            ("weights-to-labels", weight_to_labeling(et).labels == mt.labels),
+            ("labels-to-weights", labeling_to_weight(mt).weights == et.weights),
+            ("round-trip", labeling_to_weight(weight_to_labeling(et)).weights == et.weights)]
 
 
 def _check_fig13(doc: dict) -> list[tuple[str, bool]]:
@@ -148,31 +111,20 @@ def _check_fig13(doc: dict) -> list[tuple[str, bool]]:
     t = inp.tree()
     space = additive_metric(t, inp.weights)
     leaf_space = restrict(space, exp["leaf_points"])
-    out = [("leaf-restriction-class", leaf_space.classify().value == exp["leaf_class"])]
-    out.append(("no-centers", sorted(centers(t, inp.weights)) == exp["centers"]))
+    got = sorted(centers(t, inp.weights))
     toward_x4, path = RootedTree(t, "x4"), ["x1"]  # the x1-x4 path climbs from x1 to the root x4
     while path[-1] != "x4":
         path.append(toward_x4.parent(path[-1]))
-    out.append(("path", path == exp["path_x1_x4"]))
-    out.append(
-        (
-            "distances",
-            space.distance("x1", "x2") == parse_rational(exp["d_x1_x2"])
-            and space.distance("x1", "x3") == parse_rational(exp["d_x1_x3"])
-            and space.distance("x3", "x4") == parse_rational(exp["d_x3_x4"]),
-        )
-    )
-    return out
+    pairs = (("x1", "x2", "d_x1_x2"), ("x1", "x3", "d_x1_x3"), ("x3", "x4", "d_x3_x4"))
+    return [("leaf-restriction-class", leaf_space.classify().value == exp["leaf_class"]),
+            ("no-centers", got == exp["centers"]), ("path", path == exp["path_x1_x4"]),
+            ("distances", all(space.distance(x, y) == parse_rational(exp[key]) for x, y, key in pairs))]
 
 
 # each corpus figure, in report order, with the checker of its claims
 _CHECKERS: dict[str, Callable[[dict], list[tuple[str, bool]]]] = {
-    "fig3": _check_fig3,
-    "fig5": _check_fig5,
-    "fig6": _check_fig6,
-    "fig10": _check_fig10,
-    "fig11": _check_fig11,
-    "fig13": _check_fig13,
+    "fig3": _check_fig3, "fig5": _check_fig5, "fig6": _check_fig6,
+    "fig10": _check_fig10, "fig11": _check_fig11, "fig13": _check_fig13,
 }
 
 
@@ -187,21 +139,15 @@ def _generator_claims(seed: int) -> list[tuple[str, str, bool]]:
         mt = generate_monotone(rng, 1, 9, branching_only=True)
         space = restrict(mt.metric(), mt.v0())
         tree = representing_tree(space)
-        code_a = canonical_code(
-            tree.rt.tree, IsoFlavor.ROOTED_LABELED, labels=tree.labels, root=tree.rt.root
-        )
-        code_b = canonical_code(
-            mt.rt.tree, IsoFlavor.ROOTED_LABELED, labels=mt.labels, root=mt.rt.root
-        )
+        code_a = canonical_code(tree.rt.tree, IsoFlavor.ROOTED_LABELED, labels=tree.labels, root=tree.rt.root)
+        code_b = canonical_code(mt.rt.tree, IsoFlavor.ROOTED_LABELED, labels=mt.labels, root=mt.rt.root)
         out.append(("generated", f"hierarchy-round-trip-{i}", code_a == code_b))
     for i in range(3):
         mt = generate_monotone(rng, 1, 8, branching_only=True)
         space = restrict(mt.metric(), mt.v0())
         balls = ballean(space)
         tree = representing_tree(space)
-        out.append(
-            ("generated", f"ballean-size-{i}", len(balls) == len(tree.rt.vertices))
-        )
+        out.append(("generated", f"ballean-size-{i}", len(balls) == len(tree.rt.vertices)))
     return out
 
 

@@ -17,8 +17,10 @@ from typing import Iterable, Sequence
 
 from .errors import EmptySetError, NotCompleteMultipartiteError, TooFewPointsError
 from .graphs import Graph, Vertex
-from .metrics import FiniteMetricSpace, MetricClass, _linkage
-from .rational import integer_form
+from .metrics import FiniteMetricSpace
+from .path_metrics import MetricClass
+from .payloads import integer_form
+from .representing import _linkage
 
 
 def _classify(values: Sequence[Fraction], ranks: Sequence[Sequence[int]]) -> MetricClass:

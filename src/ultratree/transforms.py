@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ._record import record
 from .errors import AcyclicInputError, DisconnectedGraphError, PathTreeError
-from .graphs import Edge, Graph, RootedTree, Tree, Vertex, normalize_labels
+from .graphs import Edge, Graph, RootedTree, Tree, Vertex
+from .payloads import normalize_labels
 
 if TYPE_CHECKING:
     from .duality import EquidistantTree

@@ -14,7 +14,8 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from .canonical import _ROOTED, IsoFlavor, _check_payloads
-from .graphs import RootedTree, Tree, Vertex, normalize_labels, normalize_weights
+from .graphs import RootedTree, Tree, Vertex
+from .payloads import normalize_labels, normalize_weights
 from .rational import format_rational
 
 SCHEMA_VERSION = "1"

@@ -355,7 +355,7 @@ def test_vertex_count_vs_ball_count_suite():
 
 def test_planted_biconditional_suite():
     from ultratree import Graph, Tree
-    from ultratree.graphs import edge_key
+    from ultratree.payloads import edge_key
 
     rng = random.Random(1010)
     for _ in range(40):

@@ -29,7 +29,7 @@ from ultratree.generators import (
     random_tree,
     random_weights,
 )
-from ultratree.graphs import edge_key
+from ultratree.payloads import edge_key
 from ultratree.metrics import FiniteMetricSpace
 from ultratree.oracles import centers_by_rooting
 

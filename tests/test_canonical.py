@@ -373,15 +373,12 @@ def test_ultrametric_isometric_rejects_non_ultrametric():
 
 
 def test_ultrametric_isometric_classifies_each_space_once(monkeypatch):
-    import ultratree.metrics as metrics
     import ultratree.representing as representing
 
-    # the engine decides and builds in one call; count it under both names
+    # the engine decides and builds in one call
     calls = []
-    real = metrics._linkage
-    counting = lambda mat: calls.append(len(mat)) or real(mat)
-    monkeypatch.setattr(metrics, "_linkage", counting)
-    monkeypatch.setattr(representing, "_linkage", counting)
+    real = representing._linkage
+    monkeypatch.setattr(representing, "_linkage", lambda mat: calls.append(len(mat)) or real(mat))
     s1 = random_ultrametric_space(5, 9)
     s2 = shuffled_renaming(6, s1)
     assert ultrametric_isometric(s1, s2)

@@ -296,11 +296,11 @@ def test_unpaired_maps_are_refused_or_reported():
 
 def test_each_payload_is_normalized_once_per_object(tmp_path, monkeypatch, capsys):
     # Count the two normalizers and the integer form under every module name they are bound to.
-    from ultratree import cli, graphs, rational
+    from ultratree import cli, payloads
 
     counts = dict.fromkeys(("normalize_weights", "normalize_labels", "integer_form"), 0)
     for name in counts:
-        original = getattr(rational if name == "integer_form" else graphs, name)
+        original = getattr(payloads, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1

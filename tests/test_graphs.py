@@ -29,7 +29,7 @@ from ultratree import (
 )
 from ultratree.errors import NonPositiveWeightError, ParseError, VertexNotFoundError
 from ultratree.graph_reader import graph_from_json
-from ultratree.graphs import normalize_labels, normalize_weights
+from ultratree.payloads import normalize_labels, normalize_weights
 from ultratree.io import GraphDoc, load_graph_text
 from ultratree.generators import random_connected_graph, random_tree
 from ultratree.oracles import unique_path_by_enumeration

@@ -660,10 +660,12 @@ def test_each_verb_loads_only_its_modules(verb_modules):
     # Nothing imports ultratree.cli, which `python -m` runs as __main__, so each call
     # compiles cli.py once; argparse is built in cli_parser for --help alone.
     assert [verb for verb, modules in package.items() if modules & {"cli", "cli_parser"}] == []
-    # Of the three handler modules, a verb loads the one cli.VERBS names for it.
+    # Of the handler modules cli.VERBS names, one per verb, a verb loads its own.
     from ultratree.cli import VERBS
 
-    handlers = {verb: modules & {"cli_matrix", "cli_graph", "selftest"} for verb, modules in package.items()}
+    handler_modules = {func.partition(".")[0] for func, *_ in VERBS.values()}
+    assert len(handler_modules) == len(VERBS)
+    handlers = {verb: modules & handler_modules for verb, modules in package.items()}
     assert handlers == {verb: {VERBS[verb.split()[0]][0].partition(".")[0]} for verb in package}
     # A plain call is read from cli.VERBS, so no verb call pays for argparse and the
     # gettext and locale modules its messages pull in; --help still runs argparse.
@@ -691,6 +693,11 @@ def test_each_verb_loads_only_its_modules(verb_modules):
     for verb in ("repr", "ballean", "ballean --tree", "isometry", "isometry --fast-ultrametric"):
         assert "graph_reader" not in package[verb], verb
     assert not package["isometry"] & {"graphs", "tree_codes"}
+    # A matrix's hierarchy tree and balls carry no weights and no labels, so the
+    # matrix verbs that build only those load neither their checks nor the metric
+    # classes, which a verb meets only as what minimax_label_metric returns.
+    for verb in ("repr", "ballean", "ballean --tree", "isometry"):
+        assert not package[verb] & {"payloads", "path_metrics"}, verb
     assert "tree_codes" not in package["iso --flavor free (cyclic graph)"]
     assert [verb for verb, modules in package.items() if modules & {"checkers", "generators", "matrix_writers"}] == []
     # Restriction, classification and the paper's single-instance propositions serve
@@ -707,13 +714,13 @@ def test_each_verb_loads_only_its_modules(verb_modules):
 # Source lines each verb compiles (the harness keeps no bytecode): cli.py, the
 # package's __init__.py and every submodule the call loads.  Tree and graph
 # verbs compile no matrix code, matrix verbs no graph-document reader and no
-# path metric, and no verb compiles another group's handlers.  Every verb is
+# path metric, and no verb compiles another verb's handler.  Every verb is
 # held at what it compiles once each loads only the reader of its input, its
-# own handlers and the code it runs.
+# own handler and the code it runs.
 _SOURCE_LINE_CEILINGS = {
-    "iso": 1158, "iso --flavor free (cyclic graph)": 1149, "dual": 1076, "spanning": 1060, "counterexample": 1060,
-    "repr": 1197, "repr --labeled-tree": 1303, "ballean": 1197, "ballean --tree": 1197,
-    "isometry": 1078, "isometry --fast-ultrametric": 1428, "analyze": 1199, "reduce": 1209, "selftest": 2485,
+    "iso": 1108, "iso --flavor free (cyclic graph)": 1098, "dual": 1033, "spanning": 1010, "counterexample": 1008,
+    "repr": 1126, "repr --labeled-tree": 1298, "ballean": 1121, "ballean --tree": 1121,
+    "isometry": 1001, "isometry --fast-ultrametric": 1411, "analyze": 1152, "reduce": 1161, "selftest": 2458,
 }
 
 

@@ -34,7 +34,7 @@ from ultratree.generators import (
     random_ultrametric_space,
     random_weights,
 )
-from ultratree.graphs import edge_key
+from ultratree.payloads import edge_key
 from ultratree.metrics import FiniteMetricSpace
 from ultratree.path_metrics import space_from
 from ultratree.oracles import (find_path, min_path_sum_by_enumeration, minimax_label_by_enumeration,

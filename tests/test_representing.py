@@ -26,9 +26,9 @@ from ultratree.errors import (
 )
 from ultratree.generators import random_tree, random_ultrametric_space
 from ultratree.matrix_writers import matrix_to_csv
-from ultratree.metrics import FiniteMetricSpace, _linkage, classify_metric
+from ultratree.metrics import FiniteMetricSpace, classify_metric
 from ultratree.path_metrics import minimax_label_metric, space_from
-from ultratree.representing import ball_id
+from ultratree.representing import _linkage, ball_id
 from ultratree.oracles import (
     balls_by_enumeration,
     hierarchy_by_diametrical_blocks,

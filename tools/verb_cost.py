@@ -16,6 +16,8 @@ call per verb and variant, the script prints:
 - the median, over 41 rounds, of the time compile() takes on those sources
   in this process, in milliseconds;
 - the loaded submodules.
+Under that table it lists, for each call, the functions behind its unrun
+lines, grouped by module: each one's name, first line and line count.
 
 The inputs are built with this checkout's package and tests; the calls run
 the package found at SRC, so one script compares two trees:
@@ -90,25 +92,31 @@ def token_count(text: str) -> int:
     return sum(token.type not in skip for token in tokenize.generate_tokens(io.StringIO(text).readline))
 
 
-def unrun_lines(path: str, text: str, entered: set) -> int:
-    """Source lines of the functions in one module that the call never entered."""
+def unrun_functions(path: str, text: str, entered: set) -> list[tuple[str, int, set]]:
+    """(name, first line, source lines) of each function in one module that the call
+    never entered, by first line; a function nested in one of them is not listed."""
     name = Path(path).name
 
     def last(code: types.CodeType) -> int:  # a body's last line, nested bodies included
         nested = [last(c) for c in code.co_consts if isinstance(c, types.CodeType)]
         return max([line for *_, line in code.co_lines() if line is not None] + nested)
 
-    lines, todo = set(), [compile(text, path, "exec", dont_inherit=True)]
+    found, todo = [], [compile(text, path, "exec", dont_inherit=True)]
     while todo:
         for c in todo.pop().co_consts:
             if not isinstance(c, types.CodeType):
                 continue
             is_function = c.co_flags & 0x1  # CO_OPTIMIZED: a function, not a class body
             if is_function and (name, c.co_firstlineno, c.co_name) not in entered:
-                lines.update(range(c.co_firstlineno, last(c) + 1))
+                found.append((c.co_name, c.co_firstlineno, set(range(c.co_firstlineno, last(c) + 1))))
             else:
                 todo.append(c)
-    return len(lines)
+    return sorted(found, key=lambda f: f[1])
+
+
+def covered(functions: list) -> int:
+    """The source lines that some of these functions span."""
+    return len(set().union(*(lines for *_, lines in functions)))
 
 
 def main() -> None:
@@ -129,7 +137,7 @@ def main() -> None:
     for verb, (modules, entered) in traced.items():
         paths = [package / f"{name}.py" for name in sorted(modules | {"__init__", "cli"})]
         sources[verb] = [(str(path), path.read_text(encoding="utf-8")) for path in paths]
-        unrun[verb] = sum(unrun_lines(path, text, entered) for path, text in sources[verb])
+        unrun[verb] = {Path(path).name: unrun_functions(path, text, entered) for path, text in sources[verb]}
 
     times: dict[str, list[float]] = {verb: [] for verb in sources}
     for _ in range(ROUNDS):  # rounds interleave the verbs, so a slow spell is shared
@@ -147,7 +155,16 @@ def main() -> None:
         tokens = sum(token_count(text) for _, text in files)
         median = 1000 * statistics.median(times[verb])
         modules = " ".join(sorted(traced[verb][0]))
-        print(f"{verb:<{width}}  {lines:>5}  {tokens:>6}  {unrun[verb]:>5}  {median:>9.2f}  {modules}")
+        unrun_lines = sum(map(covered, unrun[verb].values()))
+        print(f"{verb:<{width}}  {lines:>5}  {tokens:>6}  {unrun_lines:>5}  {median:>9.2f}  {modules}")
+
+    print("\n# unrun functions per call: module, its unrun lines, then each function as name:first line (lines)")
+    for verb, modules in unrun.items():
+        print(verb)
+        for module, functions in modules.items():
+            if functions:
+                listed = ", ".join(f"{name}:{first} ({len(lines)})" for name, first, lines in functions)
+                print(f"  {module:<18} {covered(functions):>4}  {listed}")
 
 
 if __name__ == "__main__":
