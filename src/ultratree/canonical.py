@@ -73,10 +73,9 @@ def are_isomorphic(
     GRAPH_SIZE_LIMIT vertices; rooted flavors apply to trees only.
     """
     from .graphs import Tree
-    from .payloads import normalize_labels, normalize_weights
 
     try:
-        t1, t2 = (g if isinstance(g, Tree) else Tree(g) for g in (g1, g2))
+        t1, t2 = (g if isinstance(g, Tree) else Tree(g, r) for g, r in ((g1, root1), (g2, root2)))
     except ValueError:  # not both trees
         pass
     else:
@@ -89,7 +88,8 @@ def are_isomorphic(
         raise ValueError("rooted flavors are defined for trees only")
     _check_payloads(flavor, labels1, weights1, root1)
     _check_payloads(flavor, labels2, weights2, root2)
-    # bad payload values are refused before the sizes decide, as the search refuses them
+    from .payloads import normalize_labels, normalize_weights  # bad payload values are refused before the sizes decide
+
     for g, labels, weights in ((g1, labels1, weights1), (g2, labels2, weights2)):
         if labels is not None:
             normalize_labels(g, labels)

@@ -17,13 +17,16 @@ def graph_from_json(obj) -> GraphDoc:
     if not isinstance(vertices, list) or not isinstance(edges, list):
         raise ParseError("'vertices' and 'edges' must be JSON lists")
     _check_ids(vertices)
-    for e in edges:
-        if not isinstance(e, list) or len(e) != 2 or not isinstance(e[0], str) or not isinstance(e[1], str):
-            raise ParseError(f"edge must be a list of two vertex ids: {e!r}")
     try:
-        graph = Graph(vertices, edges)
+        graph, error = Graph(vertices, edges), None
     except Exception as exc:
-        raise ParseError(f"bad graph: {exc}") from exc
+        graph, error = None, exc
+    if error or not {list}.issuperset(map(type, edges)):  # an edge of another shape is named first
+        for e in edges:
+            if not isinstance(e, list) or len(e) != 2 or not isinstance(e[0], str) or not isinstance(e[1], str):
+                raise ParseError(f"edge must be a list of two vertex ids: {e!r}")
+    if error:
+        raise ParseError(f"bad graph: {error}") from error
     if len(graph.edges) < len(edges):  # Graph keeps one copy of an edge given twice
         seen: set = set()
         repeat = next(e for e in edges if frozenset(e) in seen or seen.add(frozenset(e)))
@@ -36,27 +39,23 @@ def graph_from_json(obj) -> GraphDoc:
         if not isinstance(obj.get(field), (dict, type(None))):
             raise ParseError(f"{field!r} must be a JSON object or null")
 
-    weights, parse = None, _parser()
+    weights, adj = None, graph._adj  # type: ignore[attr-defined]
+    parse = _parser() if obj.get("weights") or obj.get("labels") else None  # no number, no number code
     if obj.get("weights") is not None:
         weights, edge_set = {}, graph._edge_set  # type: ignore[attr-defined]
         for key, val in obj["weights"].items():
-            parts = key.split("|")
-            if len(parts) != 2:
-                raise ParseError(f"edge key must be 'u|v': {key!r}")
-            u, v = parts
-            e = (u, v) if u < v else (v, u)
-            if e not in edge_set:
-                raise ParseError(f"self-loop at {u!r}" if u == v else f"weight on unknown edge {key!r}")
-            if e in weights:
-                raise ParseError(f"second weight on edge {key!r}")
+            u, _, v = key.partition("|")
+            if (e := (u, v) if u < v else (v, u)) not in edge_set or e in weights:  # a bad key, named here
+                raise ParseError(f"edge key must be 'u|v': {key!r}" if key.count("|") != 1 else
+                                 f"second weight on edge {key!r}" if e in weights else
+                                 f"self-loop at {u!r}" if u == v else f"weight on unknown edge {key!r}")
             weights[e] = parse(val)
 
-    vertex_set = set(graph.vertices)  # object keys are hashable, unlike a root
     labels = None
     if obj.get("labels") is not None:
         labels = {}
         for v, val in obj["labels"].items():
-            if v not in vertex_set:
+            if v not in adj:
                 raise ParseError(f"label on unknown vertex {v!r}")
             labels[v] = parse(val)
 
@@ -64,7 +63,7 @@ def graph_from_json(obj) -> GraphDoc:
     if obj.get("payloads") is not None:
         payloads = {}
         for v, pts in obj["payloads"].items():
-            if v not in vertex_set:
+            if v not in adj:
                 raise ParseError(f"payload on unknown vertex {v!r}")
             if not isinstance(pts, list) or not all(isinstance(x, str) for x in pts):
                 raise ParseError(f"payload of {v!r} must be a list of strings")

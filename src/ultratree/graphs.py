@@ -30,31 +30,28 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Iterable[Vertex]] = ()):
-        vs = tuple(sorted(vertices))
+        vs, edges = tuple(sorted(vertices)), list(edges)
         adj: dict[Vertex, list[Vertex]] = {v: [] for v in vs}
         if len(adj) != len(vs):
             raise ValueError("duplicate vertex ids")
         if not vs:
             raise ValueError("empty vertex set")
-        keys = []
-        for e in edges:
-            u, v = e
-            try:
-                known = u in adj and v in adj
-            except TypeError:  # an unhashable id names no vertex
-                known = False
-            if not known:
-                raise VertexNotFoundError(f"edge endpoint not a vertex: {e!r}")
-            if u == v:
-                raise ValueError(f"self-loop at {u!r}")
-            keys.append((u, v) if u < v else (v, u))
-        es = dict.fromkeys(sorted(keys))  # one pass of sorted() when the edges come in order, as documents list them
-        edges = tuple(es)
-        # Each (u, x) with u < x sorts before each (x, v), so every list comes out sorted.
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        vars(self).update(vertices=vs, edges=edges, _edge_set=es, _adj={v: tuple(ns) for v, ns in adj.items()})
+        try:  # a self-loop keys as None, which neither sorts among pairs nor unpacks
+            es = dict.fromkeys(sorted([(u, v) if u < v else (v, u) if v < u else None for u, v in edges]))
+            # Each (u, x) with u < x sorts before each (x, v), so every list comes out sorted.
+            for u, v in es:
+                adj[u].append(v)  # a KeyError for an endpoint that is no vertex
+                adj[v].append(u)
+        except (KeyError, TypeError, ValueError):  # the first bad edge, named in the order given
+            vars(self)["_adj"] = adj
+            for e in edges:
+                u, v = e
+                if not (self.has_vertex(u) and self.has_vertex(v)):
+                    raise VertexNotFoundError(f"edge endpoint not a vertex: {e!r}") from None
+                if u == v:
+                    raise ValueError(f"self-loop at {u!r}") from None
+            raise
+        vars(self).update(vertices=vs, edges=tuple(es), _edge_set=es, _adj={v: tuple(ns) for v, ns in adj.items()})
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         try:
@@ -116,11 +113,13 @@ class Graph:
 class Tree(Graph):
     """A Graph checked to be connected and acyclic."""
 
-    def __init__(self, g: Graph):
-        if not g.is_tree():
+    def __init__(self, g: Graph, root: Optional[Vertex] = None):
+        # Given a vertex as root, the check walks from it, and RootedTree(self, root) reuses that walk.
+        reach = g._reach(root) if len(g.edges) == len(g.vertices) - 1 and g.has_vertex(root) else None
+        if not (g.is_tree() if reach is None else len(reach) == len(g.vertices)):
             raise ValueError("not a tree: must be connected with |E| = |V| - 1")
         # Graph is frozen, so the vertices, edges and adjacency can be shared.
-        vars(self).update(vars(g))
+        vars(self).update(vars(g), _walk={root: reach} if reach else {})
 
     def leaves(self) -> frozenset[Vertex]:
         """Vertices of degree less than two (a lone vertex is a leaf)."""
@@ -138,7 +137,7 @@ class RootedTree:
     def __post_init__(self):
         if not self.tree.has_vertex(self.root):
             raise VertexNotFoundError(f"root {self.root!r} not a vertex")
-        parent = self.tree._reach(self.root)
+        parent = vars(self.tree).get("_walk", {}).get(self.root) or self.tree._reach(self.root)
         vars(self).update(_parent=parent, _bfs=tuple(parent))
 
     @property

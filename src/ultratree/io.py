@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Optional
 
 from ._record import record
 from .errors import ParseError
-from .rational import format_rational, parse_rational
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -51,7 +50,7 @@ class GraphDoc:
         from .graphs import Tree
 
         try:
-            return Tree(self.graph)
+            return Tree(self.graph, self.root)
         except ValueError:
             raise ParseError("expected a tree (connected and acyclic)") from None
 
@@ -66,6 +65,7 @@ class GraphDoc:
 def weights_to_json(weights) -> dict:
     """The "weights" block of a graph document: "u|v" keys, "p/q" values."""
     from .payloads import edge_key
+    from .rational import format_rational
 
     return {"|".join(edge_key(*e)): format_rational(val) for e, val in sorted(weights.items())}
 
@@ -73,12 +73,14 @@ def weights_to_json(weights) -> dict:
 def _parser():
     # parse_rational for one document: equal tokens share one Fraction.  The key holds
     # the type, so true never meets 1; an unhashable token gets parse_rational's error.
+    from .rational import parse_rational  # loaded for documents that hold numbers only
+
     memo: dict = {}
 
     def parse(token) -> Fraction:
         try:
             key = type(token), token
-            return memo[key] if key in memo else memo.setdefault(key, parse_rational(token))
+            return value if (value := memo.get(key)) is not None else memo.setdefault(key, parse_rational(token))
         except TypeError:
             return parse_rational(token)
 
@@ -94,6 +96,8 @@ def _check_ids(ids) -> None:
 
 
 def graph_to_json(g: Graph, root: Optional[Vertex] = None, weights=None, labels=None, payloads=None) -> dict:
+    from .rational import format_rational
+
     _check_ids(g.vertices)
     doc = {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges], "root": root,
            "weights": None if weights is None else weights_to_json(weights),
@@ -111,31 +115,34 @@ def load_matrix_text(text: str) -> FiniteMetricSpace:
     """Accept either the JSON or the CSV matrix form."""
     from .matrix_io import matrix_from_csv, matrix_from_json
 
-    if text.lstrip().startswith("{"):
-        return matrix_from_json(_load_json(text))
+    if text.removeprefix("\ufeff").lstrip().startswith("{"):  # a BOM goes to the JSON reader, which refuses it
+        return _load(matrix_from_json, text, ("points", "matrix"))
     return matrix_from_csv(text)
 
 
 def load_graph_text(text: str) -> GraphDoc:
     from .graph_reader import graph_from_json
 
-    return graph_from_json(_load_json(text))
+    return _load(graph_from_json, text, ("vertices", "edges", "root", "weights", "labels", "payloads"))
 
 
-def _load_json(text: str):
-    # json.loads, refusing an object that repeats a key rather than keep the last, and nesting past _MAX_DEPTH
+def _load(reader, text: str, fields: tuple):
+    # reader(json.loads(text)), refusing first a repeated key or nesting past _MAX_DEPTH (the document is level 1).
+    # Readers check each value they read, so only the top-level values they leave unread need the walk.
     try:
-        level = [[obj := json.loads(text, object_pairs_hook=_unique_keys)]]
-        for _ in range(_MAX_DEPTH + 1):  # the containers one level further in
-            level = [y for x in level for y in (x.values() if type(x) is dict else x) if type(y) in (dict, list)]
-        if level:  # past _MAX_DEPTH: refused as a release's parser refuses past its own limit
-            raise RecursionError
+        nest, depth = [[obj := json.loads(text, object_pairs_hook=_unique_keys)]], 0
+        try:  # a refusal, or a RecursionError from the message of a deep value, goes out past a whole walk
+            out, nest, depth = reader(obj), [[*map(obj.get, obj.keys() - fields)]], 1
+            return out
+        finally:  # nest: the containers depth levels in, a level further each pass until none is left
+            while nest := [y for x in nest for y in (x.values() if type(x) is dict else x) if type(y) in (dict, list)]:
+                if (depth := depth + 1) > _MAX_DEPTH:  # refused as a release's parser refuses past its own limit
+                    raise RecursionError
     except ValueError as exc:  # bad syntax or too many digits, the limit worded on 3.10 as 3.11+ word it
         text = str(exc) if sys.version_info >= (3, 11) else str(exc).replace(") for integer", " digits) for integer")
         raise ParseError(f"bad JSON: {text}") from exc
     except RecursionError:
         raise ParseError(f"bad JSON: nested deeper than {_MAX_DEPTH} levels") from None
-    return obj
 
 
 def _unique_keys(pairs: list) -> dict:

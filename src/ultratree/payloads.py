@@ -25,30 +25,28 @@ def edge_key(u: Vertex, v: Vertex) -> Edge:
 
 def normalize_weights(g: Graph, w: Mapping, strict: bool = True) -> dict[Edge, Fraction]:
     """Check a weight map is total on E(g) and (optionally) strictly positive."""
-    keyed: dict[Edge, Fraction] = {}
-    for (u, v), x in w.items():
-        keyed[(u, v) if u < v else edge_key(u, v)] = x if isinstance(x, Fraction) else Fraction(x)
-    out = {}
-    for e in g.edges:
-        if (x := keyed.get(e)) is None:
-            raise NonPositiveWeightError(f"missing weight for edge {e!r}")
-        if x.numerator < strict:  # negative, or zero when strict
-            raise NonPositiveWeightError(f"weight {x} on edge {e!r}")
-        out[e] = x
-    return out
+    return _checked(g.edges, w, strict, NonPositiveWeightError, "weight for edge", "weight {} on edge",
+                    lambda m: {edge_key(u, v): x for (u, v), x in m.items()})
 
 
 def normalize_labels(g: Graph, l: Mapping) -> dict[Vertex, Fraction]:
     """Check a label map is total on V(g) and nonnegative."""
-    keyed = {v: x if isinstance(x, Fraction) else Fraction(x) for v, x in l.items()}
-    out = {}
-    for v in g.vertices:
-        if (x := keyed.get(v)) is None:
-            raise ValueError(f"missing label for vertex {v!r}")
-        if x.numerator < 0:
-            raise ValueError(f"negative label {x} on vertex {v!r}")
-        out[v] = x
-    return out
+    return _checked(g.vertices, l, 0, ValueError, "label for vertex", "negative label {} on vertex", dict)
+
+
+def _checked(keys, m, least, error, missing, bad, keyed):
+    # m on keys, in their order, each value a Fraction of numerator at least least (0, or 1 when strict).
+    # A map that holds exactly keys, each to such a Fraction, as a reader's does, is read in one pass.
+    out = {k: x for k in keys if (x := m.get(k)).__class__ is Fraction and x.numerator >= least}
+    if len(out) == len(keys) == len(m):
+        return out
+    given = {k: x if isinstance(x, Fraction) else Fraction(x) for k, x in keyed(m).items()}
+    for k in keys:
+        if (x := given.get(k)) is None:
+            raise error(f"missing {missing} {k!r}")
+        if x.numerator < least:
+            raise error(f"{bad.format(x)} {k!r}")
+    return {k: given[k] for k in keys}
 
 
 def integer_form(values: dict) -> tuple[dict, int]:

@@ -65,7 +65,7 @@ def generate_monotone(
     parents = _branching_shape(rng, size) if branching_only else [None, *(rng.randrange(i) for i in range(1, size))]
     names = [f"v{i:02d}" for i in range(size)]
     edges = [(names[parents[i]], names[i]) for i in range(1, size)]
-    rt = RootedTree(Tree(Graph(names, edges)), names[0])
+    rt = RootedTree(Tree(Graph(names, edges), names[0]), names[0])
 
     labels: dict[Vertex, Fraction] = {}
     for v in reversed(rt.bfs_order()):

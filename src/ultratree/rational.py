@@ -8,28 +8,31 @@ equality; it is the form embedded in canonical codes and serialized files.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, SizeLimitError
 
 Rational = Fraction
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse "p/q" or integer text, an optional sign and ASCII digits (or an exact number), exactly."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int) and not isinstance(text, bool):  # JSON true/false are no numbers
-        return Fraction(text)
+    if isinstance(text, (Fraction, int)) and not isinstance(text, bool):  # JSON true/false are no numbers
+        return text if isinstance(text, Fraction) else Fraction(text)
     num, slash, den = str(text).strip().partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
-    try:  # ASCII digits only: Fraction(str) also reads "1.5", "1e3", "1_000" and "١٢", and a float's text
-        if digits.isascii() and digits.isdecimal() and (not slash or den.isascii() and den.isdecimal()):
+    try:  # ASCII digits, a nonzero denominator: Fraction(str) also reads "1.5", "1e3", "1_000" and "١٢"
+        if digits.isascii() and digits.isdecimal() and (not slash or den.isascii() and den.isdecimal() and int(den)):
             return Fraction(int(num), int(den or 1))
-    except (ValueError, ZeroDivisionError):  # more digits than int() reads, or a zero denominator
-        pass
+    except ValueError:  # more digits than int() reads (sys.get_int_max_str_digits()), counted, not shown
+        raise ParseError(f"not a rational: {max(len(digits), len(den))} digits, over {sys.get_int_max_str_digits()}")
     raise ParseError(f"not a rational: {text!r}")
 
 
 def format_rational(value: Fraction) -> str:
-    return str(value if isinstance(value, Fraction) else Fraction(value))
+    value = value if isinstance(value, Fraction) else Fraction(value)
+    try:
+        return str(value)
+    except ValueError:  # more digits than str() writes, refused alike on every release
+        raise SizeLimitError(f"a number has over sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()} digits")

@@ -145,7 +145,7 @@ def representing_tree(space: FiniteMetricSpace) -> LabeledRootedTree:
             spine[-1][2].append(v)
         else:
             spine.append((r, start, [v]))
-    return LabeledRootedTree(RootedTree(Tree(Graph(payloads, edges)), v), labels, payloads)
+    return LabeledRootedTree(RootedTree(Tree(Graph(payloads, edges), v), v), labels, payloads)
 
 
 def ballean(space: FiniteMetricSpace) -> Ballean:
@@ -173,5 +173,5 @@ def ballean_tree(space: FiniteMetricSpace) -> LabeledRootedTree:
             vertices.append(fresh)
             edges.append((v, fresh))
             labels[fresh] = Fraction(0)
-    rt = RootedTree(Tree(Graph(vertices, edges)), base.rt.root)
+    rt = RootedTree(Tree(Graph(vertices, edges), base.rt.root), base.rt.root)
     return LabeledRootedTree(rt, labels, None)

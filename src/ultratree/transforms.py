@@ -61,7 +61,7 @@ def reduce_nabla(et: EquidistantTree) -> NablaResult:
     top = {root: root}  # the nearest kept vertex at or above each vertex
     for c in order[k + 1 :]:  # below the new root, each vertex after its parent
         top[c] = top[parent[c]] if c in v1 else c
-    tree = Tree(Graph(set(top.values()), [(top[parent[c]], c) for c in top if top[c] == c != root]))
+    tree = Tree(Graph(set(top.values()), [(top[parent[c]], c) for c in top if top[c] == c != root]), root)
     spans = {(u, v): abs(dist[u] - dist[v]) for u, v in tree.edges}  # weights times den, in edge order
     reduced = EquidistantTree._trusted(RootedTree(tree, root), _fractions(spans, den), spans, den)
     removed = frozenset(et.rt.vertices).difference(tree.vertices)

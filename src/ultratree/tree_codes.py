@@ -15,8 +15,6 @@ from typing import Mapping, Optional
 
 from .canonical import _ROOTED, IsoFlavor, _check_payloads
 from .graphs import RootedTree, Tree, Vertex
-from .payloads import normalize_labels, normalize_weights
-from .rational import format_rational
 
 SCHEMA_VERSION = "1"
 _TAG = {IsoFlavor.FREE: "F", IsoFlavor.ROOTED: "R", IsoFlavor.VERTEX_LABELED: "V",
@@ -50,6 +48,8 @@ def tree_centers(t: Tree) -> tuple[Vertex, ...]:
 
 
 def _texts(vals: dict) -> dict:
+    from .rational import format_rational
+
     memo: dict = {}  # keyed by object, as hashing a Fraction costs more than formatting it
     return {k: memo[i] if (i := id(x)) in memo else memo.setdefault(i, format_rational(x)) for k, x in vals.items()}
 
@@ -80,6 +80,8 @@ def canonical_code(
 ) -> str:
     """Canonical code of a tree under the given isomorphism flavor."""
     _check_payloads(flavor, labels, weights, root)
+    if labels is not None or weights is not None:  # a tree with no payload compares without the number code
+        from .payloads import normalize_labels, normalize_weights
     lab = _texts(normalize_labels(t, labels)) if labels is not None else None
     wts = _texts(normalize_weights(t, weights, strict=False)) if weights is not None else None
     if flavor in _ROOTED:

@@ -57,6 +57,7 @@ def test_matrix_json_and_csv_round_trip():
     assert via_csv == space
     sniffed = tio.load_matrix_text(matrix_to_csv(space))
     assert sniffed == space
+    assert tio.load_matrix_text("\ufeff" + matrix_to_csv(space)) == space  # the BOM sits in the unread corner cell
 
 
 # Inputs that parse as JSON or CSV but are refused: each is (CLI verb, file
@@ -75,6 +76,30 @@ def _noted(depth: int, mixed: bool = False) -> str:
     graph = '{"vertices": ["a", "b"], "edges": [["a", "b"]], "labels": {"a": "1", "b": "0"}'
     pairs = [('{"k": ', "}") if mixed and (depth - i) % 2 else ("[", "]") for i in range(depth - 1)]
     return graph + ', "note": ' + "".join(o for o, _ in pairs) + "".join(c for _, c in reversed(pairs)) + "}"
+
+
+def _deep(levels: int) -> str:
+    return "[" * levels + "]" * levels
+
+
+# Each field a reader reads, as (verb, name, document with %s for the field's value, the
+# levels the document nests above that value, the refusal of a value of those levels).
+_FIELDS = (
+    ("reduce", "vertices", '{"vertices": %s}', 1, lambda v: f"vertex ids must be nonempty strings, got {v[0]!r}"),
+    ("reduce", "edges", '{"vertices": ["a", "b"], "edges": %s}', 1,
+     lambda v: f"edge must be a list of two vertex ids: {v[0]!r}"),
+    ("reduce", "root", '{"vertices": ["a", "b"], "edges": [["a", "b"]], "root": %s}', 1,
+     lambda v: f"root {v!r} is not a vertex"),
+    ("reduce", "weight", '{"vertices": ["a", "b"], "edges": [["a", "b"]], "root": "a", "weights": {"a|b": %s}}', 2,
+     lambda v: f"not a rational: {v!r}"),
+    ("spanning", "label", '{"vertices": ["a", "b"], "edges": [["a", "b"]], "labels": {"a": "1", "b": %s}}', 2,
+     lambda v: f"not a rational: {v!r}"),
+    ("spanning", "payload",
+     '{"vertices": ["a", "b"], "edges": [["a", "b"]], "labels": {"a": "1", "b": "0"}, "payloads": {"a": %s}}', 2,
+     lambda v: "payload of 'a' must be a list of strings"),
+    ("repr", "points", '{"points": %s, "matrix": [["0"]]}', 1, lambda v: "'points' must be a list of nonempty strings"),
+    ("repr", "entry", '{"points": ["a"], "matrix": [[%s]]}', 3, lambda v: f"not a rational: {v!r}"),
+)
 
 
 _REFUSED = (
@@ -103,12 +128,17 @@ _REFUSED = (
     ("spanning", "deep_note.json", _noted(3000), _TOO_DEEP),
     ("spanning", "note_past_bound.json", _noted(101), _TOO_DEEP),
     ("spanning", "mixed_note_past_bound.json", _noted(101, mixed=True), _TOO_DEEP),
-    ("reduce", "vertices_past_bound.json", '{"vertices": ' + "[" * 100 + "]" * 100 + "}", _TOO_DEEP),
     ("reduce", "long_weight.json",
      '{"vertices": ["a", "b"], "edges": [["a", "b"]], "root": "a", "weights": {"a|b": ' + "7" * 5000 + "}}",
      "bad JSON: Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
      "use sys.set_int_max_str_digits() to increase the limit"),
-)
+    # the depth is named before the refusal of a field the reader reads
+    ("reduce", "deep_note_bad_vertices.json", '{"vertices": [1], "note": ' + _deep(100) + "}", _TOO_DEEP),
+    # a BOM is refused in a matrix document as in a graph document
+    ("repr", "bom_matrix.json", '\ufeff{"points": ["a"], "matrix": [["0"]]}',
+     "bad JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+) + tuple((verb, f"{field}_past_bound.json", doc % _deep(101 - above), _TOO_DEEP)
+        for verb, field, doc, above, _ in _FIELDS)
 
 
 def test_parse_errors():
@@ -170,6 +200,14 @@ def test_nesting_up_to_the_bound_is_read(tmp_path, capsys):
         assert tio.load_graph_text(text) == tio.load_graph_text(plain)
     with pytest.raises(ParseError, match="^vertex ids must be nonempty strings"):
         tio.load_graph_text('{"vertices": ' + "[" * 99 + "]" * 99 + "}")
+    # a field the reader reads, nested to the bound, gets that field's own refusal
+    for verb, field, doc, above, refusal in _FIELDS:
+        text = doc % _deep(100 - above)
+        load = tio.load_matrix_text if verb == "repr" else tio.load_graph_text
+        with pytest.raises(ParseError) as caught:
+            load(text)
+        assert str(caught.value) == refusal(json.loads(_deep(100 - above))), field
+        assert _run(capsys, verb, _write(tmp_path, f"{field}.json", text)) == (2, _error_bytes(str(caught.value)))
 
 
 def test_format_rational_keeps_the_text_of_any_exact_value():
@@ -718,9 +756,9 @@ def test_each_verb_loads_only_its_modules(verb_modules):
 # held at what it compiles once each loads only the reader of its input, its
 # own handler and the code it runs.
 _SOURCE_LINE_CEILINGS = {
-    "iso": 1108, "iso --flavor free (cyclic graph)": 1098, "dual": 1033, "spanning": 1010, "counterexample": 1008,
-    "repr": 1126, "repr --labeled-tree": 1298, "ballean": 1121, "ballean --tree": 1121,
-    "isometry": 1001, "isometry --fast-ultrametric": 1411, "analyze": 1152, "reduce": 1161, "selftest": 2458,
+    "iso": 1116, "iso --flavor free (cyclic graph)": 1104, "dual": 1039, "spanning": 1016, "counterexample": 1014,
+    "repr": 1135, "repr --labeled-tree": 1304, "ballean": 1130, "ballean --tree": 1130,
+    "isometry": 1011, "isometry --fast-ultrametric": 1420, "analyze": 1158, "reduce": 1167, "selftest": 2466,
 }
 
 
@@ -1030,6 +1068,8 @@ _TOKENS = [
     ("- 3", None), ("1/0", None), ("", None), ("/4", None), ("3/", None), ("0x10", None), ("inf", None),
     ("nan", None), ("1/2/3", None), ("½", None), ("٣/٤", None), ("9" * 5000, None),
 ]
+# Past the interpreter's 4300-digit guard on int text a token is named by its digit count, not shown.
+_LONG_TOKENS = {"9" * 5000: "not a rational: 5000 digits, over 4300"}
 
 
 @pytest.mark.parametrize("token, value", _TOKENS)
@@ -1041,10 +1081,31 @@ def test_number_grammar_is_ascii_p_over_q_on_every_release(token, value):
         return
     with pytest.raises(ParseError) as caught:
         parse_rational(token)
-    assert str(caught.value) == f"not a rational: {token!r}"
+    assert str(caught.value) == _LONG_TOKENS.get(token, f"not a rational: {token!r}")
     doc = {"vertices": ["a", "b"], "edges": [["a", "b"]], "weights": {"a|b": token}}
     with pytest.raises(ParseError, match="^not a rational: "):
         graph_from_json(doc)
+
+
+def test_numbers_past_the_int_text_guard_are_refused_alike_on_every_release(tmp_path, capsys):
+    # The path v0 - v1 - ... - v1500 rooted at v0, edge i weighted 1/p_i over the first 1500
+    # primes: K and the labels have a denominator of about 5,400 digits, which no release
+    # writes as text, so dual and analyze refuse it with the package's own error.
+    primes = [p for p in range(2, 12554) if all(p % q for q in range(2, int(p**0.5) + 1))]
+    assert len(primes) == 1500
+    vs = [f"v{i}" for i in range(1501)]
+    doc = {"vertices": vs, "edges": [[vs[i], vs[i + 1]] for i in range(1500)], "root": "v0",
+           "weights": {f"{vs[i]}|{vs[i + 1]}": f"1/{p}" for i, p in enumerate(primes)}}
+    path = _write(tmp_path, "primes.json", json.dumps(doc))
+    refused = (1, tio.dump_json({"error": {
+        "code": "size-limit-exceeded",
+        "message": "a number has over sys.get_int_max_str_digits() = 4300 digits"}}))
+    assert _run(capsys, "dual", "--direction", "w2l", path) == refused
+    assert _run(capsys, "analyze", path) == refused
+    # a weight text past the guard is refused by its digit count, not echoed
+    doc = {"vertices": ["a", "b"], "edges": [["a", "b"]], "root": "a", "weights": {"a|b": "7" * 5000}}
+    path = _write(tmp_path, "long.json", json.dumps(doc))
+    assert _run(capsys, "reduce", path) == (2, _error_bytes("not a rational: 5000 digits, over 4300"))
 
 
 # sha256 of each seed-1 benchmark workload's calls, and of selftest at seeds 0 and 7, as
