@@ -82,4 +82,5 @@ def _search(a: tuple, b: tuple) -> Optional[dict[int, int]]:
             used.discard(j)
         return False
 
-    return image if assign(0) else None
+    found, assign = assign(0), None  # the closure holds itself: unbound, it goes with this call, not with a collection
+    return image if found else None

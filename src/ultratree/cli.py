@@ -10,6 +10,7 @@ inputs and ULTRATREE_SEED.
 from __future__ import annotations
 
 import atexit
+import gc
 import os
 import sys
 from importlib import import_module
@@ -170,6 +171,7 @@ def run() -> None:
     the atexit callbacks run, both streams are flushed and os._exit ends it.  An exception
     out of main(), a failed flush, and a profiler, tracer or monitoring tool (cProfile is
     one on 3.12+) take the usual exit."""
+    gc.disable()  # one call a process, and the reference cycles a call leaves do not grow with its input
     status = main()
     monitoring = getattr(sys, "monitoring", None)  # 3.12+, whose tool ids are 0-5
     if sys.getprofile() or sys.gettrace() or monitoring and any(map(monitoring.get_tool, range(6))):

@@ -1,30 +1,26 @@
-"""JSON and CSV wire formats.
-
-Graph documents:
-    {"vertices": [str], "edges": [[str, str]], "root": str|null,
-     "weights": {"u|v": "p/q"}|null, "labels": {"v": "p/q"}|null,
-     "payloads": {"v": [str]}|null}
-Edge keys join the two endpoints in lexicographic order with "|", so vertex
-ids may not contain that character.
-
-Distance matrices either as CSV (first row and column hold the point ids,
-entries are "p/q") or as the mirroring JSON
-    {"points": [str], "matrix": [["p/q", ...], ...]}.
+"""JSON and CSV wire formats, as README's "Wire formats" lays them out.
 
 This module holds the entry points the CLI calls and what both forms share.
-The graph-document reader is in graph_reader.py and the matrix readers are
-in matrix_io.py; load_graph_text and load_matrix_text import theirs when
-they run, so a verb compiles only the reader of its input.
+JSON goes through json's C scanner and string encoder, and json itself loads
+only for a document the scanner does not read whole or a value the writer
+does not take.  load_graph_text and load_matrix_text import their readers
+(graph_reader.py, matrix_io.py) when they run, so a verb compiles only its own.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from typing import TYPE_CHECKING, Optional
 
 from ._record import record
 from .errors import ParseError
+
+try:  # json's C codec, which json itself loads
+    from _json import encode_basestring_ascii as quote, make_scanner
+    from types import SimpleNamespace as _Settings
+except ImportError:  # not CPython: json's own, whose decoder takes the same settings and holds what its scanner reads
+    from json import JSONDecoder as _Settings, encoder, scanner
+    quote, make_scanner = encoder.encode_basestring_ascii, scanner.make_scanner
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -127,10 +123,10 @@ def load_graph_text(text: str) -> GraphDoc:
 
 
 def _load(reader, text: str, fields: tuple):
-    # reader(json.loads(text)), refusing first a repeated key or nesting past _MAX_DEPTH (the document is level 1).
+    # reader(parse_json(text)), refusing first a repeated key or nesting past _MAX_DEPTH (the document is level 1).
     # Readers check each value they read, so only the top-level values they leave unread need the walk.
     try:
-        nest, depth = [[obj := json.loads(text, object_pairs_hook=_unique_keys)]], 0
+        nest, depth = [[obj := parse_json(text)]], 0
         try:  # a refusal, or a RecursionError from the message of a deep value, goes out past a whole walk
             out, nest, depth = reader(obj), [[*map(obj.get, obj.keys() - fields)]], 1
             return out
@@ -154,5 +150,42 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+_scan, _SPACE = make_scanner(_Settings(  # json.JSONDecoder(object_pairs_hook=_unique_keys)'s; JSON's whitespace
+    strict=True, object_hook=None, object_pairs_hook=_unique_keys, parse_float=float, parse_int=int,
+    parse_constant={"-Infinity": float("-inf"), "Infinity": float("inf"), "NaN": float("nan")}.__getitem__)), " \t\n\r"
+
+
+def parse_json(text: str):
+    """json.loads(text, object_pairs_hook=_unique_keys) by one scan of json's C scanner; json.loads runs to refuse."""
+    try:
+        obj, end = _scan(text, len(text) - len(text.lstrip(_SPACE)))
+        if not text[end:].lstrip(_SPACE):
+            return obj
+    except Exception:  # in json's words: on 3.10 and 3.11 the scanner cannot raise its own without json loaded
+        pass
+    import json
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + "\n", which json writes only for a value _dump does not take."""
+    try:
+        return _dump(obj, "\n") + "\n"
+    except Exception:  # another type, a cycle, nesting past the interpreter's limit: json's text or its error
+        import json
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _dump(x, pad: str) -> str:
+    # x indented from pad, "\n" and 2 spaces a level: one call per value
+    kind, inner = type(x), pad + "  "
+    if kind is str:
+        return quote(x)
+    if kind is list or kind is tuple:
+        return "[" + inner + ("," + inner).join([_dump(y, inner) for y in x]) + pad + "]" if x else "[]"
+    if kind is dict and set(map(type, keys := sorted(x))) <= {str}:
+        items = [quote(key) + ": " + _dump(x[key], inner) for key in keys]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if x else "{}"
+    if x is None or kind is bool or kind is int:
+        return "null" if x is None else repr(x).lower()  # true, false or the digits
+    raise TypeError  # json's to write: a float, a key that is not a string, another type

@@ -16,21 +16,26 @@ spaces.py.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from ._record import record
 from .errors import NotUltrametricError
 from .graphs import Graph, RootedTree, Tree, Vertex
+from .io import quote
 from .metrics import ZERO, FiniteMetricSpace
 
-_compact = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps given separators builds one per call
+_compact: list = []  # json's compact encoder, made for the first ball holding a point that is not a str
 
 
 def ball_id(points: Iterable[Vertex]) -> str:
-    """Deterministic, collision-free vertex id for a set of points."""
-    return _compact(sorted(points))
+    """Deterministic, collision-free vertex id for a set of points: their sorted list as compact JSON."""
+    if set(map(type, points := sorted(points))) <= {str}:
+        return "[" + ",".join(map(quote, points)) + "]"
+    if not _compact:  # json.dumps given separators would build an encoder for each ball
+        import json
+        _compact.append(json.JSONEncoder(separators=(",", ":")).encode)
+    return _compact[0](points)
 
 
 @record

@@ -9,7 +9,6 @@ deterministic byte for byte given the same seed.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from typing import Callable
@@ -20,6 +19,7 @@ from .duality import EquidistantTree, MonotoneTree, labeling_to_weight, weight_t
 from .errors import ParseError, UltratreeError
 from .graph_reader import graph_from_json
 from .graphs import RootedTree
+from .io import parse_json
 from .matrix_io import matrix_from_json
 from .metrics import label_tree_metric
 from .path_metrics import additive_metric, minimax_label_metric
@@ -35,7 +35,7 @@ from .tree_codes import canonical_code
 def load_figure(name: str) -> dict:
     # a file beside this module: importlib.resources would import tempfile and zipfile, and inspect on 3.12+
     with open(os.path.join(os.path.dirname(__file__), "corpus", f"{name}.json"), encoding="utf-8") as fh:
-        return json.load(fh)
+        return parse_json(fh.read())
 
 
 def _check_fig3(doc: dict) -> list[tuple[str, bool]]:

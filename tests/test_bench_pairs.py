@@ -26,3 +26,25 @@ def test_pair_summary_counts_wins_and_sets_the_gap_against_the_base_spread():
     assert lines[-1] == ("  change better in 4 of 5 pairs; gap 2 against a base interquartile spread of 2"
                          " (1.00x the spread)")
     assert lines[2].endswith("(-2.78 %)")
+
+
+def test_a_base_tree_must_hold_the_same_benchmark(tmp_path):
+    # --base-tree compares BENCHMARK.json and perfbench/ file by file, bytecode caches and
+    # perfbench/.work aside, before any run.
+    import shutil
+
+    bp = _bench_pairs()
+    shutil.copy(bp.ROOT / "BENCHMARK.json", tmp_path)
+    shutil.copytree(bp.ROOT / "perfbench", tmp_path / "perfbench", ignore=shutil.ignore_patterns("__pycache__", ".*"))
+    assert bp.same_benchmark(tmp_path)
+    (tmp_path / "perfbench" / "__pycache__").mkdir()
+    (tmp_path / "perfbench" / "__pycache__" / "run.cpython.pyc").write_bytes(b"x")
+    (tmp_path / "perfbench" / ".work").mkdir()
+    (tmp_path / "perfbench" / ".work" / "out.json").write_text("{}")
+    assert bp.same_benchmark(tmp_path)
+    with open(tmp_path / "perfbench" / "run.py", "a") as f:
+        f.write("# changed\n")
+    assert not bp.same_benchmark(tmp_path)
+    (tmp_path / "perfbench" / "run.py").write_bytes((bp.ROOT / "perfbench" / "run.py").read_bytes())
+    (tmp_path / "perfbench" / "extra.py").write_text("")
+    assert not bp.same_benchmark(tmp_path)

@@ -747,6 +747,9 @@ def test_each_verb_loads_only_its_modules(verb_modules):
     assert {verb: others & {"dataclasses", "inspect"} for verb, (_, others) in loaded.items()} == dict.fromkeys(
         loaded, set()
     )
+    # JSON is read and written through json's C codec, _json: the json package loads
+    # only for a document the scanner refuses or a value the writer does not take.
+    assert [verb for verb, (_, others) in loaded.items() if others & {"json", "json.decoder", "json.encoder"}] == []
 
 
 # Source lines each verb compiles (the harness keeps no bytecode): cli.py, the
@@ -756,9 +759,9 @@ def test_each_verb_loads_only_its_modules(verb_modules):
 # held at what it compiles once each loads only the reader of its input, its
 # own handler and the code it runs.
 _SOURCE_LINE_CEILINGS = {
-    "iso": 1116, "iso --flavor free (cyclic graph)": 1104, "dual": 1039, "spanning": 1016, "counterexample": 1014,
-    "repr": 1135, "repr --labeled-tree": 1304, "ballean": 1130, "ballean --tree": 1130,
-    "isometry": 1011, "isometry --fast-ultrametric": 1420, "analyze": 1158, "reduce": 1167, "selftest": 2466,
+    "iso": 1151, "iso --flavor free (cyclic graph)": 1140, "dual": 1074, "spanning": 1051, "counterexample": 1049,
+    "repr": 1175, "repr --labeled-tree": 1344, "ballean": 1170, "ballean --tree": 1170,
+    "isometry": 1047, "isometry --fast-ultrametric": 1460, "analyze": 1193, "reduce": 1202, "selftest": 2506,
 }
 
 
@@ -1108,14 +1111,16 @@ def test_numbers_past_the_int_text_guard_are_refused_alike_on_every_release(tmp_
     assert _run(capsys, "reduce", path) == (2, _error_bytes("not a rational: 5000 digits, over 4300"))
 
 
-# sha256 of each seed-1 benchmark workload's calls, and of selftest at seeds 0 and 7, as
-# tools/replay_digest.py prints them; the same on Python 3.10-3.13.  Its help group is
-# left out: argparse's help text differs on 3.13.
+# sha256 of each seed-1 benchmark workload's calls, of selftest at seeds 0 and 7 and of
+# --help for the CLI and each verb at 80 columns, as tools/replay_digest.py prints them; the
+# same on Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0 (cli_parser.HelpFormatter keeps the
+# 3.10-3.12 help layout on 3.13).
 _REPLAY_DIGESTS = {
     "ultra_matrix": "fca1e6620759e0895418bfff50b0b43b93d0e54fd27bc9c705b4dbea8709ca2b",
     "big_trees": "954db3e2b60b41b1e8b44dd0c948936859a77175fc57fe4c99d785b3fbd4faf1",
     "label_graphs": "8066565c0b83161a3c3b101f00341679aad9645f1469810b1279e02f8e2589a5",
     "selftest": "e67ad6a13fa2e5eadc27fb2958ddf7c04cd4eb806e8771bbe40734a204676067",
+    "help": "4cb4aabddbc8afe6a40d7af478c1913625a880dbf20be5cf2c13578aa1ac9438",
 }
 
 
@@ -1131,4 +1136,6 @@ def test_cli_output_bytes_keep_their_replay_digests(tmp_path, monkeypatch):
     spec.loader.exec_module(replay)
     groups = {workload: replay.workload_calls(str(tmp_path), workload, 1) for workload in replay.gen.WORKLOADS}
     groups["selftest"] = replay.selftest_calls()
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help text to the terminal's width
+    groups["help"] = (replay.call(argv) for argv in (["--help"], *([verb, "--help"] for verb in replay.cli.VERBS)))
     assert {name: hashlib.sha256(b"".join(calls)).hexdigest() for name, calls in groups.items()} == _REPLAY_DIGESTS

@@ -3,9 +3,11 @@
     python tools/bench_pairs.py --workload big_trees --seed 7001 --pairs 10 --base HEAD~1
 
 The base ref is checked out as a detached git worktree in a temporary
-directory.  Both trees must hold the same benchmark: the script refuses to run
-when perfbench/ or BENCHMARK.json differ between the base ref and this
-checkout (uncommitted changes included).  Pair i runs perfbench/run.py in each
+directory.  With --base-tree, the base is an existing directory instead, for
+example one made by `git archive HEAD | tar -x -C DIR`, and no worktree is
+added.  Both trees must hold the same benchmark: the script refuses to run
+when perfbench/ or BENCHMARK.json differ between the base and this checkout
+(uncommitted changes included).  Pair i runs perfbench/run.py in each
 tree at seed + i, for BENCHMARK.json's run_seconds; the base runs first in
 even pairs and the checkout first in odd ones, so a drift of the host's speed
 favors neither side.  Each run must report its ops correct with none failed.
@@ -67,34 +69,58 @@ def run(tree: Path, workload: str, seed: int) -> dict:
     return {name: m["value"] for name, m in results[0]["metrics"].items()}
 
 
+def same_benchmark(base_tree: Path) -> bool:
+    """Whether base_tree holds this checkout's BENCHMARK.json and perfbench/ files.
+
+    Bytecode caches and hidden directories (perfbench/.work holds run output) are left out."""
+    def files(tree: Path) -> dict:
+        paths = [Path("BENCHMARK.json"), *(p.relative_to(tree) for p in (tree / "perfbench").rglob("*"))]
+        return {p: (tree / p).read_bytes() for p in paths if (tree / p).is_file()
+                and not any(part == "__pycache__" or part.startswith(".") for part in p.parts)}
+    return files(base_tree) == files(ROOT)
+
+
+def run_pairs(args, base_tree: Path) -> list[tuple[dict, dict]]:
+    """(base, checkout) results of each pair, the base run first in even pairs."""
+    pairs = []
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = (base_tree, ROOT) if i % 2 == 0 else (ROOT, base_tree)
+        got = {tree: run(tree, args.workload, seed) for tree in order}
+        pairs.append((got[base_tree], got[ROOT]))
+        print(f"pair {i + 1}, seed {seed}: " + "; ".join(
+            f"{m['name']} {got[base_tree][m['name']]:.6g} -> {got[ROOT][m['name']]:.6g}"
+            for m in BENCHMARK["end_to_end"]), flush=True)
+    return pairs
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair; pair i runs seed + i")
     parser.add_argument("--pairs", type=int, default=10, help="number of pairs, at least 2 (default 10)")
     parser.add_argument("--base", default="HEAD", help="git ref of the base tree (default HEAD)")
+    parser.add_argument("--base-tree", type=Path, help="directory holding the base tree, used instead of --base")
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-    if subprocess.run(["git", "diff", "--quiet", args.base, "--", "perfbench", "BENCHMARK.json"], cwd=ROOT).returncode:
-        print(f"perfbench/ or BENCHMARK.json differ between {args.base} and this checkout", file=sys.stderr)
+    base = args.base_tree.resolve() if args.base_tree else args.base
+    same = same_benchmark(base) if args.base_tree else subprocess.run(
+        ["git", "diff", "--quiet", base, "--", "perfbench", "BENCHMARK.json"], cwd=ROOT).returncode == 0
+    if not same:
+        print(f"perfbench/ or BENCHMARK.json differ between {base} and this checkout", file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory() as tmp:
-        base_tree = Path(tmp, "base")
-        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(base_tree), args.base], cwd=ROOT, check=True)
-        try:
-            pairs = []
-            for i in range(args.pairs):
-                seed = args.seed + i
-                order = (base_tree, ROOT) if i % 2 == 0 else (ROOT, base_tree)
-                got = {tree: run(tree, args.workload, seed) for tree in order}
-                pairs.append((got[base_tree], got[ROOT]))
-                print(f"pair {i + 1}, seed {seed}: " + "; ".join(
-                    f"{m['name']} {got[base_tree][m['name']]:.6g} -> {got[ROOT][m['name']]:.6g}"
-                    for m in BENCHMARK["end_to_end"]), flush=True)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)], cwd=ROOT)
-    print(f"{args.workload}, {args.pairs} pairs at seeds {args.seed}-{args.seed + args.pairs - 1}, base {args.base}:")
+    if args.base_tree:
+        pairs = run_pairs(args, base)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            base_tree = Path(tmp, "base")
+            subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(base_tree), base], cwd=ROOT, check=True)
+            try:
+                pairs = run_pairs(args, base_tree)
+            finally:
+                subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)], cwd=ROOT)
+    print(f"{args.workload}, {args.pairs} pairs at seeds {args.seed}-{args.seed + args.pairs - 1}, base {base}:")
     for m in BENCHMARK["end_to_end"]:
         s = summarize([b[m["name"]] for b, _ in pairs], [c[m["name"]] for _, c in pairs], m["better"])
         print("\n".join(report(m["name"], m["unit"], m["better"], s)))

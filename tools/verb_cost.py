@@ -13,8 +13,11 @@ call per verb and variant, the script prints:
 - the unrun lines among them: the source lines of the functions (lambdas and
   comprehensions included) that the call never enters, found by running the
   probe under a profiler, so the share of compiled code a call could shed;
-- the median, over 41 rounds, of the time compile() takes on those sources
-  in this process, in milliseconds;
+- the minimum, over 41 interleaved rounds, of the time compile() takes on
+  those sources in this process, in milliseconds: the least time is the one
+  that other work on the host cannot lengthen, so it resolves differences of
+  tens of microseconds, where the median of the same sources moved by
+  milliseconds from run to run;
 - the loaded submodules.
 Under that table it lists, for each call, the functions behind its unrun
 lines, grouped by module: each one's name, first line and line count.
@@ -39,7 +42,6 @@ import io  # noqa: E402
 import json  # noqa: E402
 import os  # noqa: E402
 import platform  # noqa: E402
-import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -149,14 +151,14 @@ def main() -> None:
 
     print(f"# {package.parent}, Python {platform.python_version()}, {ROUNDS} compile rounds")
     width = max(map(len, sources))
-    print(f"{'verb':<{width}}  {'lines':>5}  {'tokens':>6}  {'unrun':>5}  {'median_ms':>9}  modules")
+    print(f"{'verb':<{width}}  {'lines':>5}  {'tokens':>6}  {'unrun':>5}  {'min_ms':>9}  modules")
     for verb, files in sources.items():
         lines = sum(len(text.splitlines()) for _, text in files)
         tokens = sum(token_count(text) for _, text in files)
-        median = 1000 * statistics.median(times[verb])
+        least = 1000 * min(times[verb])
         modules = " ".join(sorted(traced[verb][0]))
         unrun_lines = sum(map(covered, unrun[verb].values()))
-        print(f"{verb:<{width}}  {lines:>5}  {tokens:>6}  {unrun_lines:>5}  {median:>9.2f}  {modules}")
+        print(f"{verb:<{width}}  {lines:>5}  {tokens:>6}  {unrun_lines:>5}  {least:>9.3f}  {modules}")
 
     print("\n# unrun functions per call: module, its unrun lines, then each function as name:first line (lines)")
     for verb, modules in unrun.items():
