@@ -1,8 +1,5 @@
-"""Seeded random monotone trees.
-
-Kept apart from generators: selftest draws its seeded duality and hierarchy
-claims from generate_monotone and so compiles this module alone.
-"""
+"""Seeded random monotone trees, the source of selftest's seeded duality and
+hierarchy claims."""
 
 from __future__ import annotations
 
@@ -16,31 +13,24 @@ from .graphs import Graph, RootedTree, Tree, Vertex
 
 def _branching_shape(rng: random.Random, size: int) -> list[Optional[int]]:
     # Parent indices for a rooted shape in which no vertex has exactly one
-    # child: subtree sizes are 1 or >= 3.
-    parents: list[Optional[int]] = [None]
-
-    def split(total: int) -> list[int]:
-        # total >= 2 into at least two parts, each a legal subtree size
-        # (1 or >= 3; a 2-vertex subtree would force an only child)
+    # child: subtree sizes are 1 or >= 3.  Vertices are numbered in preorder,
+    # and each draws the sizes of its child subtrees as it is numbered.
+    parents: list[Optional[int]] = []
+    todo: list[tuple[Optional[int], int]] = [(None, size)]
+    while todo:
+        parent, size_here = todo.pop()
+        parents.append(parent)
+        # the size_here - 1 vertices below split into no parts or at least two,
+        # each a legal subtree size (a 2-vertex subtree would force an only child)
+        total = left = size_here - 1
         parts: list[int] = []
-        left = total
         while left > 0:
             choices = [p for p in range(1, min(left, 6) + 1) if p != 2]
             if not parts and total in choices:
                 choices.remove(total)
             parts.append(rng.choice(choices))
             left -= parts[-1]
-        return parts
-
-    def grow(parent: int, size_here: int) -> None:
-        if size_here == 1:
-            return
-        for part in split(size_here - 1):
-            parents.append(parent)
-            child = len(parents) - 1
-            grow(child, part)
-
-    grow(0, size)
+        todo += [(len(parents) - 1, part) for part in reversed(parts)]
     return parents
 
 

@@ -8,7 +8,7 @@ _linkage, the ultrametric decision, is one O(n^2) Prim search: it returns
 the visiting order, in which every ball is an interval, with the rank each
 point joins at, and representing_tree alone turns them into vertices
 (spaces._classify reads only its verdict).  This gives the same tree as the
-recursion into diametrical blocks, which stays in oracles.py as the test
+recursion into diametrical blocks, which tests/helpers.py keeps as the test
 reference; its steps, diametrical_graph and multipartite_parts, are in
 spaces.py.
 """
@@ -125,7 +125,7 @@ def representing_tree(space: FiniteMetricSpace) -> LabeledRootedTree:
     are the intervals between them.  A stack of open balls walks the order
     once and makes each vertex when its ball closes.  This is the same tree
     as the paper's recursion into diametrical blocks (kept as a test
-    reference in oracles.py).  Vertex ids encode the payload sets, so the
+    reference in tests/helpers.py).  Vertex ids encode the payload sets, so the
     vertex set doubles as the ballean.
     """
     values, ranks = space._ranks  # type: ignore[attr-defined]

@@ -4,7 +4,7 @@ The strongest class of a checked matrix, read off its ranks; the restriction
 of a space to a subset of its points; and the steps of the paper's recursion
 into diametrical blocks: the diametrical graph of a space and the blocks of
 that complete multipartite graph, each of which the recursion restricts the
-space to.  oracles.py runs that recursion as the test reference.  No CLI verb
+space to.  tests/helpers.py runs that recursion as the test reference.  No CLI verb
 runs any of it, so metrics.py and representing.py, which the matrix verbs
 compile, leave it here: classify_metric and FiniteMetricSpace.classify
 import _classify when they run.

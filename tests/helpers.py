@@ -1,14 +1,46 @@
-"""Shared fixtures-in-code for the test suite: the bundled worked instances
-and independent brute-force checkers (never routed through the code under
-test)."""
+"""Shared fixtures-in-code for the test suite, in three parts.
+
+The worked instances of the paper's figures and the independent checkers:
+permutation-search isomorphism, the matrix check on the values themselves and
+every rooted shape by level sequences, each written from the definitions and
+never routed through the code under test.
+
+Seeded random instances: trees, connected graphs, weights, labels,
+equidistant trees and ultrametric spaces, deterministic for a fixed
+random.Random seed and meant for small sizes.
+
+The brute-force references the fast routes of the package are compared
+against.  They enumerate: unique tree paths by exhaustive simple-path search,
+graph metrics by folding over all simple paths, balls by trying every center
+and radius, the strong triangle inequality over all triples; enumeration
+refuses inputs beyond the test-scale vertex cap (see
+ultratree.oracles.all_simple_paths).  The hierarchy tree is built by the
+paper's recursion into diametrical blocks, one sub-matrix per ball.  The rest
+are the direct, quadratic forms of the one-pass routes: the Delta-reduction
+suppressing one out-degree-one vertex per rebuilt rooted tree, centers by
+checking every rooting, the smallest cycle edge by deleting each edge in turn,
+and the rooted canonical code by recursion.
+"""
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
+from typing import Mapping, Optional, Sequence
 
 from ultratree import Graph, RootedTree, Tree, edge_key, tree_from_edges
-from ultratree.errors import BadMatrixError
+from ultratree.duality import EquidistantTree, check_equidistant, degree_sets, labeling_to_weight
+from ultratree.errors import AcyclicInputError, BadMatrixError, PathTreeError
+from ultratree.graphs import Edge, Path, Vertex
+from ultratree.metrics import FiniteMetricSpace
+from ultratree.oracles import all_simple_paths
+from ultratree.path_metrics import space_from
+from ultratree.payloads import normalize_weights
+from ultratree.random_monotone import generate_monotone
+from ultratree.representing import LabeledRootedTree, ball_id
+from ultratree.spaces import diametrical_graph, multipartite_parts, restrict
+from ultratree.transforms import NablaResult
 
 F = Fraction
 
@@ -178,3 +210,266 @@ def check_matrix_by_fractions(mat, where, nonnegative) -> None:
                 raise BadMatrixError(f"asymmetric at {where(i, j)}")
             if nonnegative and mat[i][j] < 0:
                 raise ValueError(f"negative distance at {where(i, j)}")
+
+
+# Seeded random instances
+
+
+def _rng(seed: int | random.Random) -> random.Random:
+    return seed if isinstance(seed, random.Random) else random.Random(seed)
+
+
+def random_tree(seed: int | random.Random, size: int, prefix: str = "v") -> Tree:
+    rng = _rng(seed)
+    names = [f"{prefix}{i:02d}" for i in range(size)]
+    edges = [(names[rng.randrange(i)], names[i]) for i in range(1, size)]
+    return Tree(Graph(names, edges))
+
+
+def random_connected_graph(
+    seed: int | random.Random, size: int, extra_edges: int = 2, prefix: str = "v"
+) -> Graph:
+    """Random spanning tree plus up to extra_edges additional edges."""
+    rng = _rng(seed)
+    t = random_tree(rng, size, prefix)
+    edges = set(t.edges)
+    vs = t.vertices
+    non_edges = [
+        (u, v) for i, u in enumerate(vs) for v in vs[i + 1 :] if (u, v) not in edges
+    ]
+    rng.shuffle(non_edges)
+    edges.update(non_edges[:extra_edges])
+    return Graph(vs, edges)
+
+
+def random_rational(rng: random.Random, lo: int = 1, hi: int = 9) -> Fraction:
+    return Fraction(rng.randint(lo, hi), rng.choice((1, 1, 2, 4)))
+
+
+def random_weights(seed: int | random.Random, g: Graph) -> dict[Edge, Fraction]:
+    rng = _rng(seed)
+    return {e: random_rational(rng) for e in g.edges}
+
+
+def random_labels(
+    seed: int | random.Random, g: Graph, allow_zero: bool = True
+) -> dict[Vertex, Fraction]:
+    rng = _rng(seed)
+    lo = 0 if allow_zero else 1
+    return {v: Fraction(rng.randint(lo, 6)) for v in g.vertices}
+
+
+def random_equidistant_tree(
+    seed: int | random.Random,
+    min_size: int = 1,
+    max_size: int = 10,
+    branching_only: bool = False,
+) -> EquidistantTree:
+    """Random equidistant tree, via its paired monotone labeling."""
+    return labeling_to_weight(generate_monotone(_rng(seed), min_size, max_size, branching_only))
+
+
+def random_ultrametric_space(
+    seed: int | random.Random, size: int, names: Optional[list[Vertex]] = None
+) -> FiniteMetricSpace:
+    """Random ultrametric space built by recursive partitioning.
+
+    The distance of two points is the diameter of the smallest common block,
+    with child-block diameters strictly below the parent's.
+    """
+    rng = _rng(seed)
+    pts = names if names is not None else [f"p{i:02d}" for i in range(size)]
+    if len(pts) != size or size < 1:
+        raise ValueError("need size >= 1 matching names")
+    dist: dict[tuple[Vertex, Vertex], Fraction] = {}
+    # Blocks wait on a stack with their parent's diameter (None at the top),
+    # so the draws come in the order of a depth-first recursion.
+    todo: list[tuple[list[Vertex], Optional[Fraction]]] = [(list(pts), None)]
+    while todo:
+        block, above = todo.pop()
+        diam = Fraction(rng.randint(1, 8)) if above is None else above * Fraction(rng.randint(1, 3), 4)
+        if len(block) == 1:
+            continue
+        k = rng.randint(2, len(block))
+        shuffled = block[:]
+        rng.shuffle(shuffled)
+        cuts = sorted(rng.sample(range(1, len(block)), k - 1))
+        parts = [shuffled[a:b] for a, b in zip([0] + cuts, cuts + [len(block)])]
+        for i, part in enumerate(parts):
+            for other in parts[i + 1 :]:
+                for x in part:
+                    for y in other:
+                        dist[(x, y)] = dist[(y, x)] = diam
+        todo += [(part, diam) for part in reversed(parts)]
+    return space_from(pts, lambda x, y: dist[(x, y)])
+
+
+def shuffled_renaming(seed: int | random.Random, space: FiniteMetricSpace, prefix: str = "q") -> FiniteMetricSpace:
+    """Isometric copy with freshly shuffled point names."""
+    rng = _rng(seed)
+    new_names = [f"{prefix}{i:02d}" for i in range(len(space.points))]
+    rng.shuffle(new_names)
+    return space.rename(dict(zip(space.points, new_names)))
+
+
+# Brute-force references
+
+
+def unique_path_by_enumeration(t: Tree, u: Vertex, v: Vertex) -> Path:
+    """The u-v path found by exhaustive search; asserts uniqueness."""
+    paths = list(all_simple_paths(t, u, v))
+    if len(paths) != 1:
+        raise AssertionError(f"expected exactly one path, found {len(paths)}")
+    return paths[0]
+
+
+def min_path_sum_by_enumeration(g: Graph, w: Mapping, u: Vertex, v: Vertex) -> Fraction:
+    if u == v:
+        return Fraction(0)
+    weights = {edge_key(*e): Fraction(val) for e, val in w.items()}
+    return min(
+        sum(weights[edge_key(a, b)] for a, b in zip(p, p[1:]))
+        for p in all_simple_paths(g, u, v)
+    )
+
+
+def minimax_label_by_enumeration(g: Graph, l: Mapping, u: Vertex, v: Vertex) -> Fraction:
+    if u == v:
+        return Fraction(0)
+    labels = {x: Fraction(val) for x, val in l.items()}
+    return min(max(labels[x] for x in p) for p in all_simple_paths(g, u, v))
+
+
+def balls_by_enumeration(space: FiniteMetricSpace) -> set[frozenset[Vertex]]:
+    """Every distinct ball, trying all centers and all realizable radii."""
+    radii = {Fraction(0)} | {x for row in space.rows for x in row}
+    out: set[frozenset[Vertex]] = set()
+    for c in space.points:
+        for r in radii:
+            out.add(
+                frozenset(x for x in space.points if space.distance(c, x) <= r)
+            )
+    return out
+
+
+def strong_triangle_by_enumeration(rows: Sequence[Sequence[Fraction]]) -> bool:
+    """d(i, j) <= max(d(i, k), d(k, j)) for every triple of indices."""
+    n = len(rows)
+    return all(
+        rows[i][j] <= max(rows[i][k], rows[k][j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(n)
+    )
+
+
+def hierarchy_by_diametrical_blocks(space: FiniteMetricSpace) -> LabeledRootedTree:
+    """The hierarchy tree of a space known to be ultrametric, by recursion.
+
+    The root holds the whole point set labeled by its diameter; children are
+    the diametrical blocks labeled by their diameters; zero-label blocks are
+    leaves and positive blocks recurse.
+    """
+    vertices: list[Vertex] = []
+    edges: list[tuple[Vertex, Vertex]] = []
+    labels: dict[Vertex, Fraction] = {}
+    payloads: dict[Vertex, frozenset[Vertex]] = {}
+
+    def build(points: tuple[Vertex, ...]) -> Vertex:
+        vid = ball_id(points)
+        sub = restrict(space, points)
+        vertices.append(vid)
+        labels[vid] = sub.diameter()
+        payloads[vid] = frozenset(points)
+        if labels[vid] > 0:
+            for block in multipartite_parts(diametrical_graph(sub)):
+                edges.append((vid, build(block)))
+        return vid
+
+    root = build(space.points)
+    rt = RootedTree(Tree(Graph(vertices, edges)), root)
+    return LabeledRootedTree(rt, labels, payloads)
+
+
+def reduce_nabla_by_suppression(et: EquidistantTree) -> NablaResult:
+    """transforms.reduce_nabla with one rebuilt rooted tree per step."""
+    v0, v1, v2 = degree_sets(et.rt)
+    if not v2:
+        raise PathTreeError("every vertex has out-degree at most one")
+
+    root = et.rt.root
+    vertices = set(et.rt.vertices)
+    weights = dict(et.weights)
+
+    rt = et.rt
+    while rt.out_degree(root) == 1:
+        (child,) = rt.children(root)
+        vertices.discard(root)
+        del weights[edge_key(root, child)]
+        root = child
+        rt = RootedTree(Tree(Graph(vertices, weights.keys())), root)
+
+    while True:
+        _, ones, _ = degree_sets(rt)
+        if not ones:
+            break
+        v = min(ones)
+        parent = rt.parent(v)
+        (child,) = rt.children(v)
+        assert parent is not None
+        merged = weights[edge_key(parent, v)] + weights[edge_key(v, child)]
+        vertices.discard(v)
+        del weights[edge_key(parent, v)]
+        del weights[edge_key(v, child)]
+        weights[edge_key(parent, child)] = merged
+        rt = RootedTree(Tree(Graph(vertices, weights.keys())), root)
+
+    reduced = EquidistantTree(rt, weights)
+    removed = frozenset(et.rt.vertices) - vertices
+    assert removed == v1
+    return NablaResult(reduced, removed, root)
+
+
+def centers_by_rooting(t: Tree, w: Mapping) -> frozenset[Vertex]:
+    """analysis.centers by checking every rooting for equidistance."""
+    weights = normalize_weights(t, w, strict=True)
+    found = set()
+    for r in t.vertices:
+        if check_equidistant(RootedTree(t, r), weights) is not None:
+            found.add(r)
+    return frozenset(found)
+
+
+def cycle_edge_by_deletion(g: Graph) -> Edge:
+    """transforms._cycle_edge by deleting each edge and testing whether its
+    endpoints stay connected."""
+    for e in g.edges:
+        rest = Graph(g.vertices, [f for f in g.edges if f != e])
+        comp = rest.components()
+        u, v = e
+        if any(u in c and v in c for c in comp):
+            return e
+    raise AcyclicInputError("graph has no cycle")
+
+
+def rooted_code_by_recursion(
+    t: Tree,
+    root: Vertex,
+    labels: Optional[dict[Vertex, str]],
+    weights: Optional[dict[Edge, str]],
+) -> str:
+    """The code tree_codes builds below root (no schema prefix), by recursive child-code
+    sorting, on label and weight text."""
+    def enc(v: Vertex, parent: Optional[Vertex]) -> str:
+        parts = []
+        for c in t.neighbors(v):
+            if c == parent:
+                continue
+            piece = enc(c, v)
+            if weights is not None:
+                piece = "[" + weights[edge_key(v, c)] + "]" + piece
+            parts.append(piece)
+        head = labels[v] + ";" if labels is not None else ""
+        return "(" + head + "".join(sorted(parts)) + ")"
+
+    return enc(root, None)

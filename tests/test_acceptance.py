@@ -40,16 +40,6 @@ from ultratree import (
     ultrametric_isometric,
     weight_to_labeling,
 )
-from ultratree.generators import (
-    random_connected_graph,
-    random_equidistant_tree,
-    random_labels,
-    random_tree,
-    random_ultrametric_space,
-    random_weights,
-    shuffled_renaming,
-)
-from ultratree.oracles import balls_by_enumeration, minimax_label_by_enumeration
 
 from helpers import (
     brute_iso,
@@ -59,6 +49,15 @@ from helpers import (
     fig10_tree,
     fig11_trees,
     fig13_tree,
+    balls_by_enumeration,
+    minimax_label_by_enumeration,
+    random_connected_graph,
+    random_equidistant_tree,
+    random_labels,
+    random_tree,
+    random_ultrametric_space,
+    random_weights,
+    shuffled_renaming,
 )
 
 

@@ -24,16 +24,21 @@ from ultratree import (
     tree_from_edges,
 )
 from ultratree.errors import NoBranchingVertexError, NotPlantedError, NotUltrametricError
-from ultratree.generators import (
+from ultratree.payloads import edge_key
+from ultratree.metrics import FiniteMetricSpace
+
+from helpers import (
+    MIXED_DENS,
+    fig1_tree,
+    fig3_tree,
+    fig10_tree,
+    fig13_tree,
+    mixed_equidistant_weights,
+    centers_by_rooting,
     random_equidistant_tree,
     random_tree,
     random_weights,
 )
-from ultratree.payloads import edge_key
-from ultratree.metrics import FiniteMetricSpace
-from ultratree.oracles import centers_by_rooting
-
-from helpers import MIXED_DENS, fig1_tree, fig3_tree, fig10_tree, fig13_tree, mixed_equidistant_weights
 
 
 def _planted_equidistant(rng, stem_weight=None):

@@ -32,15 +32,8 @@ from ultratree.errors import (
     SizeLimitError,
     VertexNotFoundError,
 )
-from ultratree.generators import (
-    random_tree,
-    random_ultrametric_space,
-    random_weights,
-    shuffled_renaming,
-)
 from ultratree import canonical, tree_codes
 from ultratree.metrics import FiniteMetricSpace
-from ultratree.oracles import rooted_code_by_recursion
 from ultratree.rational import format_rational
 from ultratree.transforms import cyclic_weight_counterexample
 
@@ -52,6 +45,11 @@ from helpers import (
     rename_tree,
     rename_weights,
     rooted_shapes,
+    random_tree,
+    random_ultrametric_space,
+    random_weights,
+    rooted_code_by_recursion,
+    shuffled_renaming,
 )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -25,9 +26,16 @@ from ultratree import (
 )
 from ultratree.analysis import centers, planted_leaf_ultrametric_check
 from ultratree.errors import NotEquidistantError, NotMonotoneError, NonPositiveWeightError
-from ultratree.generators import random_equidistant_tree
 
-from helpers import fig10_tree, fig11_trees, fig13_tree, mixed_equidistant_weights, rename_labels, rename_tree
+from helpers import (
+    fig10_tree,
+    fig11_trees,
+    fig13_tree,
+    mixed_equidistant_weights,
+    rename_labels,
+    rename_tree,
+    random_equidistant_tree,
+)
 
 
 def test_check_equidistant_fig10():
@@ -188,8 +196,24 @@ def test_generate_monotone_contract():
         assert check_monotone(mt.rt, mt.labels)
 
 
+def test_generate_monotone_draws_are_pinned():
+    # selftest's output is the same for every seed, so it cannot show a change in the
+    # order of generate_monotone's draws; this digest of its trees over many seeds and
+    # sizes can.  Each tree is drawn on a fresh rng whose next draw is hashed too, so a
+    # change in how many values a tree takes shows as well.
+    digest = hashlib.sha256()
+    for seed in range(300):
+        for size in (1, 3, 4, 5, 7, 9, 10, 15, 30):
+            for branching_only in (False, True):
+                rng = random.Random(seed)
+                mt = generate_monotone(rng, size, size, branching_only)
+                drawn = (mt.rt.root, sorted(mt.rt.tree.edges), sorted(mt.labels.items()), rng.random())
+                digest.update(repr(drawn).encode())
+    assert digest.hexdigest() == "5a70785e2b57ae2c37c6cf4a9dec00c01a3d7f4e92589dd370117dfcf45ec887"
+
+
 def test_v0_is_the_out_degree_zero_class_found_once():
-    from ultratree.generators import random_tree
+    from helpers import random_tree
 
     rng = random.Random(733)
     for n in (1, 2, 3, 10, 200, 5000):
@@ -213,7 +237,7 @@ def test_root_distances_helper():
 
 
 def test_integer_root_distances_equal_fraction_sums():
-    from ultratree.generators import random_tree
+    from helpers import random_tree
 
     rng = random.Random(907)
     for n in (150, 300, 600):

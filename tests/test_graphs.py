@@ -31,10 +31,17 @@ from ultratree.errors import NonPositiveWeightError, ParseError, VertexNotFoundE
 from ultratree.graph_reader import graph_from_json
 from ultratree.payloads import normalize_labels, normalize_weights
 from ultratree.io import GraphDoc, load_graph_text
-from ultratree.generators import random_connected_graph, random_tree
-from ultratree.oracles import unique_path_by_enumeration
 
-from helpers import fig1_tree, fig5_tree, fig6_graph, fig10_tree, fig13_tree
+from helpers import (
+    fig1_tree,
+    fig5_tree,
+    fig6_graph,
+    fig10_tree,
+    fig13_tree,
+    random_connected_graph,
+    random_tree,
+    unique_path_by_enumeration,
+)
 
 
 def test_graph_rejects_bad_input():

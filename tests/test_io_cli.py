@@ -15,13 +15,20 @@ import pytest
 from ultratree import additive_metric, minimax_label_metric, representing_tree
 from ultratree.cli import main
 from ultratree.errors import ParseError
-from ultratree.generators import random_ultrametric_space
 from ultratree import io as tio
 from ultratree.graph_reader import graph_from_json
 from ultratree.matrix_io import matrix_from_csv, matrix_from_json
 from ultratree.matrix_writers import matrix_to_csv, matrix_to_json
 
-from helpers import fig6_graph, fig10_tree, fig13_tree, rename_labels, rename_tree, rename_weights
+from helpers import (
+    fig6_graph,
+    fig10_tree,
+    fig13_tree,
+    rename_labels,
+    rename_tree,
+    rename_weights,
+    random_ultrametric_space,
+)
 
 
 def test_graph_json_round_trip():
@@ -293,7 +300,7 @@ def test_cli_iso_and_isometry(tmp_path, capsys):
     assert code == 0 and json.loads(out)["isomorphic"] is True
 
     s = random_ultrametric_space(random.Random(223), 4)
-    from ultratree.generators import shuffled_renaming
+    from helpers import shuffled_renaming
 
     s2 = shuffled_renaming(random.Random(227), s)
     m1 = _write(tmp_path, "m1.json", tio.dump_json(matrix_to_json(s)))
@@ -332,7 +339,7 @@ def test_iso_compares_exactly_the_payloads_of_its_flavor(tmp_path, capsys):
     # of the left, or of the left with one payload changed: the root moved from a leaf
     # to a branching vertex, or one label or one weight set to a value found nowhere else.
     from ultratree import IsoFlavor, are_isomorphic
-    from ultratree.generators import random_tree
+    from helpers import random_tree
 
     rng = random.Random(233)
     for k in range(4):
@@ -737,7 +744,7 @@ def test_each_verb_loads_only_its_modules(verb_modules):
     for verb in ("repr", "ballean", "ballean --tree", "isometry"):
         assert not package[verb] & {"payloads", "path_metrics"}, verb
     assert "tree_codes" not in package["iso --flavor free (cyclic graph)"]
-    assert [verb for verb, modules in package.items() if modules & {"checkers", "generators", "matrix_writers"}] == []
+    assert [verb for verb, modules in package.items() if modules & {"checkers", "matrix_writers"}] == []
     # Restriction, classification and the paper's single-instance propositions serve
     # selftest's claims; no other verb runs them.
     assert [verb for verb, modules in package.items() if modules & {"spaces", "propositions"}] == ["selftest"]
@@ -761,7 +768,7 @@ def test_each_verb_loads_only_its_modules(verb_modules):
 _SOURCE_LINE_CEILINGS = {
     "iso": 1151, "iso --flavor free (cyclic graph)": 1140, "dual": 1074, "spanning": 1051, "counterexample": 1049,
     "repr": 1175, "repr --labeled-tree": 1344, "ballean": 1170, "ballean --tree": 1170,
-    "isometry": 1047, "isometry --fast-ultrametric": 1460, "analyze": 1193, "reduce": 1202, "selftest": 2506,
+    "isometry": 1047, "isometry --fast-ultrametric": 1460, "analyze": 1193, "reduce": 1202, "selftest": 2496,
 }
 
 
@@ -929,6 +936,18 @@ def test_public_api_resolves_lazily_to_the_defining_objects():
         with pytest.raises(AttributeError, match=unknown):
             getattr(ultratree, unknown)
     assert list(ISO_FLAVORS) == [f.value for f in IsoFlavor]
+
+
+def test_the_package_ships_no_test_references_or_generators():
+    # The brute-force references and the seeded generators are in tests/helpers.py; what
+    # oracles keeps for tests and callers needs only the graph layer.
+    import importlib.util
+
+    assert importlib.util.find_spec("ultratree.generators") is None
+    code = "import sys, ultratree.oracles; print(*sorted(m for m in sys.modules if m.startswith('ultratree.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ultratree._record", "ultratree.errors", "ultratree.graphs", "ultratree.oracles"]
 
 
 def test_matrix_verbs_answer_any_input_with_one_json_object(tmp_path):

@@ -26,21 +26,26 @@ from ultratree.errors import (
     NonPositiveWeightError,
     VertexNotFoundError,
 )
-from ultratree.generators import (
+from ultratree.payloads import edge_key
+from ultratree.metrics import FiniteMetricSpace
+from ultratree.path_metrics import space_from
+from ultratree.oracles import find_path
+
+from helpers import (
+    check_matrix_by_fractions,
+    fig6_graph,
+    fig10_tree,
+    fig13_tree,
+    min_path_sum_by_enumeration,
+    minimax_label_by_enumeration,
     random_connected_graph,
     random_equidistant_tree,
     random_labels,
     random_tree,
     random_ultrametric_space,
     random_weights,
+    strong_triangle_by_enumeration,
 )
-from ultratree.payloads import edge_key
-from ultratree.metrics import FiniteMetricSpace
-from ultratree.path_metrics import space_from
-from ultratree.oracles import (find_path, min_path_sum_by_enumeration, minimax_label_by_enumeration,
-                               strong_triangle_by_enumeration)
-
-from helpers import check_matrix_by_fractions, fig6_graph, fig10_tree, fig13_tree
 
 
 def test_additive_metric_fig13():

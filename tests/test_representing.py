@@ -24,18 +24,19 @@ from ultratree.errors import (
     NotUltrametricError,
     TooFewPointsError,
 )
-from ultratree.generators import random_tree, random_ultrametric_space
 from ultratree.matrix_writers import matrix_to_csv
 from ultratree.metrics import FiniteMetricSpace, classify_metric
 from ultratree.path_metrics import minimax_label_metric, space_from
 from ultratree.representing import _linkage, ball_id
-from ultratree.oracles import (
+
+from helpers import (
+    fig6_graph,
     balls_by_enumeration,
     hierarchy_by_diametrical_blocks,
+    random_tree,
+    random_ultrametric_space,
     strong_triangle_by_enumeration,
 )
-
-from helpers import fig6_graph
 
 
 def _space(points, entries):

@@ -29,16 +29,19 @@ from ultratree import (
     weight_to_labeling,
 )
 from ultratree.errors import AcyclicInputError, PathTreeError
-from ultratree.oracles import cycle_edge_by_deletion, reduce_nabla_by_suppression
 from ultratree.transforms import _cycle_edge
-from ultratree.generators import (
+
+from helpers import (
+    fig5_tree,
+    fig6_graph,
+    mixed_equidistant_weights,
+    cycle_edge_by_deletion,
     random_connected_graph,
     random_equidistant_tree,
     random_labels,
     random_tree,
+    reduce_nabla_by_suppression,
 )
-
-from helpers import fig5_tree, fig6_graph, mixed_equidistant_weights
 
 
 def random_monotone_labels_on(rng, rt):

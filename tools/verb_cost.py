@@ -23,10 +23,14 @@ Under that table it lists, for each call, the functions behind its unrun
 lines, grouped by module: each one's name, first line and line count.
 
 The inputs are built with this checkout's package and tests; the calls run
-the package found at SRC, so one script compares two trees:
+the package found at each SRC.  Given several trees, the script compiles them
+all in the same interleaved rounds, prints each one's table and then, per
+verb, each later tree's min_ms less the first's.  Compare trees in one run:
+between two runs made minutes apart, the host's speed can drift by more than
+the difference sought.
 
-    python tools/verb_cost.py                        # this checkout's src
-    python tools/verb_cost.py /path/to/other/src     # another tree, same probes
+    python tools/verb_cost.py                          # this checkout's src
+    python tools/verb_cost.py /path/to/base/src src    # two trees, same probes
 
 No bytecode is written, and no file under either package is touched.
 """
@@ -75,9 +79,9 @@ print(json.dumps(sorted({(os.path.basename(c.co_filename), c.co_firstlineno, c.c
 """
 
 
-def traced_call(*argv) -> tuple[set, set]:
+def traced_call(env: dict, *argv) -> tuple[set, set]:
     """(ultratree submodules, entered code keys) of one CLI call."""
-    proc = subprocess.run([sys.executable, "-c", _TRACED, *argv], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", _TRACED, *argv], capture_output=True, text=True, env=env)
     if proc.returncode:
         raise SystemExit(f"probe {argv} failed: {proc.stderr}")
     *_, loaded, entered = proc.stdout.splitlines()
@@ -121,52 +125,76 @@ def covered(functions: list) -> int:
     return len(set().union(*(lines for *_, lines in functions)))
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("src", nargs="?", default=str(ROOT / "src"), help="directory holding the ultratree package")
-    args = parser.parse_args()
-    package = Path(args.src).resolve() / "ultratree"
-    if not (package / "cli.py").is_file():
-        raise SystemExit(f"no ultratree package under {args.src}")
-    # the probe subprocesses inherit these: they import the package at SRC and write no bytecode
-    os.environ["PYTHONPATH"] = str(package.parent)
-    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
-
-    with tempfile.TemporaryDirectory() as tmp:
-        runs = test_io_cli._verb_runs(Path(tmp))
-        traced = {verb: traced_call(*argv) for verb, argv in runs.items()}
-    sources, unrun = {}, {}
-    for verb, (modules, entered) in traced.items():
+def profile(package: Path, runs: dict) -> dict:
+    """Per verb: (loaded submodules, (path, source) of each compiled file, unrun
+    functions by module) of the calls run on one package."""
+    # the probes import the package at this tree and write no bytecode
+    env = dict(os.environ, PYTHONPATH=str(package.parent), PYTHONDONTWRITEBYTECODE="1")
+    found = {}
+    for verb, argv in runs.items():
+        modules, entered = traced_call(env, *argv)
         paths = [package / f"{name}.py" for name in sorted(modules | {"__init__", "cli"})]
-        sources[verb] = [(str(path), path.read_text(encoding="utf-8")) for path in paths]
-        unrun[verb] = {Path(path).name: unrun_functions(path, text, entered) for path, text in sources[verb]}
+        sources = [(str(path), path.read_text(encoding="utf-8")) for path in paths]
+        unrun = {Path(path).name: unrun_functions(path, text, entered) for path, text in sources}
+        found[verb] = (modules, sources, unrun)
+    return found
 
-    times: dict[str, list[float]] = {verb: [] for verb in sources}
-    for _ in range(ROUNDS):  # rounds interleave the verbs, so a slow spell is shared
-        for verb, files in sources.items():
-            start = time.perf_counter()
-            for path, text in files:
-                compile(text, path, "exec", dont_inherit=True)
-            times[verb].append(time.perf_counter() - start)
 
+def report(package: Path, found: dict, times: dict) -> None:
+    """One tree's table, then its unrun functions per call."""
     print(f"# {package.parent}, Python {platform.python_version()}, {ROUNDS} compile rounds")
-    width = max(map(len, sources))
+    width = max(map(len, found))
     print(f"{'verb':<{width}}  {'lines':>5}  {'tokens':>6}  {'unrun':>5}  {'min_ms':>9}  modules")
-    for verb, files in sources.items():
+    for verb, (modules, files, unrun) in found.items():
         lines = sum(len(text.splitlines()) for _, text in files)
         tokens = sum(token_count(text) for _, text in files)
         least = 1000 * min(times[verb])
-        modules = " ".join(sorted(traced[verb][0]))
-        unrun_lines = sum(map(covered, unrun[verb].values()))
-        print(f"{verb:<{width}}  {lines:>5}  {tokens:>6}  {unrun_lines:>5}  {least:>9.3f}  {modules}")
+        unrun_lines = sum(map(covered, unrun.values()))
+        print(f"{verb:<{width}}  {lines:>5}  {tokens:>6}  {unrun_lines:>5}  {least:>9.3f}  {' '.join(sorted(modules))}")
 
     print("\n# unrun functions per call: module, its unrun lines, then each function as name:first line (lines)")
-    for verb, modules in unrun.items():
+    for verb, (_, _, unrun) in found.items():
         print(verb)
-        for module, functions in modules.items():
+        for module, functions in unrun.items():
             if functions:
                 listed = ", ".join(f"{name}:{first} ({len(lines)})" for name, first, lines in functions)
                 print(f"  {module:<18} {covered(functions):>4}  {listed}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", nargs="*", default=[str(ROOT / "src")],
+                        help="directories holding an ultratree package; later ones are compared with the first")
+    args = parser.parse_args()
+    packages = [Path(src).resolve() / "ultratree" for src in args.src]
+    for src, package in zip(args.src, packages):
+        if not (package / "cli.py").is_file():
+            raise SystemExit(f"no ultratree package under {src}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = test_io_cli._verb_runs(Path(tmp))
+        trees = [profile(package, runs) for package in packages]
+
+    times: list[dict[str, list[float]]] = [{verb: [] for verb in runs} for _ in trees]
+    for r in range(ROUNDS):  # rounds interleave the verbs and the trees, so a slow spell is shared
+        for verb in runs:
+            for i in [(r + k) % len(trees) for k in range(len(trees))]:  # each round starts at another tree
+                files = trees[i][verb][1]
+                start = time.perf_counter()
+                for path, text in files:
+                    compile(text, path, "exec", dont_inherit=True)
+                times[i][verb].append(time.perf_counter() - start)
+
+    for package, found, tree_times in zip(packages, trees, times):
+        report(package, found, tree_times)
+        print()
+    if len(trees) > 1:
+        print(f"# min_ms of each later tree less that of {packages[0].parent}, per verb")
+        width = max(map(len, runs))
+        for verb in runs:
+            base = min(times[0][verb])
+            diffs = "  ".join(f"{1000 * (min(t[verb]) - base):>+9.3f}" for t in times[1:])
+            print(f"{verb:<{width}}  {diffs}")
 
 
 if __name__ == "__main__":
