@@ -22,8 +22,8 @@ def _relation_rows(g: Graph, labels: Optional[Mapping], weights: Optional[Mappin
     # every other pair; payloads are normalized as canonical_code does it.  A
     # non-edge differs from every edge by length alone, whatever the payload
     # values, and normalized entries all sort together.
-    from .payloads import normalize_labels, normalize_weights
-
+    if labels is not None or weights is not None:  # a bare graph loads no number code
+        from .payloads import normalize_labels, normalize_weights
     lab = normalize_labels(g, labels) if labels is not None else None
     wts = normalize_weights(g, weights, strict=False) if weights is not None else None
     index = {v: i for i, v in enumerate(g.vertices)}

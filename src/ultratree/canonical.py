@@ -88,12 +88,15 @@ def are_isomorphic(
         raise ValueError("rooted flavors are defined for trees only")
     _check_payloads(flavor, labels1, weights1, root1)
     _check_payloads(flavor, labels2, weights2, root2)
-    from .payloads import normalize_labels, normalize_weights  # bad payload values are refused before the sizes decide
-
+    # bad payload values are refused before the sizes decide; a bare graph loads no number code
     for g, labels, weights in ((g1, labels1, weights1), (g2, labels2, weights2)):
         if labels is not None:
+            from .payloads import normalize_labels
+
             normalize_labels(g, labels)
         if weights is not None:
+            from .payloads import normalize_weights
+
             normalize_weights(g, weights, strict=False)
     if (len(g1.vertices), len(g1.edges)) != (len(g2.vertices), len(g2.edges)):
         return False

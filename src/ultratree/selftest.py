@@ -19,7 +19,7 @@ from .duality import EquidistantTree, MonotoneTree, labeling_to_weight, weight_t
 from .errors import ParseError, UltratreeError
 from .graph_reader import graph_from_json
 from .graphs import RootedTree
-from .io import parse_json
+from .io import GraphDoc, parse_json
 from .matrix_io import matrix_from_json
 from .metrics import label_tree_metric
 from .path_metrics import additive_metric, minimax_label_metric
@@ -32,15 +32,15 @@ from .transforms import reduce_nabla, bottleneck_spanning_tree
 from .tree_codes import canonical_code
 
 
-def load_figure(name: str) -> dict:
+def load_figure(name: str) -> tuple[GraphDoc, dict]:
+    """A corpus figure's parsed input and its expected outcomes."""
     # a file beside this module: importlib.resources would import tempfile and zipfile, and inspect on 3.12+
     with open(os.path.join(os.path.dirname(__file__), "corpus", f"{name}.json"), encoding="utf-8") as fh:
-        return parse_json(fh.read())
+        doc = parse_json(fh.read())
+    return graph_from_json(doc["input"]), doc["expected"]
 
 
-def _check_fig3(doc: dict) -> list[tuple[str, bool]]:
-    inp = graph_from_json(doc["input"])
-    exp = doc["expected"]
+def _check_fig3(inp: GraphDoc, exp: dict) -> list[tuple[str, bool]]:
     t = inp.tree()
     got = sorted(centers(t, inp.weights))
     et = EquidistantTree(RootedTree(t, "v1"), inp.weights)
@@ -49,9 +49,7 @@ def _check_fig3(doc: dict) -> list[tuple[str, bool]]:
             ("v0-diameter-equals-2K", bound.diam_v0 == parse_rational(exp["diam_v0_at_v1"]) and not bound.strict)]
 
 
-def _check_fig5(doc: dict) -> list[tuple[str, bool]]:
-    inp = graph_from_json(doc["input"])
-    exp = doc["expected"]
+def _check_fig5(inp: GraphDoc, exp: dict) -> list[tuple[str, bool]]:
     et = EquidistantTree(inp.rooted(), inp.weights)
     result = reduce_nabla(et)
     want = graph_from_json(exp["reduced"])
@@ -63,9 +61,7 @@ def _check_fig5(doc: dict) -> list[tuple[str, bool]]:
             ("midpoint-membership", member == exp["membership"])]
 
 
-def _check_fig6(doc: dict) -> list[tuple[str, bool]]:
-    inp = graph_from_json(doc["input"])
-    exp = doc["expected"]
+def _check_fig6(inp: GraphDoc, exp: dict) -> list[tuple[str, bool]]:
     space, _ = minimax_label_metric(inp.graph, inp.labels)
     want_space = matrix_from_json(exp["minimax_matrix"])
     spanning = bottleneck_spanning_tree(inp.graph, inp.labels)
@@ -79,9 +75,7 @@ def _check_fig6(doc: dict) -> list[tuple[str, bool]]:
             ("diametrical-blocks", blocks == exp["blocks"]), ("hierarchy-tree-shape", got_code == want_code)]
 
 
-def _check_fig10(doc: dict) -> list[tuple[str, bool]]:
-    inp = graph_from_json(doc["input"])
-    exp = doc["expected"]
+def _check_fig10(inp: GraphDoc, exp: dict) -> list[tuple[str, bool]]:
     et = EquidistantTree(inp.rooted(), inp.weights)
     leaf_space = restrict(et.metric(), et.rt.tree.leaves())
     holds, lhs, rhs = planted_leaf_ultrametric_check(et)
@@ -93,9 +87,7 @@ def _check_fig10(doc: dict) -> list[tuple[str, bool]]:
             ("planted-strict-bound", bound.strict and bound.diam_v0 == parse_rational(exp["diam_v0"]))]
 
 
-def _check_fig11(doc: dict) -> list[tuple[str, bool]]:
-    inp = graph_from_json(doc["input"])
-    exp = doc["expected"]
+def _check_fig11(inp: GraphDoc, exp: dict) -> list[tuple[str, bool]]:
     rt = inp.rooted()
     et = EquidistantTree(rt, inp.weights)
     mt = MonotoneTree(rt, inp.labels)
@@ -105,9 +97,7 @@ def _check_fig11(doc: dict) -> list[tuple[str, bool]]:
             ("round-trip", labeling_to_weight(weight_to_labeling(et)).weights == et.weights)]
 
 
-def _check_fig13(doc: dict) -> list[tuple[str, bool]]:
-    inp = graph_from_json(doc["input"])
-    exp = doc["expected"]
+def _check_fig13(inp: GraphDoc, exp: dict) -> list[tuple[str, bool]]:
     t = inp.tree()
     space = additive_metric(t, inp.weights)
     leaf_space = restrict(space, exp["leaf_points"])
@@ -122,7 +112,7 @@ def _check_fig13(doc: dict) -> list[tuple[str, bool]]:
 
 
 # each corpus figure, in report order, with the checker of its claims
-_CHECKERS: dict[str, Callable[[dict], list[tuple[str, bool]]]] = {
+_CHECKERS: dict[str, Callable[[GraphDoc, dict], list[tuple[str, bool]]]] = {
     "fig3": _check_fig3, "fig5": _check_fig5, "fig6": _check_fig6,
     "fig10": _check_fig10, "fig11": _check_fig11, "fig13": _check_fig13,
 }
@@ -164,7 +154,7 @@ def env_seed() -> int:
 
 def run_selftest(seed: int = 0) -> tuple[str, bool]:
     """Run every corpus claim; returns (report text, all passed)."""
-    claims = [(figure, *claim) for figure, check in _CHECKERS.items() for claim in check(load_figure(figure))]
+    claims = [(figure, *claim) for figure, check in _CHECKERS.items() for claim in check(*load_figure(figure))]
     claims += _generator_claims(seed)
     lines = [f"{figure} {claim} {'PASS' if ok else 'FAIL'}" for figure, claim, ok in claims]
     passed = sum(1 for *_, ok in claims if ok)

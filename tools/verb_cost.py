@@ -1,16 +1,14 @@
 """What each verb compiles: the package modules a small CLI call loads, their
-source lines and the time compile() takes on them.
+tokens and the time compile() takes on them.
 
 Without a bytecode cache (as under PYTHONDONTWRITEBYTECODE=1, which the
 benchmark sets) a CLI call compiles the source of every package module it
 loads.  For each probe of tests/test_io_cli.py's _verb_runs, one small valid
 call per verb and variant, the script prints:
-- the source lines, counted as the test's line ceilings count them: cli.py,
-  __init__.py and every submodule the call loads;
-- the tokens of those sources, comments and line ends left out, as the
-  tokenize module reads them: compile time follows this count more closely
-  than it follows lines;
-- the unrun lines among them: the source lines of the functions (lambdas and
+- the tokens of cli.py, __init__.py and every submodule the call loads,
+  counted by the test's own counter, test_io_cli.token_lines, so exactly as
+  the token ceilings count them;
+- the unrun tokens among them: those in the functions (lambdas and
   comprehensions included) that the call never enters, found by running the
   probe under a profiler, so the share of compiled code a call could shed;
 - the minimum, over 41 interleaved rounds, of the time compile() takes on
@@ -18,16 +16,19 @@ call per verb and variant, the script prints:
   that other work on the host cannot lengthen, so it resolves differences of
   tens of microseconds, where the median of the same sources moved by
   milliseconds from run to run;
+- the interquartile range of those 41 times, in milliseconds, so the spread
+  the minimum is read against;
 - the loaded submodules.
 Under that table it lists, for each call, the functions behind its unrun
-lines, grouped by module: each one's name, first line and line count.
+tokens, grouped by module: each one's name, first line and token count.
 
 The inputs are built with this checkout's package and tests; the calls run
 the package found at each SRC.  Given several trees, the script compiles them
 all in the same interleaved rounds, prints each one's table and then, per
-verb, each later tree's min_ms less the first's.  Compare trees in one run:
-between two runs made minutes apart, the host's speed can drift by more than
-the difference sought.
+verb, each later tree's min_ms less the first's, marked unresolved when it is
+smaller than the first tree's interquartile range: identical sources differed
+by up to 0.44 ms.  Compare trees in one run: between two runs made minutes
+apart, the host's speed can drift by more than the difference sought.
 
     python tools/verb_cost.py                          # this checkout's src
     python tools/verb_cost.py /path/to/base/src src    # two trees, same probes
@@ -42,21 +43,20 @@ import sys
 sys.dont_write_bytecode = True
 
 import argparse  # noqa: E402
-import io  # noqa: E402
 import json  # noqa: E402
 import os  # noqa: E402
 import platform  # noqa: E402
+import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
-import tokenize  # noqa: E402
 import types  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-import test_io_cli  # noqa: E402  (tests/test_io_cli.py: the probes and the module probe)
+import test_io_cli  # noqa: E402  (tests/test_io_cli.py: the probes, the module probe and the token counter)
 
 ROUNDS = 41
 
@@ -92,12 +92,6 @@ def traced_call(env: dict, *argv) -> tuple[set, set]:
     return package, {tuple(key) for key in json.loads(entered)}
 
 
-def token_count(text: str) -> int:
-    """The tokens of a module's source, without its comments and line ends."""
-    skip = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE)
-    return sum(token.type not in skip for token in tokenize.generate_tokens(io.StringIO(text).readline))
-
-
 def unrun_functions(path: str, text: str, entered: set) -> list[tuple[str, int, set]]:
     """(name, first line, source lines) of each function in one module that the call
     never entered, by first line; a function nested in one of them is not listed."""
@@ -120,23 +114,31 @@ def unrun_functions(path: str, text: str, entered: set) -> list[tuple[str, int, 
     return sorted(found, key=lambda f: f[1])
 
 
-def covered(functions: list) -> int:
-    """The source lines that some of these functions span."""
-    return len(set().union(*(lines for *_, lines in functions)))
+def tokens_in(rows: list[int], functions: list) -> int:
+    """The counted tokens, given by line, that lie in the lines of these functions."""
+    lines = set().union(*(lines for *_, lines in functions))
+    return sum(row in lines for row in rows)
+
+
+def iqr(samples: list[float]) -> float:
+    """The interquartile range of some times."""
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return q3 - q1
 
 
 def profile(package: Path, runs: dict) -> dict:
-    """Per verb: (loaded submodules, (path, source) of each compiled file, unrun
-    functions by module) of the calls run on one package."""
+    """Per verb: (loaded submodules, (path, source) of each compiled file, (counted
+    token lines, unrun functions) by module) of the calls run on one package."""
     # the probes import the package at this tree and write no bytecode
     env = dict(os.environ, PYTHONPATH=str(package.parent), PYTHONDONTWRITEBYTECODE="1")
     found = {}
     for verb, argv in runs.items():
         modules, entered = traced_call(env, *argv)
-        paths = [package / f"{name}.py" for name in sorted(modules | {"__init__", "cli"})]
+        paths = test_io_cli.compiled_sources(package, modules)
         sources = [(str(path), path.read_text(encoding="utf-8")) for path in paths]
-        unrun = {Path(path).name: unrun_functions(path, text, entered) for path, text in sources}
-        found[verb] = (modules, sources, unrun)
+        by_module = {Path(path).name: (test_io_cli.token_lines(text), unrun_functions(path, text, entered))
+                     for path, text in sources}
+        found[verb] = (modules, sources, by_module)
     return found
 
 
@@ -144,21 +146,22 @@ def report(package: Path, found: dict, times: dict) -> None:
     """One tree's table, then its unrun functions per call."""
     print(f"# {package.parent}, Python {platform.python_version()}, {ROUNDS} compile rounds")
     width = max(map(len, found))
-    print(f"{'verb':<{width}}  {'lines':>5}  {'tokens':>6}  {'unrun':>5}  {'min_ms':>9}  modules")
-    for verb, (modules, files, unrun) in found.items():
-        lines = sum(len(text.splitlines()) for _, text in files)
-        tokens = sum(token_count(text) for _, text in files)
-        least = 1000 * min(times[verb])
-        unrun_lines = sum(map(covered, unrun.values()))
-        print(f"{verb:<{width}}  {lines:>5}  {tokens:>6}  {unrun_lines:>5}  {least:>9.3f}  {' '.join(sorted(modules))}")
+    print(f"{'verb':<{width}}  {'tokens':>6}  {'unrun':>5}  {'min_ms':>9}  {'iqr_ms':>9}  modules")
+    for verb, (modules, _, by_module) in found.items():
+        tokens = sum(len(rows) for rows, _ in by_module.values())
+        unrun_tokens = sum(tokens_in(rows, functions) for rows, functions in by_module.values())
+        least, spread = 1000 * min(times[verb]), 1000 * iqr(times[verb])
+        print(f"{verb:<{width}}  {tokens:>6}  {unrun_tokens:>5}  {least:>9.3f}  {spread:>9.3f}  "
+              f"{' '.join(sorted(modules))}")
 
-    print("\n# unrun functions per call: module, its unrun lines, then each function as name:first line (lines)")
-    for verb, (_, _, unrun) in found.items():
+    print("\n# unrun functions per call: module, its unrun tokens, then each function as name:first line (tokens)")
+    for verb, (_, _, by_module) in found.items():
         print(verb)
-        for module, functions in unrun.items():
+        for module, (rows, functions) in by_module.items():
             if functions:
-                listed = ", ".join(f"{name}:{first} ({len(lines)})" for name, first, lines in functions)
-                print(f"  {module:<18} {covered(functions):>4}  {listed}")
+                listed = ", ".join(f"{name}:{first} ({sum(row in lines for row in rows)})"
+                                   for name, first, lines in functions)
+                print(f"  {module:<18} {tokens_in(rows, functions):>5}  {listed}")
 
 
 def main() -> None:
@@ -189,12 +192,14 @@ def main() -> None:
         report(package, found, tree_times)
         print()
     if len(trees) > 1:
-        print(f"# min_ms of each later tree less that of {packages[0].parent}, per verb")
+        print(f"# min_ms of each later tree less that of {packages[0].parent}, per verb;"
+              f" unresolved where it is smaller than that tree's iqr_ms")
         width = max(map(len, runs))
         for verb in runs:
-            base = min(times[0][verb])
-            diffs = "  ".join(f"{1000 * (min(t[verb]) - base):>+9.3f}" for t in times[1:])
-            print(f"{verb:<{width}}  {diffs}")
+            base, spread = min(times[0][verb]), iqr(times[0][verb])
+            gaps = [min(t[verb]) - base for t in times[1:]]
+            diffs = "  ".join(f"{1000 * gap:>+9.3f} {'unresolved' if abs(gap) < spread else '':<10}" for gap in gaps)
+            print(f"{verb:<{width}}  {diffs}".rstrip())
 
 
 if __name__ == "__main__":
