@@ -43,7 +43,6 @@ _EXPORTS = {
         "propositions",
     ),
     **dict.fromkeys(("Rational", "format_rational", "parse_rational"), "rational"),
-    **dict.fromkeys(("all_simple_paths", "find_cycle", "find_path", "subtree_below", "tree_from_edges"), "oracles"),
 }
 
 __all__ = list(_EXPORTS)

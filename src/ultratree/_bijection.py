@@ -11,29 +11,25 @@ map on the same matrices is in checkers.py.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from .graphs import Graph
 
 
-def _relation_rows(g: Graph, labels: Optional[Mapping], weights: Optional[Mapping]) -> list[list[tuple]]:
+def _relation_rows(g: Graph, labels: Optional[dict], weights: Optional[dict]) -> list[list[tuple]]:
     # (label,) on the diagonal, (weight,) or (1,) at adjacent pairs and () at
-    # every other pair; payloads are normalized as canonical_code does it.  A
-    # non-edge differs from every edge by length alone, whatever the payload
+    # every other pair, from maps the caller has normalized (canonical._normalized).
+    # A non-edge differs from every edge by length alone, whatever the payload
     # values, and normalized entries all sort together.
-    if labels is not None or weights is not None:  # a bare graph loads no number code
-        from .payloads import normalize_labels, normalize_weights
-    lab = normalize_labels(g, labels) if labels is not None else None
-    wts = normalize_weights(g, weights, strict=False) if weights is not None else None
     index = {v: i for i, v in enumerate(g.vertices)}
     rows: list[list[tuple]] = [[()] * len(index) for _ in index]
-    if lab is not None:
+    if labels is not None:
         for v, i in index.items():
-            rows[i][i] = (lab[v],)
+            rows[i][i] = (labels[v],)
     for e in g.edges:
         i, j = index[e[0]], index[e[1]]
-        rows[i][j] = rows[j][i] = (wts[e],) if wts is not None else (1,)
+        rows[i][j] = rows[j][i] = (weights[e],) if weights is not None else (1,)
     return rows
 
 

@@ -88,24 +88,30 @@ def are_isomorphic(
         raise ValueError("rooted flavors are defined for trees only")
     _check_payloads(flavor, labels1, weights1, root1)
     _check_payloads(flavor, labels2, weights2, root2)
-    # bad payload values are refused before the sizes decide; a bare graph loads no number code
-    for g, labels, weights in ((g1, labels1, weights1), (g2, labels2, weights2)):
-        if labels is not None:
-            from .payloads import normalize_labels
-
-            normalize_labels(g, labels)
-        if weights is not None:
-            from .payloads import normalize_weights
-
-            normalize_weights(g, weights, strict=False)
-    if (len(g1.vertices), len(g1.edges)) != (len(g2.vertices), len(g2.edges)):
+    # bad payload values are refused before the sizes decide
+    p1, p2 = _normalized(g1, labels1, weights1), _normalized(g2, labels2, weights2)
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False
     if len(g1.vertices) > GRAPH_SIZE_LIMIT:
         raise SizeLimitError(f"graph isomorphism is limited to {GRAPH_SIZE_LIMIT} vertices")
     from ._bijection import _relation_rows, _search
 
-    rows1, rows2 = _relation_rows(g1, labels1, weights1), _relation_rows(g2, labels2, weights2)
+    rows1, rows2 = _relation_rows(g1, *p1), _relation_rows(g2, *p2)
     return _search((rows1, g1.vertices), (rows2, g2.vertices)) is not None
+
+
+def _normalized(g, labels, weights) -> tuple:
+    # (labels, weights), each given map normalized once, for the relation
+    # matrices of _bijection.py; a bare graph loads no number code
+    if labels is not None:
+        from .payloads import normalize_labels
+
+        labels = normalize_labels(g, labels)
+    if weights is not None:
+        from .payloads import normalize_weights
+
+        weights = normalize_weights(g, weights, strict=False)
+    return labels, weights
 
 
 def isometry_search(

@@ -2,7 +2,8 @@
 
 Library calls and tests use them; no verb loads this module.  An isomorphism
 is checked on the relation matrices of _bijection.py, the same matrices its
-search compares.
+search compares, with its payload maps normalized once as are_isomorphic
+normalizes them (canonical._normalized).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from ._bijection import _relation_rows
+from .canonical import _normalized
 from .errors import SingleVertexTreeError, VertexNotFoundError
 
 if TYPE_CHECKING:
@@ -39,8 +41,9 @@ def is_isomorphism(
     Labels and weights count when labels1 and weights1 are given; they are
     checked as are_isomorphic checks them, and so are the roots.
     """
-    rows1 = _relation_rows(g1, labels1, weights1)
-    rows2 = _relation_rows(g2, None if labels1 is None else labels2, None if weights1 is None else weights2)
+    rows1 = _relation_rows(g1, *_normalized(g1, labels1, weights1))
+    payloads2 = (None if labels1 is None else labels2, None if weights1 is None else weights2)
+    rows2 = _relation_rows(g2, *_normalized(g2, *payloads2))
     for g, root in ((g1, root1), (g2, root2)):
         if root is not None and not g.has_vertex(root):
             raise VertexNotFoundError(f"root {root!r} not a vertex")

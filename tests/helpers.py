@@ -1,4 +1,8 @@
-"""Shared fixtures-in-code for the test suite, in three parts.
+"""Shared fixtures-in-code for the test suite, in four parts.
+
+Tree building from an edge list and the unique path between two tree
+vertices.  They live here, with all_simple_paths below, and not in the
+package: no verb, selftest or library route calls them.
 
 The worked instances of the paper's figures and the independent checkers:
 permutation-search isomorphism, the matrix check on the values themselves and
@@ -13,13 +17,12 @@ The brute-force references the fast routes of the package are compared
 against.  They enumerate: unique tree paths by exhaustive simple-path search,
 graph metrics by folding over all simple paths, balls by trying every center
 and radius, the strong triangle inequality over all triples; enumeration
-refuses inputs beyond the test-scale vertex cap (see
-ultratree.oracles.all_simple_paths).  The hierarchy tree is built by the
-paper's recursion into diametrical blocks, one sub-matrix per ball.  The rest
-are the direct, quadratic forms of the one-pass routes: the Delta-reduction
-suppressing one out-degree-one vertex per rebuilt rooted tree, centers by
-checking every rooting, the smallest cycle edge by deleting each edge in turn,
-and the rooted canonical code by recursion.
+refuses inputs beyond the test-scale vertex cap, PATH_SIZE_LIMIT.  The
+hierarchy tree is built by the paper's recursion into diametrical blocks, one
+sub-matrix per ball.  The rest are the direct, quadratic forms of the one-pass
+routes: the Delta-reduction suppressing one out-degree-one vertex per rebuilt
+rooted tree, centers by checking every rooting, the smallest cycle edge by
+deleting each edge in turn, and the rooted canonical code by recursion.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from ultratree import Graph, RootedTree, Tree, edge_key, tree_from_edges
+from ultratree import Graph, RootedTree, Tree, edge_key
 from ultratree.duality import EquidistantTree, check_equidistant, degree_sets, labeling_to_weight
-from ultratree.errors import AcyclicInputError, BadMatrixError, PathTreeError
+from ultratree.errors import AcyclicInputError, BadMatrixError, PathTreeError, SizeLimitError, VertexNotFoundError
 from ultratree.graphs import Edge, Path, Vertex
 from ultratree.metrics import FiniteMetricSpace
-from ultratree.oracles import all_simple_paths
 from ultratree.path_metrics import space_from
 from ultratree.payloads import normalize_weights
 from ultratree.random_monotone import generate_monotone
@@ -43,6 +45,54 @@ from ultratree.spaces import diametrical_graph, multipartite_parts, restrict
 from ultratree.transforms import NablaResult
 
 F = Fraction
+
+
+# Tree building and tree paths
+
+
+def tree_from_edges(edges: Iterable[Iterable[Vertex]], vertices: Iterable[Vertex] = ()) -> Tree:
+    es = [tuple(e) for e in edges]
+    return Tree(Graph(set(vertices).union(*es), es))
+
+
+def find_path(t: Tree, u: Vertex, v: Vertex) -> Path:
+    """The unique u-v path in a tree, as a vertex sequence.
+
+    Breadth-first frontiers grow from both ends over the neighbor lists, the
+    one with fewer edges to scan extended each time, until they meet; so a
+    query costs about the ball the path crosses, not the whole tree."""
+    if not t.has_vertex(u):
+        raise VertexNotFoundError(f"no vertex {u!r}")
+    if not t.has_vertex(v):
+        raise VertexNotFoundError(f"no vertex {v!r}")
+    # per end: the vertex each reached vertex was reached from, its frontier and
+    # the number of edges that frontier scans
+    ends = [({u: None}, [u], t.degree(u)), ({v: None}, [v], t.degree(v))]
+    meet = u if u == v else None
+    while meet is None:
+        i = ends[0][2] > ends[1][2]
+        (came, frontier, _), other = ends[i], ends[1 - i][0]
+        nxt, cost = [], 0
+        for x in frontier:
+            for y in t.neighbors(x):
+                if y not in came:
+                    came[y] = x
+                    nxt.append(y)
+                    cost += t.degree(y)
+                    if y in other:
+                        meet = y
+        ends[i] = (came, nxt, cost)
+    halves = []
+    for came, _, _ in ends:  # meet back to u, then meet back to v
+        half, x = [], meet
+        while x is not None:
+            half.append(x)
+            x = came[x]
+        halves.append(half)
+    return (*reversed(halves[0]), *halves[1][1:])
+
+
+# Worked instances and independent checkers
 
 
 def fig13_tree():
@@ -313,6 +363,45 @@ def shuffled_renaming(seed: int | random.Random, space: FiniteMetricSpace, prefi
 
 
 # Brute-force references
+
+
+PATH_SIZE_LIMIT = 10
+
+
+def all_simple_paths(g: Graph, u: Vertex, v: Vertex) -> Iterator[Path]:
+    """Every simple u-v path, in depth-first lexicographic order.
+
+    Exhaustive enumeration is exponential; inputs beyond PATH_SIZE_LIMIT
+    vertices are refused so this stays a test-scale oracle.
+    """
+    if len(g.vertices) > PATH_SIZE_LIMIT:
+        raise SizeLimitError(
+            f"path enumeration limited to {PATH_SIZE_LIMIT} vertices, got {len(g.vertices)}"
+        )
+    if not (g.has_vertex(u) and g.has_vertex(v)):
+        raise VertexNotFoundError(f"unknown endpoint {u!r} or {v!r}")
+
+    path = [u]
+    on_path = {u}
+
+    def walk() -> Iterator[Path]:
+        x = path[-1]
+        if x == v:
+            yield tuple(path)
+            return
+        for y in g.neighbors(x):
+            if y in on_path:
+                continue
+            path.append(y)
+            on_path.add(y)
+            yield from walk()
+            on_path.discard(y)
+            path.pop()
+
+    if u == v:
+        yield (u,)
+        return
+    yield from walk()
 
 
 def unique_path_by_enumeration(t: Tree, u: Vertex, v: Vertex) -> Path:

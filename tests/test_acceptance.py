@@ -21,7 +21,6 @@ from ultratree import (
     centers,
     degree_sets,
     diameter_bound_check,
-    find_path,
     generate_monotone,
     is_isometry,
     is_isomorphism,
@@ -36,7 +35,6 @@ from ultratree import (
     representing_tree,
     restrict,
     shortest_path_metric,
-    tree_from_edges,
     ultrametric_isometric,
     weight_to_labeling,
 )
@@ -50,6 +48,7 @@ from helpers import (
     fig11_trees,
     fig13_tree,
     balls_by_enumeration,
+    find_path,
     minimax_label_by_enumeration,
     random_connected_graph,
     random_equidistant_tree,
@@ -58,6 +57,7 @@ from helpers import (
     random_ultrametric_space,
     random_weights,
     shuffled_renaming,
+    tree_from_edges,
 )
 
 

@@ -21,7 +21,6 @@ from ultratree import (
     restrict,
     sphere_center_check,
     star_equidistant_witness,
-    tree_from_edges,
 )
 from ultratree.errors import NoBranchingVertexError, NotPlantedError, NotUltrametricError
 from ultratree.payloads import edge_key
@@ -38,6 +37,7 @@ from helpers import (
     random_equidistant_tree,
     random_tree,
     random_weights,
+    tree_from_edges,
 )
 
 

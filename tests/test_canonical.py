@@ -22,7 +22,6 @@ from ultratree import (
     label_tree_metric,
     leaf_swap_isometry,
     tree_centers,
-    tree_from_edges,
     ultrametric_isometric,
 )
 from ultratree.errors import (
@@ -50,6 +49,7 @@ from helpers import (
     random_weights,
     rooted_code_by_recursion,
     shuffled_renaming,
+    tree_from_edges,
 )
 
 

@@ -17,11 +17,9 @@ from ultratree import (
     check_equidistant,
     check_monotone,
     degree_sets,
-    find_path,
     generate_monotone,
     labeling_to_weight,
     reduce_nabla,
-    tree_from_edges,
     weight_to_labeling,
 )
 from ultratree.analysis import centers, planted_leaf_ultrametric_check
@@ -31,10 +29,12 @@ from helpers import (
     fig10_tree,
     fig11_trees,
     fig13_tree,
+    find_path,
     mixed_equidistant_weights,
     rename_labels,
     rename_tree,
     random_equidistant_tree,
+    tree_from_edges,
 )
 
 
@@ -354,6 +354,15 @@ def test_each_payload_is_normalized_once_per_object(tmp_path, monkeypatch, capsy
     assert normalizations("reduce", str(weighted))[1] == (1, 0, 1)
     # one integer form for centers and the EquidistantTree at the root, a center of fig10
     assert normalizations("analyze", str(weighted))[1] == (1, 0, 1)
+    # a cyclic graph's map is checked before the sizes decide, and the search's
+    # relation matrix is built from that one normalized map
+    fig6 = json.loads((corpus.parent / "fig6.json").read_text())["input"]
+    cyclic_labeled, cyclic_weighted = tmp_path / "fig6.json", tmp_path / "fig6w.json"
+    cyclic_labeled.write_text(json.dumps(fig6))
+    weights = {f"{u}|{v}": "2" for u, v in fig6["edges"]}
+    cyclic_weighted.write_text(json.dumps({**fig6, "labels": None, "weights": weights}))
+    for flavor, doc, seen in (("vlabel", cyclic_labeled, (0, 2, 0)), ("eweight", cyclic_weighted, (2, 0, 0))):
+        assert normalizations("iso", "--flavor", flavor, str(doc), str(doc)) == ('{\n  "isomorphic": true\n}\n', seen)
 
 
 def test_planted_check_builds_no_metric(monkeypatch):

@@ -19,12 +19,8 @@ from ultratree import (
     ballean,
     degree_sets,
     diameter_bound_check,
-    find_cycle,
-    find_path,
     reduce_nabla,
     representing_tree,
-    subtree_below,
-    tree_from_edges,
     weight_to_labeling,
 )
 from ultratree.errors import NonPositiveWeightError, ParseError, VertexNotFoundError
@@ -33,13 +29,14 @@ from ultratree.payloads import normalize_labels, normalize_weights
 from ultratree.io import GraphDoc, load_graph_text
 
 from helpers import (
-    fig1_tree,
+    all_simple_paths,
     fig5_tree,
-    fig6_graph,
     fig10_tree,
     fig13_tree,
+    find_path,
     random_connected_graph,
     random_tree,
+    tree_from_edges,
     unique_path_by_enumeration,
 )
 
@@ -188,31 +185,6 @@ def test_find_path_matches_enumeration_oracle():
                     assert find_path(t, u, v) == unique_path_by_enumeration(t, u, v)
 
 
-def test_find_cycle_triangle():
-    g = Graph("ABC", [("A", "B"), ("B", "C"), ("A", "C")])
-    assert find_cycle(g) == ("A", "B", "C")
-
-
-def test_find_cycle_none_on_trees():
-    rng = random.Random(3)
-    for _ in range(10):
-        t = random_tree(rng, rng.randint(1, 9))
-        assert find_cycle(t) is None
-
-
-def test_find_cycle_fig6_returns_valid_canonical_cycle():
-    g, _ = fig6_graph()
-    cycle = find_cycle(g)
-    assert cycle is not None and len(cycle) >= 3
-    assert len(set(cycle)) == len(cycle)
-    edges = set(g.edges)
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        assert (min(a, b), max(a, b)) in edges
-    # canonical rotation: smallest vertex first, smaller neighbor second
-    assert cycle[0] == min(cycle)
-    assert cycle[1] <= cycle[-1]
-
-
 def test_degree_sets_fig5():
     rt, _ = fig5_tree()
     v0, v1, v2 = degree_sets(rt)
@@ -250,37 +222,10 @@ def test_degree_sets_partition_and_root_leaf_criterion():
 
 def test_path_enumeration_refuses_large_inputs():
     from ultratree.errors import SizeLimitError
-    from ultratree import all_simple_paths
 
     t = random_tree(1, 11)
     with pytest.raises(SizeLimitError):
         list(all_simple_paths(t, t.vertices[0], t.vertices[1]))
-
-
-def test_subtree_below_fig1():
-    t = fig1_tree()
-    rt = RootedTree(t, "v1")
-    sub = subtree_below(rt, "v3")
-    assert sub.root == "v3"
-    assert sub.tree.leaves() == {"v7", "v8", "v11", "v12", "v13", "v14"}
-    assert subtree_below(rt, "v1").tree == t
-    single = subtree_below(rt, "v9")
-    assert single.tree.vertices == ("v9",)
-
-
-def test_subtree_below_is_every_vertex_whose_root_path_meets_v():
-    rng = random.Random(83)
-    for _ in range(3):
-        t = random_tree(rng, 300)
-        root = rng.choice(t.vertices)
-        rt = RootedTree(t, root)
-        on_path = {u: set(find_path(t, u, root)) for u in t.vertices}
-        for v in t.vertices:
-            sub = subtree_below(rt, v)
-            below = {u for u in t.vertices if v in on_path[u]}
-            assert sub.root == v and set(sub.vertices) == below
-            assert all(sub.parent(x) == rt.parent(x) for x in below - {v})
-
 
 
 def test_records_are_frozen_values():

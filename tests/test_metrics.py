@@ -17,7 +17,6 @@ from ultratree import (
     representing_tree,
     restrict,
     shortest_path_metric,
-    tree_from_edges,
 )
 from ultratree.errors import (
     BadMatrixError,
@@ -29,13 +28,13 @@ from ultratree.errors import (
 from ultratree.payloads import edge_key
 from ultratree.metrics import FiniteMetricSpace
 from ultratree.path_metrics import space_from
-from ultratree.oracles import find_path
 
 from helpers import (
     check_matrix_by_fractions,
     fig6_graph,
     fig10_tree,
     fig13_tree,
+    find_path,
     min_path_sum_by_enumeration,
     minimax_label_by_enumeration,
     random_connected_graph,
@@ -45,6 +44,7 @@ from helpers import (
     random_ultrametric_space,
     random_weights,
     strong_triangle_by_enumeration,
+    tree_from_edges,
 )
 
 
@@ -233,8 +233,6 @@ def test_hausdorff_between_balls_equals_tree_path_max():
     for _ in range(15):
         space = random_ultrametric_space(rng, rng.randint(1, 6))
         tree = representing_tree(space)
-        from ultratree import find_path
-
         vs = tree.rt.vertices
         for i, b1 in enumerate(vs):
             for b2 in vs[i + 1 :]:

@@ -7,11 +7,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from ultratree import Graph, IsoFlavor, Tree, are_isomorphic, bottleneck_spanning_tree, tree_from_edges
+from ultratree import Graph, IsoFlavor, Tree, are_isomorphic, bottleneck_spanning_tree
 from ultratree.path_metrics import minimax_label_metric
 from ultratree.tree_codes import tree_centers
 
-from helpers import random_connected_graph, random_labels, random_tree
+from helpers import random_connected_graph, random_labels, random_tree, tree_from_edges
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import rooted_tree_isomorphism, tree_isomorphism  # noqa: E402

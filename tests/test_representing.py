@@ -14,7 +14,6 @@ from ultratree import (
     ballean_tree,
     canonical_code,
     diametrical_graph,
-    find_path,
     multipartite_parts,
     representing_tree,
 )
@@ -32,6 +31,7 @@ from ultratree.representing import _linkage, ball_id
 from helpers import (
     fig6_graph,
     balls_by_enumeration,
+    find_path,
     hierarchy_by_diametrical_blocks,
     random_tree,
     random_ultrametric_space,

@@ -25,7 +25,6 @@ from ultratree import (
     representing_tree,
     restrict,
     shortest_path_metric,
-    tree_from_edges,
     weight_to_labeling,
 )
 from ultratree.errors import AcyclicInputError, PathTreeError
@@ -41,6 +40,7 @@ from helpers import (
     random_labels,
     random_tree,
     reduce_nabla_by_suppression,
+    tree_from_edges,
 )
 
 
