@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 # public name -> submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(("Graph", "Path", "RootedTree", "Tree"), "graphs"),
+    **dict.fromkeys(("Graph", "RootedTree", "Tree"), "graphs"),
     "edge_key": "payloads",
     **dict.fromkeys(("FiniteMetricSpace", "classify_metric", "label_tree_metric"), "metrics"),
     **dict.fromkeys(
@@ -42,7 +42,7 @@ _EXPORTS = {
          "sphere_center_check", "star_equidistant_witness"),
         "propositions",
     ),
-    **dict.fromkeys(("Rational", "format_rational", "parse_rational"), "rational"),
+    **dict.fromkeys(("format_rational", "parse_rational"), "rational"),
 }
 
 __all__ = list(_EXPORTS)

@@ -1,7 +1,10 @@
 """Isomorphism tests, isometry search and the flavors they compare.
 
-Trees compare by the canonical codes of tree_codes.py, which only tree
-comparisons load.  General (non-tree) graph isomorphism and isometry search
+This module alone applies a flavor's payload rule, _payload_maps, for trees
+and other graphs alike, and alone compares codes: are_isomorphic compares
+trees by the canonical codes of tree_codes.py, which only tree comparisons
+load, and the fast ultrametric test and selftest compare hierarchy trees
+through it.  General (non-tree) graph isomorphism and isometry search
 run on the matrix search of _bijection.py, which is imported only by the
 calls that use it, so comparing trees, or inputs whose sizes differ, does
 not load it.  The checkers of a given map are in checkers.py, which no verb
@@ -43,17 +46,6 @@ def _payloads(flavor: IsoFlavor, labels, weights, root) -> tuple:
             root if flavor in _ROOTED else None)
 
 
-def _check_payloads(flavor: IsoFlavor, labels, weights, root) -> None:
-    given = (("root", root, _ROOTED, "a root"), ("labels", labels, _LABELED, "vertex labels"),
-             ("weights", weights, _WEIGHTED, "edge weights"))
-    for _, x, kind, needed in given:
-        if flavor in kind and x is None:
-            raise MissingPayloadError(f"flavor {flavor.value} needs {needed}")
-    for name, x, kind, _ in given:
-        if flavor not in kind and x is not None:
-            raise ValueError(f"flavor {flavor.value} takes no {name}")
-
-
 def are_isomorphic(
     g1: Graph,
     g2: Graph,
@@ -86,10 +78,8 @@ def are_isomorphic(
         return c1 == c2
     if flavor in _ROOTED:
         raise ValueError("rooted flavors are defined for trees only")
-    _check_payloads(flavor, labels1, weights1, root1)
-    _check_payloads(flavor, labels2, weights2, root2)
-    # bad payload values are refused before the sizes decide
-    p1, p2 = _normalized(g1, labels1, weights1), _normalized(g2, labels2, weights2)
+    # payloads are refused before the sizes decide, the left graph's first, as trees refuse them
+    p1, p2 = _payload_maps(g1, flavor, labels1, weights1, root1), _payload_maps(g2, flavor, labels2, weights2, root2)
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False
     if len(g1.vertices) > GRAPH_SIZE_LIMIT:
@@ -98,6 +88,20 @@ def are_isomorphic(
 
     rows1, rows2 = _relation_rows(g1, *p1), _relation_rows(g2, *p2)
     return _search((rows1, g1.vertices), (rows2, g2.vertices)) is not None
+
+
+def _payload_maps(g, flavor: IsoFlavor, labels, weights, root) -> tuple:
+    # one graph's (labels, weights), each given map normalized once (_normalized), after
+    # refusing a payload the flavor needs and lacks, then one it does not take
+    given = (("root", root, _ROOTED, "a root"), ("labels", labels, _LABELED, "vertex labels"),
+             ("weights", weights, _WEIGHTED, "edge weights"))
+    for _, x, kind, needed in given:
+        if flavor in kind and x is None:
+            raise MissingPayloadError(f"flavor {flavor.value} needs {needed}")
+    for name, x, kind, _ in given:
+        if flavor not in kind and x is not None:
+            raise ValueError(f"flavor {flavor.value} takes no {name}")
+    return _normalized(g, labels, weights)
 
 
 def _normalized(g, labels, weights) -> tuple:
@@ -134,14 +138,12 @@ def isometry_search(
 
 
 def ultrametric_isometric(s1: FiniteMetricSpace, s2: FiniteMetricSpace) -> bool:
-    """Fast isometry test: equal canonical codes of the hierarchy trees."""
+    """Fast isometry test: isomorphic hierarchy trees, as rooted labeled trees."""
     from .representing import representing_tree
-    from .tree_codes import canonical_code
 
     try:
         r1, r2 = representing_tree(s1), representing_tree(s2)
     except NotUltrametricError:
         raise NotUltrametricError("both spaces must be ultrametric") from None
-    c1 = canonical_code(r1.rt.tree, IsoFlavor.ROOTED_LABELED, labels=r1.labels, root=r1.rt.root)
-    c2 = canonical_code(r2.rt.tree, IsoFlavor.ROOTED_LABELED, labels=r2.labels, root=r2.rt.root)
-    return c1 == c2
+    return are_isomorphic(r1.rt.tree, r2.rt.tree, IsoFlavor.ROOTED_LABELED, r1.labels, r2.labels,
+                          root1=r1.rt.root, root2=r2.rt.root)

@@ -19,7 +19,6 @@ from .errors import VertexNotFoundError
 
 Vertex = str
 Edge = tuple[str, str]
-Path = tuple[str, ...]
 
 
 @record

@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .errors import ParseError, SizeLimitError
 
-Rational = Fraction
-
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse "p/q" or integer text, an optional sign and ASCII digits (or an exact number), exactly."""

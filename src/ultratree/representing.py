@@ -25,17 +25,10 @@ from .graphs import Graph, RootedTree, Tree, Vertex
 from .io import quote
 from .metrics import ZERO, FiniteMetricSpace
 
-_compact: list = []  # json's compact encoder, made for the first ball holding a point that is not a str
-
 
 def ball_id(points: Iterable[Vertex]) -> str:
-    """Deterministic, collision-free vertex id for a set of points: their sorted list as compact JSON."""
-    if set(map(type, points := sorted(points))) <= {str}:
-        return "[" + ",".join(map(quote, points)) + "]"
-    if not _compact:  # json.dumps given separators would build an encoder for each ball
-        import json
-        _compact.append(json.JSONEncoder(separators=(",", ":")).encode)
-    return _compact[0](points)
+    """Deterministic, collision-free vertex id for a set of string points: their sorted list as compact JSON."""
+    return "[" + ",".join(map(quote, sorted(points))) + "]"
 
 
 @record

@@ -3,8 +3,9 @@
 Each corpus file holds one worked instance plus its expected outcomes; the
 runner re-derives every outcome and reports one PASS/FAIL line per claim.
 A few seeded generator round trips run at the end; the seed comes from the
-caller (the CLI reads ULTRATREE_SEED through env_seed).  Output is
-deterministic byte for byte given the same seed.
+caller (the CLI reads ULTRATREE_SEED through env_seed).  Hierarchy trees
+are compared with canonical.are_isomorphic, as rooted labeled trees.
+Output is deterministic byte for byte given the same seed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from typing import Callable
 
 from .analysis import centers, planted_leaf_ultrametric_check
-from .canonical import IsoFlavor
+from .canonical import IsoFlavor, are_isomorphic
 from .duality import EquidistantTree, MonotoneTree, labeling_to_weight, weight_to_labeling
 from .errors import ParseError, UltratreeError
 from .graph_reader import graph_from_json
@@ -29,7 +30,6 @@ from .rational import parse_rational
 from .representing import ballean, representing_tree
 from .spaces import diametrical_graph, multipartite_parts, restrict
 from .transforms import reduce_nabla, bottleneck_spanning_tree
-from .tree_codes import canonical_code
 
 
 def load_figure(name: str) -> tuple[GraphDoc, dict]:
@@ -69,10 +69,10 @@ def _check_fig6(inp: GraphDoc, exp: dict) -> list[tuple[str, bool]]:
     blocks = [list(b) for b in multipartite_parts(diametrical_graph(space))]
     tree = representing_tree(space)
     shown = graph_from_json(exp["hierarchy_tree"])
-    got_code = canonical_code(tree.rt.tree, IsoFlavor.ROOTED_LABELED, labels=tree.labels, root=tree.rt.root)
-    want_code = canonical_code(shown.tree(), IsoFlavor.ROOTED_LABELED, labels=shown.labels, root=shown.root)
+    same_shape = are_isomorphic(tree.rt.tree, shown.tree(), IsoFlavor.ROOTED_LABELED, tree.labels, shown.labels,
+                                root1=tree.rt.root, root2=shown.root)
     return [("minimax-matrix", space == want_space), ("spanning-tree-realizes-minimax", realized == space),
-            ("diametrical-blocks", blocks == exp["blocks"]), ("hierarchy-tree-shape", got_code == want_code)]
+            ("diametrical-blocks", blocks == exp["blocks"]), ("hierarchy-tree-shape", same_shape)]
 
 
 def _check_fig10(inp: GraphDoc, exp: dict) -> list[tuple[str, bool]]:
@@ -129,9 +129,9 @@ def _generator_claims(seed: int) -> list[tuple[str, str, bool]]:
         mt = generate_monotone(rng, 1, 9, branching_only=True)
         space = restrict(mt.metric(), mt.v0())
         tree = representing_tree(space)
-        code_a = canonical_code(tree.rt.tree, IsoFlavor.ROOTED_LABELED, labels=tree.labels, root=tree.rt.root)
-        code_b = canonical_code(mt.rt.tree, IsoFlavor.ROOTED_LABELED, labels=mt.labels, root=mt.rt.root)
-        out.append(("generated", f"hierarchy-round-trip-{i}", code_a == code_b))
+        same = are_isomorphic(tree.rt.tree, mt.rt.tree, IsoFlavor.ROOTED_LABELED, tree.labels, mt.labels,
+                              root1=tree.rt.root, root2=mt.rt.root)
+        out.append(("generated", f"hierarchy-round-trip-{i}", same))
     for i in range(3):
         mt = generate_monotone(rng, 1, 8, branching_only=True)
         space = restrict(mt.metric(), mt.v0())

@@ -5,15 +5,18 @@ codes mean isomorphic inputs for the declared flavor.  One bottom-up loop
 sorts child codes for every flavor: rooted codes run it up a RootedTree's BFS
 order, and free codes are read off the leaf peel that finds the one or two
 centers, finished at each center with the other below it, keeping the smaller.
-Payloads are embedded in canonical lowest-terms text, so value equality and
-code equality coincide.  Only comparisons of trees load this module.
+Payloads are checked and normalized by canonical._payload_maps, the rule
+are_isomorphic applies to other graphs too, and embedded in canonical
+lowest-terms text, so value equality and code equality coincide.  Only
+comparisons of trees load this module, and in the package only
+canonical.are_isomorphic compares codes.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .canonical import _ROOTED, IsoFlavor, _check_payloads
+from .canonical import _ROOTED, IsoFlavor, _payload_maps
 from .graphs import RootedTree, Tree, Vertex
 
 SCHEMA_VERSION = "1"
@@ -79,11 +82,7 @@ def canonical_code(
     root: Optional[Vertex] = None,
 ) -> str:
     """Canonical code of a tree under the given isomorphism flavor."""
-    _check_payloads(flavor, labels, weights, root)
-    if labels is not None or weights is not None:  # a tree with no payload compares without the number code
-        from .payloads import normalize_labels, normalize_weights
-    lab = _texts(normalize_labels(t, labels)) if labels is not None else None
-    wts = _texts(normalize_weights(t, weights, strict=False)) if weights is not None else None
+    lab, wts = (None if m is None else _texts(m) for m in _payload_maps(t, flavor, labels, weights, root))
     if flavor in _ROOTED:
         rt = RootedTree(t, root)
         order, parent, middle = rt.bfs_order()[:0:-1], rt._parent, (root,)  # type: ignore[attr-defined]

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from ultratree import Graph, RootedTree, Tree, edge_key
 from ultratree.duality import EquidistantTree, check_equidistant, degree_sets, labeling_to_weight
 from ultratree.errors import AcyclicInputError, BadMatrixError, PathTreeError, SizeLimitError, VertexNotFoundError
-from ultratree.graphs import Edge, Path, Vertex
+from ultratree.graphs import Edge, Vertex
 from ultratree.metrics import FiniteMetricSpace
 from ultratree.path_metrics import space_from
 from ultratree.payloads import normalize_weights
@@ -45,6 +45,7 @@ from ultratree.spaces import diametrical_graph, multipartite_parts, restrict
 from ultratree.transforms import NablaResult
 
 F = Fraction
+Path = tuple[Vertex, ...]  # a vertex sequence, as find_path and all_simple_paths return one
 
 
 # Tree building and tree paths

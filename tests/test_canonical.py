@@ -316,6 +316,27 @@ def test_is_isomorphism_checks_payloads_and_roots_as_are_isomorphic():
     ]
 
 
+def test_trees_and_graphs_refuse_payload_defects_alike():
+    # One payload rule on both routes: of two defective sides, the left one's first
+    # defect is refused, on a path (canonical codes) as on a triangle (the search),
+    # and on a triangle against a square before their sizes decide.
+    path = tree_from_edges([("a", "b"), ("b", "c")])
+    triangle = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    square = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+    good, bad = {"a": F(1), "b": F(2), "c": F(1)}, {"a": F(-1), "b": F(2), "c": F(1)}
+    negative = (ValueError, "negative label -1 on vertex 'a'")
+    cases = [
+        (dict(labels1=bad, labels2=None), negative),
+        (dict(labels1=bad, labels2={"a": F(1)}), negative),
+        (dict(labels1=None, labels2=bad), (MissingPayloadError, "flavor vlabel needs vertex labels")),
+        (dict(labels1=good, labels2=bad, weights1={("a", "b"): F(1)}), (ValueError, "flavor vlabel takes no weights")),
+        (dict(labels1={"a": F(1)}, labels2=bad), (ValueError, "missing label for vertex 'b'")),
+    ]
+    for kwargs, refusal in cases:
+        for g1, g2 in ((path, path), (triangle, triangle), (path, triangle), (triangle, square)):
+            assert _outcome(are_isomorphic, g1, g2, IsoFlavor.VERTEX_LABELED, **kwargs) == refusal, (g1, kwargs)
+
+
 def test_cyclic_counterexample_weightings_not_isomorphic():
     g, _ = fig6_graph()
     w1, w2 = cyclic_weight_counterexample(g)

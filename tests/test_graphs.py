@@ -17,13 +17,26 @@ from ultratree import (
     Tree,
     analyze,
     ballean,
+    ballean_tree,
+    classify_metric,
+    cyclic_weight_counterexample,
     degree_sets,
     diameter_bound_check,
+    generate_monotone,
+    nabla_geometric_membership,
+    passthrough_counterexample_pair,
     reduce_nabla,
     representing_tree,
     weight_to_labeling,
 )
-from ultratree.errors import NonPositiveWeightError, ParseError, VertexNotFoundError
+from ultratree.errors import (
+    BadMatrixError,
+    DisconnectedGraphError,
+    NonPositiveWeightError,
+    ParseError,
+    PathTreeError,
+    VertexNotFoundError,
+)
 from ultratree.graph_reader import graph_from_json
 from ultratree.payloads import normalize_labels, normalize_weights
 from ultratree.io import GraphDoc, load_graph_text
@@ -361,6 +374,27 @@ _REFUSALS = [
      ValueError, "negative label -1/3 on vertex 'c'"),
     ("negative label, then missing", lambda: normalize_labels(Graph("ab"), {"a": F(-2)}),
      ValueError, "negative label -2 on vertex 'a'"),
+    ("label on unknown vertex", lambda: _parsed(None, labels=dict(_PATH_L, d="1")),
+     ParseError, "label on unknown vertex 'd'"),
+    ("payload on unknown vertex", lambda: _parsed(None, payloads={"a": ["a"], "d": ["d"]}),
+     ParseError, "payload on unknown vertex 'd'"),
+    ("matrix not square", lambda: classify_metric([[0, 1], [1, 0], [2, 1]]), BadMatrixError, "matrix not square"),
+    ("matrix of another size", lambda: FiniteMetricSpace(["a", "b"], [[0, 1]]), BadMatrixError, "matrix must be 2x2"),
+    ("disconnected cyclic graph",
+     lambda: cyclic_weight_counterexample(Graph("abcd", [("a", "b"), ("b", "c"), ("c", "a")])),
+     DisconnectedGraphError, "need a connected graph"),
+    # a star rooted at its center has no out-degree-one vertex, a path rooted at an end no branching one
+    ("no pass-through vertex",
+     lambda: passthrough_counterexample_pair(EquidistantTree(RootedTree(tree_from_edges(["ab", "ac"]), "a"),
+                                                             {("a", "b"): F(1), ("a", "c"): F(1)})),
+     PathTreeError, "no out-degree-one vertex to exploit"),
+    ("path tree", lambda: nabla_geometric_membership(EquidistantTree(RootedTree(tree_from_edges(["ab"]), "a"),
+                                                                     {("a", "b"): F(1)}), "a"),
+     PathTreeError, "every vertex has out-degree at most one"),
+    ("no tree size", lambda: generate_monotone(0, 0, 1), ValueError, "need 1 <= min_size <= max_size"),
+    ("payload of a ballean tree",
+     lambda: ballean_tree(FiniteMetricSpace(["a", "b"], [[0, 1], [1, 0]])).payload("[\"a\"]"),
+     ValueError, "tree carries no payloads"),
 ]
 
 

@@ -464,6 +464,25 @@ def test_cli_error_paths(tmp_path, capsys):
         code, out = _run(capsys, verb, _write(tmp_path, name, text))
         assert code == 2 and json.loads(out)["error"] == {"code": "parse-error", "message": message}
 
+    # a readable tree with no labels and no weights, refused by each handler that reads one
+    bare = _write(tmp_path, "bare.json", '{"vertices": ["a", "b"], "edges": [["a", "b"]], "root": "a"}')
+    for argv, message in ((["analyze"], "analyze needs weights"), (["dual", "--direction", "w2l"], "w2l needs weights"),
+                          (["dual", "--direction", "l2w"], "l2w needs labels"), (["reduce"], "reduce needs weights"),
+                          (["repr", "--labeled-tree"], "labeled-tree input needs labels"),
+                          (["spanning"], "spanning needs labels")):
+        assert _run(capsys, *argv, bare) == (2, _error_bytes(message)), argv
+
+    # a negative label on the left, no labels on the right: the left document's defect is
+    # reported first whether the two documents are paths or triangles
+    for shape, extra in (("path", []), ("triangle", [["a", "c"]])):
+        edges = [["a", "b"], ["b", "c"], *extra]
+        labeled = _write(tmp_path, f"{shape}_labeled.json", json.dumps(
+            {"vertices": ["a", "b", "c"], "edges": edges, "labels": {"a": "-1", "b": "2", "c": "1"}}))
+        unlabeled = _write(tmp_path, f"{shape}.json", json.dumps({"vertices": ["a", "b", "c"], "edges": edges}))
+        code, out = _run(capsys, "iso", "--flavor", "vlabel", labeled, unlabeled)
+        assert (code, json.loads(out)) == (
+            1, {"error": {"code": "invalid-input", "message": "negative label -1 on vertex 'a'"}}), shape
+
 
 def test_cli_output_file_takes_results_and_errors(tmp_path, capsys):
     rt, w = fig10_tree()
@@ -602,6 +621,19 @@ def test_cli_selftest_passes_and_is_deterministic(capsys):
     assert "FAIL" not in first
     code, second = _run(capsys, "selftest")
     assert code == 0 and first == second
+
+
+def test_cli_selftest_fails_with_its_report_when_a_claim_fails(capsys, monkeypatch):
+    from ultratree import selftest
+
+    check = selftest._CHECKERS["fig13"]
+    monkeypatch.setitem(selftest._CHECKERS, "fig13", lambda inp, exp: [*check(inp, exp)[:-1], ("distances", False)])
+    code, out = _run(capsys, "selftest")
+    error = json.loads(out)["error"]
+    assert code == 1 and error["code"] == "domain-error"
+    assert error["message"].startswith("selftest failed:\nfig3 centers PASS\n")
+    assert "\nfig13 distances FAIL\n" in error["message"] and error["message"].count("FAIL") == 1
+    assert error["message"].endswith("selftest: 35/36 claims passed\n")
 
 
 @pytest.mark.parametrize("seed", ["abc", "", "1/2", "7/1", "1.5", "1e3", "1_000", "\u0667", "0x10", "1" * 5000])
@@ -810,10 +842,10 @@ def test_token_lines_leave_out_what_costs_nothing_to_compile():
 # verb is held at what it compiles once each loads only the reader of its input,
 # its own handler and the code it runs.
 _SOURCE_TOKEN_CEILINGS = {
-    "iso": 7840, "iso --flavor free (cyclic graph)": 7210, "iso --flavor free (bare cyclic graph)": 6978,
-    "dual": 7231, "spanning": 6849, "counterexample": 6846, "repr": 7541, "repr --labeled-tree": 9028,
-    "ballean": 7524, "ballean --tree": 7524, "isometry": 6723, "isometry --fast-ultrametric": 9645,
-    "analyze": 8083, "reduce": 7959, "selftest": 17118,
+    "iso": 7763, "iso --flavor free (cyclic graph)": 7172, "iso --flavor free (bare cyclic graph)": 6943,
+    "dual": 7216, "spanning": 6834, "counterexample": 6831, "repr": 7466, "repr --labeled-tree": 8953,
+    "ballean": 7449, "ballean --tree": 7449, "isometry": 6693, "isometry --fast-ultrametric": 9508,
+    "analyze": 8068, "reduce": 7944, "selftest": 16950,
 }
 
 
@@ -968,7 +1000,7 @@ def test_public_api_resolves_lazily_to_the_defining_objects():
     from ultratree.canonical import IsoFlavor
     from ultratree.cli import ISO_FLAVORS
 
-    assert len(set(ultratree.__all__)) == len(ultratree.__all__) == 57
+    assert len(set(ultratree.__all__)) == len(ultratree.__all__) == 55
     for name in ultratree.__all__:
         module = importlib.import_module(f"ultratree.{ultratree._EXPORTS[name]}")
         assert getattr(ultratree, name) is getattr(module, name)

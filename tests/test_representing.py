@@ -147,6 +147,7 @@ def test_ballean_small_cases():
     assert [sorted(b) for b in ballean(_space("a", [[0]])).balls] == [["a"]]
     got = ballean(_space("ab", [[0, 1], [1, 0]]))
     assert sorted(sorted(b) for b in got.balls) == [["a"], ["a", "b"], ["b"]]
+    assert ["b", "a"] in got and ["b"] in got and ["c"] not in got and [] not in got
 
 
 def test_ballean_matches_enumeration():
@@ -167,6 +168,13 @@ def test_ballean_lists_the_payloads_in_ball_id_order():
             tree = representing_tree(space)
             payloads = sorted((tree.payload(v) for v in tree.rt.vertices), key=ball_id)
             assert ballean(space).balls == tuple(payloads)
+
+
+def test_ball_id_takes_string_points_only():
+    assert ball_id(["b", "a", '"', "\u00e9"]) == '["\\"","a","b","\\u00e9"]'
+    for points in ([1, 2], ["a", 1], [("a",)]):  # a point is a Vertex, a str
+        with pytest.raises(TypeError):
+            ball_id(points)
 
 
 def test_ball_vertex_bijection():
