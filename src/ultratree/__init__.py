@@ -2,11 +2,11 @@
 
 The public names below are imported from their submodule on first access
 (PEP 562), so ``import ultratree`` or ``python -m ultratree.cli`` loads only
-the modules a caller uses.
+the modules a caller uses.  A submodule is an attribute once it is imported,
+as in any package: ``from ultratree import io`` imports it.
 """
 
 from importlib import import_module
-from importlib.util import find_spec
 
 __version__ = "0.1.0"
 
@@ -49,13 +49,9 @@ __all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
-    elif not name.startswith("_") and find_spec(f".{name}", __name__):
-        value = import_module(f".{name}", __name__)  # `ultratree.graphs` after a bare `import ultratree`
-    else:
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
+    value = globals()[name] = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
     return value
 
 

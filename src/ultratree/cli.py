@@ -31,7 +31,7 @@ def __getattr__(name: str):
     package = sys.modules[__package__]
     if name != "tio" and name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(package, "io" if name == "tio" else name)
+    value = globals()[name] = import_module(".io", __package__) if name == "tio" else getattr(package, name)
     return value
 
 

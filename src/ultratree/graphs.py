@@ -6,7 +6,7 @@ one breadth-first search, Graph._reach, and its BFS order, read by rooted
 canonical codes and the duality walks (free codes are read off the center
 peel).  Values are immutable and operations pure, so they share across
 threads freely; vertex ids are ordered lexicographically everywhere (neighbor
-lists, components, returned sets), for identical outputs.  Edge keys and
+lists, edges, returned sets), for identical outputs.  Edge keys and
 the weight and label checks are in payloads.py, which matrix verbs skip.
 """
 
@@ -47,8 +47,8 @@ class Graph:
                 u, v = e
                 if not (self.has_vertex(u) and self.has_vertex(v)):
                     raise VertexNotFoundError(f"edge endpoint not a vertex: {e!r}") from None
-                if u == v:
-                    raise ValueError(f"self-loop at {u!r}") from None
+                if not (u < v or v < u):  # keyed as a self-loop
+                    raise ValueError(f"self-loop at {u!r}" if u == v else f"unordered vertex ids {u!r}, {v!r}") from None
             raise
         vars(self).update(vertices=vs, edges=tuple(es), _edge_set=es, _adj={v: tuple(ns) for v, ns in adj.items()})
 
@@ -82,31 +82,11 @@ class Graph:
                     order.append(y)
         return parent
 
-    def components(self) -> list[tuple[Vertex, ...]]:
-        """Connected components, each sorted, ordered by smallest member."""
-        out, seen = [], set()
-        for start in self.vertices:
-            if start not in seen:
-                comp = self._reach(start)
-                seen.update(comp)
-                out.append(tuple(sorted(comp)))
-        return out
-
     def is_connected(self) -> bool:
         return len(self._reach(self.vertices[0])) == len(self.vertices)
 
     def is_tree(self) -> bool:
         return len(self.edges) == len(self.vertices) - 1 and self.is_connected()
-
-    def complement(self) -> "Graph":
-        vs = self.vertices
-        es = [
-            (u, v)
-            for i, u in enumerate(vs)
-            for v in vs[i + 1 :]
-            if not self.has_edge(u, v)
-        ]
-        return Graph(vs, es)
 
 
 class Tree(Graph):

@@ -3,11 +3,11 @@
 The strongest class of a checked matrix, read off its ranks; the restriction
 of a space to a subset of its points; and the steps of the paper's recursion
 into diametrical blocks: the diametrical graph of a space and the blocks of
-that complete multipartite graph, each of which the recursion restricts the
-space to.  tests/helpers.py runs that recursion as the test reference.  No CLI verb
-runs any of it, so metrics.py and representing.py, which the matrix verbs
-compile, leave it here: classify_metric and FiniteMetricSpace.classify
-import _classify when they run.
+that complete multipartite graph (the components of its complement), each
+of which the recursion restricts the space to.  tests/helpers.py runs that
+recursion as the test reference.  No CLI verb runs any of it, so metrics.py
+and representing.py, which the matrix verbs compile, leave it here:
+classify_metric and FiniteMetricSpace.classify import _classify when they run.
 """
 
 from __future__ import annotations
@@ -69,12 +69,19 @@ def diametrical_graph(space: FiniteMetricSpace) -> Graph:
 def multipartite_parts(dg: Graph) -> list[tuple[Vertex, ...]]:
     """The unique complete-multipartite block partition of a graph.
 
-    Blocks are the connected components of the complement graph; the
-    decomposition exists iff no block has an internal edge.  Failure gives a
-    witness pair, which for a diametrical graph certifies the generating
-    space was not ultrametric.
+    Blocks are the connected components of the complement graph, each sorted
+    and ordered by least member; the decomposition exists iff no block has an
+    internal edge.  Failure gives a witness pair, which for a diametrical
+    graph certifies the generating space was not ultrametric.
     """
-    blocks = dg.complement().components()
+    blocks, rest = [], list(dg.vertices)
+    while rest:  # a walk over non-edges from the least vertex not yet placed
+        block, rest = rest[:1], rest[1:]
+        for x in block:  # the list grows as it is read
+            near = set(dg.neighbors(x))
+            block += [y for y in rest if y not in near]
+            rest = [y for y in rest if y in near]
+        blocks.append(tuple(sorted(block)))
     if len(blocks) < 2:
         raise NotCompleteMultipartiteError(
             "graph has a single block; a complete multipartite graph needs k >= 2"

@@ -535,9 +535,13 @@ def cycle_edge_by_deletion(g: Graph) -> Edge:
     endpoints stay connected."""
     for e in g.edges:
         rest = Graph(g.vertices, [f for f in g.edges if f != e])
-        comp = rest.components()
         u, v = e
-        if any(u in c and v in c for c in comp):
+        seen, todo = {u}, [u]
+        for x in todo:  # the list grows as it is read
+            fresh = [y for y in rest.neighbors(x) if y not in seen]
+            seen.update(fresh)
+            todo += fresh
+        if v in seen:
             return e
     raise AcyclicInputError("graph has no cycle")
 

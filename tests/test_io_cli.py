@@ -842,10 +842,10 @@ def test_token_lines_leave_out_what_costs_nothing_to_compile():
 # verb is held at what it compiles once each loads only the reader of its input,
 # its own handler and the code it runs.
 _SOURCE_TOKEN_CEILINGS = {
-    "iso": 7763, "iso --flavor free (cyclic graph)": 7172, "iso --flavor free (bare cyclic graph)": 6943,
-    "dual": 7216, "spanning": 6834, "counterexample": 6831, "repr": 7466, "repr --labeled-tree": 8953,
-    "ballean": 7449, "ballean --tree": 7449, "isometry": 6693, "isometry --fast-ultrametric": 9508,
-    "analyze": 8068, "reduce": 7944, "selftest": 16950,
+    "iso": 7611, "iso --flavor free (cyclic graph)": 7020, "iso --flavor free (bare cyclic graph)": 6791,
+    "dual": 7064, "spanning": 6682, "counterexample": 6679, "repr": 7314, "repr --labeled-tree": 8801,
+    "ballean": 7297, "ballean --tree": 7297, "isometry": 6662, "isometry --fast-ultrametric": 9356,
+    "analyze": 7916, "reduce": 7792, "selftest": 16877,
 }
 
 
@@ -1011,12 +1011,35 @@ def test_public_api_resolves_lazily_to_the_defining_objects():
     assert {name: star[name] for name in ultratree.__all__} == {
         name: getattr(ultratree, name) for name in ultratree.__all__
     }
-    assert ultratree.graphs is importlib.import_module("ultratree.graphs")
     for unknown in ("no_such_name", "_no_such_name"):
         assert not hasattr(ultratree, unknown)
         with pytest.raises(AttributeError, match=unknown):
             getattr(ultratree, unknown)
     assert list(ISO_FLAVORS) == [f.value for f in IsoFlavor]
+
+
+# A bare interpreter (-S: no site module, which on some installs imports importlib.util
+# at start-up) with the package under test first on its path: a public name, then one
+# verb run in process, which binds the CLI's io.
+_NO_IMPORTLIB_UTIL = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import ultratree
+ultratree.Graph
+from ultratree import cli
+code = cli.main(["iso", "--flavor", "free", sys.argv[2], sys.argv[2]])
+print(code, "importlib.util" in sys.modules)
+"""
+
+
+def test_the_package_and_the_cli_import_no_importlib_util(tmp_path):
+    import ultratree
+
+    edge = _write(tmp_path, "edge.json", json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+    src = str(Path(ultratree.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", _NO_IMPORTLIB_UTIL, src, edge], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == tio.dump_json({"isomorphic": True}) + "0 False\n"
 
 
 def test_the_package_ships_no_test_references_or_generators():

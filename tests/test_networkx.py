@@ -1,17 +1,27 @@
 """Cross-checks against networkx, an independent implementation: tree centers,
-the six isomorphism flavors and the bottleneck spanning tree.  networkx is a
-test-only dependency; without it these tests are skipped."""
+the six isomorphism flavors, the bottleneck spanning tree and the blocks of a
+complete multipartite graph.  networkx is a test-only dependency; without it
+these tests are skipped."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from ultratree import Graph, IsoFlavor, Tree, are_isomorphic, bottleneck_spanning_tree
+from ultratree import (
+    Graph,
+    IsoFlavor,
+    Tree,
+    are_isomorphic,
+    bottleneck_spanning_tree,
+    diametrical_graph,
+    multipartite_parts,
+)
+from ultratree.errors import NotCompleteMultipartiteError
 from ultratree.path_metrics import minimax_label_metric
 from ultratree.tree_codes import tree_centers
 
-from helpers import random_connected_graph, random_labels, random_tree, tree_from_edges
+from helpers import random_connected_graph, random_labels, random_tree, random_ultrametric_space, tree_from_edges
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.isomorphism import rooted_tree_isomorphism, tree_isomorphism  # noqa: E402
@@ -106,3 +116,39 @@ def test_bottleneck_spanning_tree_realizes_the_networkx_minimum_spanning_tree_me
         ours = bottleneck_spanning_tree(g, labels)
         metric, want = (minimax_label_metric(tree, labels)[0] for tree in (ours, theirs))
         assert all(metric.distance(x, y) == want.distance(x, y) for x in g.vertices for y in g.vertices)
+
+
+def _networkx_parts(g):
+    """The blocks of g by networkx, each sorted, ordered by least member, or
+    the refusal multipartite_parts must give: fewer than two blocks, or the
+    first pair of a block joined by an edge."""
+    h = _nx_graph(g)
+    blocks = sorted(tuple(sorted(c)) for c in nx.connected_components(nx.complement(h)))
+    if len(blocks) < 2:
+        return "graph has a single block; a complete multipartite graph needs k >= 2"
+    for block in blocks:
+        for i, u in enumerate(block):
+            for v in block[i + 1 :]:
+                if h.has_edge(u, v):
+                    return f"vertices {u!r}, {v!r} are adjacent inside one block"
+    return blocks
+
+
+def test_multipartite_parts_equal_networkx_complement_components():
+    rng = random.Random(619)
+    # diametrical graphs of ultrametric spaces always split; random graphs mostly do not
+    graphs = [diametrical_graph(random_ultrametric_space(rng, rng.randint(2, 40))) for _ in range(120)]
+    for _ in range(160):
+        vs, p = [f"v{i:02d}" for i in range(rng.randint(1, 12))], rng.random()
+        graphs.append(Graph(vs, [(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :] if rng.random() < p]))
+    kinds = []  # "split", or the first word of the refusal: "graph" (one block) or "vertices"
+    for i, g in enumerate(graphs):
+        want = _networkx_parts(g)
+        try:
+            got = multipartite_parts(g)
+        except NotCompleteMultipartiteError as exc:
+            got = str(exc)
+        assert got == want, i
+        kinds.append("split" if isinstance(want, list) else want.split()[0])
+    assert kinds[:120] == ["split"] * 120
+    assert all(kinds[120:].count(kind) >= 20 for kind in ("split", "graph", "vertices"))
